@@ -8,6 +8,12 @@ for every algorithm, which is what makes cross-algorithm budgets comparable.
 Survivors between generations keep their stored evaluations; nothing is
 silently re-evaluated or cached across generations.
 
+A concrete algorithm fills in ``_key(i)``, slot i's binary-tournament key
+(lower wins), or overrides ``_parents()``; ``_install_initial`` only when the
+first population needs more than storing; ``_absorb`` for survival
+selection; and ``_propose`` only when offspring are not the pairwise SBX +
+polynomial-mutation children of ``_parents()``.
+
 All randomness is drawn sequentially from the optimizer's own stream, so a
 fixed seed reproduces populations generation by generation.
 """
@@ -134,6 +140,10 @@ class Optimizer:
     def mutation_rate(self) -> float:
         return self.config.p_m if self.config.p_m is not None else 1.0 / self.n_genes
 
+    @property
+    def best_scalar(self) -> float:
+        return max(ind.scalar_value for ind in self._population)
+
     def ask(self) -> list[np.ndarray]:
         """Exactly pop_size genomes to evaluate next."""
         self.generation += 1
@@ -152,7 +162,7 @@ class Optimizer:
         else:
             self._absorb(evaluated)
 
-    # Variation helpers shared by the concrete algorithms.
+    # Parent selection and variation shared by the concrete algorithms.
 
     def _vary_pair(self, parent_a: np.ndarray, parent_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.rng.uniform() < self.config.p_crossover:
@@ -166,11 +176,34 @@ class Optimizer:
                                       self.rng, self.config.bounds)
         return child_a, child_b
 
-    def _propose(self) -> list[np.ndarray]:
+    def _key(self, i: int) -> tuple:
         raise NotImplementedError
 
+    def _tournament(self) -> np.ndarray:
+        """Binary tournament on ``_key``: slot i wins ties."""
+        i = self.rng.below(self.config.pop_size)
+        j = self.rng.below(self.config.pop_size)
+        return self._population[j if self._key(j) < self._key(i) else i].genome
+
+    def _random_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """Genomes of two distinct, uniformly drawn slots."""
+        i = self.rng.below(self.config.pop_size)
+        j = self.rng.below(self.config.pop_size)
+        while j == i:
+            j = self.rng.below(self.config.pop_size)
+        return self._population[i].genome, self._population[j].genome
+
+    def _parents(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._tournament(), self._tournament()
+
+    def _propose(self) -> list[np.ndarray]:
+        offspring = []
+        while len(offspring) < self.config.pop_size:
+            offspring.extend(self._vary_pair(*self._parents()))
+        return offspring[: self.config.pop_size]
+
     def _install_initial(self, evaluated: list[EvaluatedIndividual]) -> None:
-        raise NotImplementedError
+        self._population = list(evaluated)
 
     def _absorb(self, evaluated: list[EvaluatedIndividual]) -> None:
         raise NotImplementedError

@@ -22,6 +22,19 @@ def _returns(individuals: list[EvaluatedIndividual]) -> np.ndarray:
     return np.array([ind.mean_return for ind in individuals])
 
 
+def _fill_by_fronts(ranked, size: int) -> tuple[list[int], np.ndarray | None]:
+    """Whole fronts while they fit in ``size``, and the front that overflows
+    the remaining slots (None when whole fronts fill them exactly)."""
+    selected: list[int] = []
+    for front in ranked.fronts():
+        if len(selected) == size:
+            break
+        if len(selected) + len(front) > size:
+            return selected, front
+        selected.extend(front.tolist())
+    return selected, None
+
+
 class NSGA2(Optimizer):
     """Elitist nondominated sorting GA with crowded tournament selection."""
 
@@ -31,32 +44,17 @@ class NSGA2(Optimizer):
         self._ranks = ranked.ranks
         self._crowding = ranked.crowding
 
-    def _tournament(self) -> np.ndarray:
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        if (self._ranks[j], -self._crowding[j]) < (self._ranks[i], -self._crowding[i]):
-            return self._population[j].genome
-        return self._population[i].genome
-
-    def _propose(self):
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            offspring.extend(self._vary_pair(self._tournament(), self._tournament()))
-        return offspring[: self.config.pop_size]
+    def _key(self, i):
+        return (self._ranks[i], -self._crowding[i])
 
     def _absorb(self, evaluated):
         pool = self._population + list(evaluated)
         ranked = pareto.fast_nondominated_sort(_returns(pool))
-        survivors: list[int] = []
-        for front in ranked.fronts():
-            if len(survivors) + len(front) <= self.config.pop_size:
-                survivors.extend(front.tolist())
-                continue
-            need = self.config.pop_size - len(survivors)
+        survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
+        if split is not None:
             # Descending crowding; stable to keep input order on ties.
-            order = np.argsort(-ranked.crowding[front], kind="stable")
-            survivors.extend(front[order[:need]].tolist())
-            break
+            order = np.argsort(-ranked.crowding[split], kind="stable")
+            survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
         self._population = [pool[i] for i in survivors]
         self._ranks = ranked.ranks[survivors]
         self._crowding = ranked.crowding[survivors]
@@ -113,18 +111,8 @@ class SPEA2(Optimizer):
             alive.remove(victim)
         return alive
 
-    def _tournament(self) -> np.ndarray:
-        i = self.rng.below(len(self._population))
-        j = self.rng.below(len(self._population))
-        if (self._fitness_values[j], j) < (self._fitness_values[i], i):
-            return self._population[j].genome
-        return self._population[i].genome
-
-    def _propose(self):
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            offspring.extend(self._vary_pair(self._tournament(), self._tournament()))
-        return offspring[: self.config.pop_size]
+    def _key(self, i):
+        return (self._fitness_values[i], i)
 
     def _absorb(self, evaluated):
         self._select_archive(self._population + list(evaluated))
@@ -164,19 +152,8 @@ class SMSEMOA(Optimizer):
             raise ValueError("SMS-EMOA uses exact hypervolume and supports k <= 3 only")
         self._population = list(evaluated)
 
-    def _random_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        while j == i:
-            j = self.rng.below(self.config.pop_size)
-        return self._population[i].genome, self._population[j].genome
-
     def _propose(self):
-        offspring = []
-        for _ in range(self.config.pop_size):
-            child, _unused = self._vary_pair(*self._random_pair())
-            offspring.append(child)
-        return offspring
+        return [self._vary_pair(*self._random_pair())[0] for _ in range(self.config.pop_size)]
 
     def _absorb(self, evaluated):
         for child in evaluated:
@@ -256,18 +233,8 @@ class NSGA3(Optimizer):
         self._directions = generate_reference_directions(k, minimum_partitions(k, self.config.pop_size))
         self._population = list(evaluated)
 
-    def _random_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        while j == i:
-            j = self.rng.below(self.config.pop_size)
-        return self._population[i].genome, self._population[j].genome
-
-    def _propose(self):
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            offspring.extend(self._vary_pair(*self._random_pair()))
-        return offspring[: self.config.pop_size]
+    def _parents(self):
+        return self._random_pair()
 
     def _normalize(self, maximized: np.ndarray) -> np.ndarray:
         """Translate by the pool ideal and scale by achievement-scalarizing
@@ -296,15 +263,8 @@ class NSGA3(Optimizer):
         pool = self._population + list(evaluated)
         points = _returns(pool)
         ranked = pareto.fast_nondominated_sort(points)
-        selected: list[int] = []
-        last_front: np.ndarray | None = None
-        for front in ranked.fronts():
-            if len(selected) + len(front) <= self.config.pop_size:
-                selected.extend(front.tolist())
-                continue
-            last_front = front
-            break
-        if last_front is None or len(selected) == self.config.pop_size:
+        selected, last_front = _fill_by_fronts(ranked, self.config.pop_size)
+        if last_front is None:
             self._population = [pool[i] for i in selected]
             return
         need = self.config.pop_size - len(selected)
@@ -393,33 +353,18 @@ class RNSGA2(Optimizer):
                                                 refs, self.config.rnsga2_epsilon)
         return pref
 
-    def _tournament(self) -> np.ndarray:
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        if (self._ranks[j], self._pref[j]) < (self._ranks[i], self._pref[i]):
-            return self._population[j].genome
-        return self._population[i].genome
-
-    def _propose(self):
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            offspring.extend(self._vary_pair(self._tournament(), self._tournament()))
-        return offspring[: self.config.pop_size]
+    def _key(self, i):
+        return (self._ranks[i], self._pref[i])
 
     def _absorb(self, evaluated):
         pool = self._population + list(evaluated)
         points = _returns(pool)
         ranked = pareto.fast_nondominated_sort(points)
         pref = self._frontwise_preference(points, ranked)
-        survivors: list[int] = []
-        for front in ranked.fronts():
-            if len(survivors) + len(front) <= self.config.pop_size:
-                survivors.extend(front.tolist())
-                continue
-            need = self.config.pop_size - len(survivors)
-            order = sorted(range(front.shape[0]), key=lambda i: (pref[front[i]], i))
-            survivors.extend(front[order[:need]].tolist())
-            break
+        survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
+        if split is not None:
+            order = np.argsort(pref[split], kind="stable")
+            survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
         self._population = [pool[i] for i in survivors]
         new_points = points[survivors]
         new_ranked = pareto.fast_nondominated_sort(new_points)

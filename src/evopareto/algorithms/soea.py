@@ -1,8 +1,8 @@
 """Scalarized single-objective baselines: GA, DE, PSO.
 
 All three maximize ``scalar_value`` (the equal-weight mean of the objective
-components).  Each exposes ``best_scalar``, the algorithm's retained best,
-which is non-decreasing over generations on deterministic environments:
+components).  ``best_scalar``, the best scalar value the population
+retains, is non-decreasing over generations on deterministic environments:
 GA through 1-elitism, DE through per-slot greedy replacement, PSO through
 its personal/global best memory.
 """
@@ -17,31 +17,14 @@ from .base import Optimizer
 
 def _argbest(individuals: list[EvaluatedIndividual]) -> int:
     """Index of the highest scalar value; first one on ties."""
-    best = 0
-    for i in range(1, len(individuals)):
-        if individuals[i].scalar_value > individuals[best].scalar_value:
-            best = i
-    return best
+    return int(np.argmax([ind.scalar_value for ind in individuals]))
 
 
 class GA(Optimizer):
     """Generational GA: binary tournament, SBX + polynomial mutation, 1-elitism."""
 
-    def _install_initial(self, evaluated):
-        self._population = list(evaluated)
-
-    def _tournament(self) -> np.ndarray:
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        a, b = self._population[i], self._population[j]
-        return (a if a.scalar_value >= b.scalar_value else b).genome
-
-    def _propose(self):
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            child_a, child_b = self._vary_pair(self._tournament(), self._tournament())
-            offspring.extend([child_a, child_b])
-        return offspring[: self.config.pop_size]
+    def _key(self, i):
+        return (-self._population[i].scalar_value,)
 
     def _absorb(self, evaluated):
         elite = self._population[_argbest(self._population)]
@@ -51,10 +34,6 @@ class GA(Optimizer):
             newcomers[worst] = elite
         self._population = newcomers
 
-    @property
-    def best_scalar(self) -> float:
-        return self._population[_argbest(self._population)].scalar_value
-
 
 class DE(Optimizer):
     """Differential evolution, rand/1/bin with greedy per-slot selection."""
@@ -63,9 +42,6 @@ class DE(Optimizer):
         if config.pop_size < 4:
             raise ValueError("DE rand/1 needs pop_size >= 4 for distinct donors")
         super().__init__(config, genome_length, rng)
-
-    def _install_initial(self, evaluated):
-        self._population = list(evaluated)
 
     def _distinct_donors(self, target: int) -> tuple[int, int, int]:
         picked: list[int] = []
@@ -86,21 +62,15 @@ class DE(Optimizer):
             mutant = x1 + self.config.de_f * (x2 - x3)
             target = self._population[i].genome
             j_rand = self.rng.below(self.n_genes)
-            trial = target.copy()
-            for j in range(self.n_genes):
-                if self.rng.uniform() < self.config.de_cr or j == j_rand:
-                    trial[j] = mutant[j]
-            trials.append(np.clip(trial, lo, hi))
+            crossed = self.rng.uniform_vector(self.n_genes) < self.config.de_cr
+            crossed[j_rand] = True
+            trials.append(np.clip(np.where(crossed, mutant, target), lo, hi))
         return trials
 
     def _absorb(self, evaluated):
         for i, trial in enumerate(evaluated):
             if trial.scalar_value >= self._population[i].scalar_value:
                 self._population[i] = trial
-
-    @property
-    def best_scalar(self) -> float:
-        return self._population[_argbest(self._population)].scalar_value
 
 
 class PSO(Optimizer):
@@ -140,7 +110,3 @@ class PSO(Optimizer):
             if particle.scalar_value > self._population[i].scalar_value:
                 self._population[i] = particle
         self._gbest = _argbest(self._population)
-
-    @property
-    def best_scalar(self) -> float:
-        return self._population[self._gbest].scalar_value

@@ -18,16 +18,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import indicators, rng, stats
+from . import indicators, rng
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
 from .evaluation import evaluate
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed
+
+if TYPE_CHECKING:
+    from . import stats
 
 METRICS_HEADER = "algorithm,run,generation,hv,gd,igd,scalarized_best"
 
@@ -265,24 +269,6 @@ def read_metrics_csv(path) -> list[MetricRow]:
     return rows
 
 
-def export(rows, cd_results, reference, algorithm_fronts, directory) -> list[Path]:
-    """Write the experiment CSVs; byte-identical for identical inputs."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    metrics_path = directory / "metrics.csv"
-    write_metrics_csv(rows, metrics_path)
-    written.append(metrics_path)
-    fronts_path = directory / "fronts.csv"
-    write_fronts_csv(reference, algorithm_fronts, fronts_path)
-    written.append(fronts_path)
-    if cd_results:
-        cd_path = directory / "cd.csv"
-        write_cd_csv(cd_results, cd_path)
-        written.append(cd_path)
-    return written
-
-
 # -- statistics bridge ---------------------------------------------------------
 
 _METRIC_DIRECTION = {"hv": "higher", "gd": "lower", "igd": "lower",
@@ -298,6 +284,9 @@ def build_score_table(rows, metric: str, mode: str = "per-run") -> stats.ScoreTa
     collapses each problem's runs into one averaged dataset (which needs at
     least two problems to satisfy the n >= 2 floor of the test).
     """
+    # Imported here so that importing the package does not load scipy.stats.
+    from . import stats
+
     if metric not in _METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
     if mode not in ("per-run", "problem-mean"):

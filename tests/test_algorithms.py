@@ -20,6 +20,7 @@ from evopareto.algorithms import (
     reference_point_ranks,
     smsemoa_removal_index,
 )
+from evopareto.algorithms.moea import _fill_by_fronts
 from evopareto.evaluation import EvaluatedIndividual
 from evopareto.indicators import hypervolume_exact
 from evopareto.rng import RandomStream
@@ -552,3 +553,89 @@ def test_rnsga2_prefers_points_near_custom_reference():
     r._absorb([evaluated([2.0], (7.0, 1.0)), evaluated([3.0], (1.0, 7.0))])
     survivors = {tuple(ind.mean_return) for ind in r.population}
     assert survivors == {(8.0, 0.0), (7.0, 1.0)}
+
+
+# -- shared skeleton -----------------------------------------------------------
+
+def two_slot_optimizer(name):
+    """Two mutually nondominated, equal-scalar slots: genomes [0.0] and [1.0]."""
+    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=2), 1, RandomStream(0))
+    optimizer.ask()
+    optimizer.tell([evaluated([0.0], (1.0, 0.0)), evaluated([1.0], (0.0, 1.0))])
+    return optimizer
+
+
+@pytest.mark.parametrize("name", ["GA", "NSGA2", "RNSGA2"])
+def test_tournament_first_drawn_slot_wins_tied_key(name):
+    optimizer = two_slot_optimizer(name)
+    assert optimizer._key(0) == optimizer._key(1)
+    for first, second in ((0, 1), (1, 0)):
+        optimizer.rng = ScriptedStream(ints=[first, second])
+        assert optimizer._tournament() is optimizer.population[first].genome
+
+
+def test_spea2_tournament_breaks_fitness_ties_by_slot():
+    spea = two_slot_optimizer("SPEA2")
+    assert spea._fitness_values[0] == spea._fitness_values[1]
+    for draws in ((0, 1), (1, 0)):
+        spea.rng = ScriptedStream(ints=list(draws))
+        assert spea._tournament() is spea.population[0].genome
+
+
+@pytest.mark.parametrize("name", ["GA", "NSGA2", "SPEA2", "RNSGA2"])
+def test_tournament_lower_key_wins_either_draw_order(name):
+    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=2), 1, RandomStream(0))
+    optimizer.ask()
+    optimizer.tell([evaluated([0.0], (0.0, 0.0)), evaluated([1.0], (1.0, 1.0))])
+    best = 0 if optimizer._key(0) < optimizer._key(1) else 1
+    assert optimizer.population[best].genome[0] == 1.0
+    for draws in ((0, 1), (1, 0)):
+        optimizer.rng = ScriptedStream(ints=list(draws))
+        assert optimizer._tournament() is optimizer.population[best].genome
+
+
+def test_random_pair_redraws_a_repeated_slot():
+    nsga3 = two_slot_optimizer("NSGA3")
+    nsga3.rng = ScriptedStream(ints=[1, 1, 1, 0])
+    first, second = nsga3._random_pair()
+    assert first is nsga3.population[1].genome
+    assert second is nsga3.population[0].genome
+
+
+@pytest.mark.parametrize("name", ["SMSEMOA", "NSGA3"])
+def test_random_pair_never_returns_one_slot_twice(name):
+    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=4), 1, RandomStream(9))
+    optimizer.ask()
+    optimizer.tell([evaluated([float(i)], (float(i), -float(i))) for i in range(4)])
+    for _ in range(200):
+        first, second = optimizer._random_pair()
+        assert first[0] != second[0]
+
+
+FRONT_POINTS = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [2.0, 0.0], [1.0, 0.0]])
+
+
+def test_fill_by_fronts_exact_fill_has_no_split_front():
+    ranked = pareto.fast_nondominated_sort(FRONT_POINTS)
+    assert _fill_by_fronts(ranked, 2) == ([1, 3], None)
+    assert _fill_by_fronts(ranked, 4) == ([1, 3, 2, 4], None)
+    assert _fill_by_fronts(ranked, 5) == ([1, 3, 2, 4, 0], None)
+
+
+def test_fill_by_fronts_returns_the_overflowing_front():
+    ranked = pareto.fast_nondominated_sort(FRONT_POINTS)
+    selected, split = _fill_by_fronts(ranked, 3)
+    assert selected == [1, 3]
+    assert split.tolist() == [2, 4]
+    selected, split = _fill_by_fronts(ranked, 1)
+    assert selected == []
+    assert split.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("name", ["GA", "DE", "PSO"])
+def test_best_scalar_is_population_maximum(name):
+    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=6), 2, RandomStream(12))
+    for _ in range(4):
+        drive(optimizer, lambda g: (g[0] - g[1] ** 2, g[0]), 1)
+        scalars = [ind.scalar_value for ind in optimizer.population]
+        assert optimizer.best_scalar == max(scalars)

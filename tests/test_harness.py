@@ -185,8 +185,10 @@ def test_export_is_byte_stable(tmp_path):
     rows, reference, fronts = harness.compute_metrics(records)
     first = tmp_path / "a"
     second = tmp_path / "b"
-    harness.export(rows, None, reference, fronts, first)
-    harness.export(rows, None, reference, fronts, second)
+    for directory in (first, second):
+        directory.mkdir()
+        harness.write_metrics_csv(rows, directory / "metrics.csv")
+        harness.write_fronts_csv(reference, fronts, directory / "fronts.csv")
     assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
     assert (first / "fronts.csv").read_bytes() == (second / "fronts.csv").read_bytes()
 
