@@ -2,7 +2,8 @@
 
 Each case runs one algorithm alone (pop 10, 4 generations, 2 runs, 1
 episode, master seed 3; pop 8 on NoisyPointWalker) and pins the SHA-256 of
-``metrics.csv`` followed by ``fronts.csv``.  A refactor that keeps every
+``metrics.csv`` followed by ``fronts.csv``.  The multi-episode cases run the
+same configs at 3 episodes, so they also pin the ordered episode sum.  A refactor that keeps every
 draw in the same order leaves these unchanged; a deliberate change of the
 output bytes must bump ``rng.SCHEME`` and re-pin the digests.
 """
@@ -62,11 +63,18 @@ GOLDEN = {
         "6decc4270ff9d7785940d7b38d35311e23e832ec1844c2daec43800e631a2fd4",
 }
 
+MULTI_EPISODE = {
+    ("NoisyPointWalker", "NSGA2"):
+        "17348f8c0dd3cc563ccccf727b335a34a8216eab6811874c9011c12f5a2ff5d2",
+    ("HopLander", "NSGA2"):
+        "4b928b70a34a0de25aabffe3bd0f0c2c3331ed0592d7677aade15902e1edeab4",
+}
 
-def golden_config(environment: str, algorithm: str) -> ExperimentConfig:
+
+def golden_config(environment: str, algorithm: str, n_episodes: int = 1) -> ExperimentConfig:
     return ExperimentConfig(environment=environment, algorithms=(algorithm,),
                             pop_size=8 if environment == "NoisyPointWalker" else 10,
-                            generations=4, n_episodes=1, n_runs=2, master_seed=3)
+                            generations=4, n_episodes=n_episodes, n_runs=2, master_seed=3)
 
 
 def output_digest(config: ExperimentConfig, directory) -> str:
@@ -92,3 +100,11 @@ def test_output_digest_is_pinned(environment, algorithm, tmp_path):
     found = output_digest(golden_config(environment, algorithm), tmp_path)
     assert found == GOLDEN[(environment, algorithm)], (
         f"{algorithm} on {environment}: output digest changed")
+
+
+@pytest.mark.parametrize("environment,algorithm", list(MULTI_EPISODE),
+                         ids=[f"{e}-{a}" for e, a in MULTI_EPISODE])
+def test_multi_episode_output_digest_is_pinned(environment, algorithm, tmp_path):
+    found = output_digest(golden_config(environment, algorithm, n_episodes=3), tmp_path)
+    assert found == MULTI_EPISODE[(environment, algorithm)], (
+        f"{algorithm} on {environment} at 3 episodes: output digest changed")
