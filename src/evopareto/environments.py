@@ -10,11 +10,30 @@ horizons, and seeded, bit-reproducible transitions:
 * ``HopLander`` -- three objectives (forward speed, altitude, energy) with
   a ground-contact nonlinearity.
 
-Environment objects are immutable; all per-episode mutability lives in
-:class:`EnvState`, so independent episodes can run concurrently as long as
-each owns its state and its random stream.  Actions are clamped to
-``[-1, 1]`` defensively, episodes always run the full horizon, and with the
-noise scale forced to zero the two stochastic tasks become deterministic.
+Dynamics are array-native: every method works on ``[B, ...]`` arrays, one
+row per episode, so a whole population's episodes advance in lockstep.
+
+* ``initial(u[B]) -> values[B, d]`` maps each episode's initial uniform
+  draw in [0, 1) to its state;
+* ``observe(values[B, d]) -> obs[B, obs_dim]``;
+* ``transition(values[B, d], actions[B, a], noise[B]) -> (values[B, d],
+  rewards[B, k])`` advances one step, ``noise`` being each episode's
+  standard normal draw for the step.
+
+Each environment has exactly this one implementation of its dynamics.  The
+array operations are the IEEE operations, in the same order, of the scalar
+formulas in the class docstrings, applied element by element, so a row's
+result does not depend on the batch it runs in.  ``np.where(x > 0.0, x,
+0.0)`` stands for ``max(0.0, x)``: like Python's ``max`` it gives 0.0
+wherever ``x > 0.0`` is false, ``-0.0`` and NaN included.
+
+A stochastic environment's episode draws one uniform for its initial state,
+then one normal per step; the bandit draws nothing.  :meth:`Environment.reset`
+and :meth:`Environment.step` run single episodes (``B = 1``) on immutable
+:class:`EnvState` values and draw from a :class:`RandomStream` in that
+order.  Actions are clamped to ``[-1, 1]`` defensively, episodes always run
+the full horizon, and with the noise scale forced to zero the two
+stochastic tasks become deterministic.
 """
 
 from __future__ import annotations
@@ -56,36 +75,42 @@ class StepResult:
     done: bool
 
 
-def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
-    return lo if x < lo else hi if x > hi else x
-
-
 class Environment:
-    """Shared plumbing; subclasses provide initial state, dynamics, observation."""
+    """Array dynamics from subclasses; single-episode reset and step."""
 
     spec: EnvSpec
+    #: Whether episodes draw an initial uniform and one normal per step.
+    stochastic = True
+
+    def initial(self, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def transition(self, values: np.ndarray, actions: np.ndarray,
+                   noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
     def reset(self, rng: RandomStream) -> EnvState:
-        return EnvState(values=self._initial(rng), step_index=0)
+        u = rng.uniform() if self.stochastic else 0.0
+        return EnvState(values=tuple(self.initial(np.array([u]))[0].tolist()), step_index=0)
 
     def step(self, state: EnvState, action, rng: RandomStream) -> StepResult:
         if state.step_index >= self.spec.horizon:
             raise ValueError("episode already finished; reset before stepping")
-        action = [_clamp(float(a)) for a in np.asarray(action, dtype=np.float64)]
-        if len(action) != self.spec.action_dim:
-            raise ValueError(f"expected {self.spec.action_dim} action components, got {len(action)}")
-        values, reward = self._transition(state.values, action, rng)
-        next_state = EnvState(values=values, step_index=state.step_index + 1)
-        return StepResult(next_state=next_state, reward=np.array(reward), done=next_state.step_index >= self.spec.horizon)
+        action = np.asarray(action, dtype=np.float64)
+        if action.shape != (self.spec.action_dim,):
+            raise ValueError(f"expected {self.spec.action_dim} action components, got {action.size}")
+        noise = rng.normal() if self.stochastic else 0.0
+        values, rewards = self.transition(np.array([state.values], dtype=np.float64),
+                                          action[None, :], np.array([noise]))
+        next_state = EnvState(values=tuple(values[0].tolist()), step_index=state.step_index + 1)
+        return StepResult(next_state=next_state, reward=rewards[0],
+                          done=next_state.step_index >= self.spec.horizon)
 
     def observation(self, state: EnvState) -> np.ndarray:
-        return np.array(state.values, dtype=np.float64)
-
-    def _initial(self, rng: RandomStream) -> tuple[float, ...]:
-        raise NotImplementedError
-
-    def _transition(self, values, action, rng: RandomStream):
-        raise NotImplementedError
+        return self.observe(np.array([state.values], dtype=np.float64))[0]
 
 
 class TradeoffBandit(Environment):
@@ -93,22 +118,24 @@ class TradeoffBandit(Environment):
 
     The achievable set is exactly the segment y1 + y2 = 1 restricted to
     [0, 1]^2, every point of which is nondominated, so the Pareto front is
-    known in closed form.
+    known in closed form.  The state is empty and the observation is 1.
     """
+
+    stochastic = False
 
     def __init__(self, sigma: float = 0.0):
         self.spec = EnvSpec(name="TradeoffBandit", obs_dim=1, action_dim=1,
                             k=2, horizon=1, gamma=0.99, sigma=sigma)
 
-    def _initial(self, rng):
-        return ()
+    def initial(self, u):
+        return np.empty((len(u), 0))
 
-    def observation(self, state):
-        return np.array([1.0])
+    def observe(self, values):
+        return np.ones((len(values), 1))
 
-    def _transition(self, values, action, rng):
-        u = (action[0] + 1.0) / 2.0
-        return (), (u, 1.0 - u)
+    def transition(self, values, actions, noise):
+        u = (np.clip(actions[:, 0], -1.0, 1.0) + 1.0) / 2.0
+        return values, np.column_stack([u, 1.0 - u])
 
     def analytic_front(self, resolution: int) -> np.ndarray:
         """The true front sampled on a uniform grid: {(u, 1-u)}."""
@@ -133,17 +160,18 @@ class NoisyPointWalker(Environment):
         self.spec = EnvSpec(name="NoisyPointWalker", obs_dim=2, action_dim=1,
                             k=2, horizon=20, gamma=0.99, sigma=sigma)
 
-    def _initial(self, rng):
+    def initial(self, u):
         amp = 5.0 * self.spec.sigma
-        return (0.0, rng.uniform(-amp, amp))
+        v = -amp + (amp - -amp) * u  # RandomStream.uniform(-amp, amp)
+        return np.column_stack([np.zeros_like(v), v])
 
-    def _transition(self, values, action, rng):
-        x, v = values
-        a = action[0]
-        eps = self.spec.sigma * rng.normal()
-        v_next = _clamp(v + 0.1 * a - 0.05 * v + eps)
+    def transition(self, values, actions, noise):
+        x, v = values[:, 0], values[:, 1]
+        a = np.clip(actions[:, 0], -1.0, 1.0)
+        eps = self.spec.sigma * noise
+        v_next = np.clip(v + 0.1 * a - 0.05 * v + eps, -1.0, 1.0)
         x_next = x + 0.1 * v_next
-        return (x_next, v_next), (v_next, -(a * a))
+        return np.column_stack([x_next, v_next]), np.column_stack([v_next, -(a * a)])
 
 
 class HopLander(Environment):
@@ -159,20 +187,23 @@ class HopLander(Environment):
         self.spec = EnvSpec(name="HopLander", obs_dim=3, action_dim=2,
                             k=3, horizon=20, gamma=0.99, sigma=sigma)
 
-    def _initial(self, rng):
+    def initial(self, u):
         amp = 5.0 * self.spec.sigma
-        return (1.0 + rng.uniform(-amp, amp), 0.0, 0.0)
+        h = 1.0 + (-amp + (amp - -amp) * u)  # 1 + RandomStream.uniform(-amp, amp)
+        return np.column_stack([h, np.zeros_like(h), np.zeros_like(h)])
 
-    def _transition(self, values, action, rng):
-        h, w, v = values
-        a1, a2 = action
+    def transition(self, values, actions, noise):
+        h, w, v = values[:, 0], values[:, 1], values[:, 2]
+        actions = np.clip(actions, -1.0, 1.0)
+        a1, a2 = actions[:, 0], actions[:, 1]
         w_next = w + 0.1 * a1 - 0.02
-        h_next = max(0.0, h + 0.1 * w_next)
-        if h_next == 0.0:
-            w_next = 0.0
-        eps = self.spec.sigma * rng.normal()
+        h_next = h + 0.1 * w_next
+        h_next = np.where(h_next > 0.0, h_next, 0.0)
+        w_next = np.where(h_next == 0.0, 0.0, w_next)
+        eps = self.spec.sigma * noise
         v_next = 0.95 * v + 0.1 * a2 + eps
-        return (h_next, w_next, v_next), (v_next, h_next, -(a1 * a1 + a2 * a2))
+        return (np.column_stack([h_next, w_next, v_next]),
+                np.column_stack([v_next, h_next, -(a1 * a1 + a2 * a2)]))
 
 
 _CATALOG = {

@@ -1,11 +1,29 @@
 """Turning genomes into objective values.
 
 A rollout simulates one full-horizon episode and returns the discounted
-vector return sum(gamma^i * r_{i+1}).  :func:`evaluate` averages rollouts
-over episodes, each episode drawing from a stream derived from
-``(seed_base, episode)``; accumulation is ordered episode 0 to n-1 so
-results do not depend on scheduling.  Individuals never share random
-numbers: each gets its own seed base from the caller.
+vector return sum(gamma^i * r_{i+1}).  :func:`evaluate_population` averages
+rollouts over episodes for a whole generation at once; each episode draws
+from a stream derived from ``(seed_base, episode)``, and individuals never
+share random numbers: each gets its own seed base from the caller.
+
+All ``B = len(genomes) * n_episodes`` episodes run in lockstep as ``[B, ...]``
+arrays, row ``i * n_episodes + e`` being episode ``e`` of genome ``i``:
+stacked policy weights ``[B, out, in]``, observations ``[B, obs_dim]``,
+states ``[B, d]``, per-step noise ``[B]`` and returns ``[B, k]``.  The
+results are byte-identical to running each episode alone, for three
+reasons:
+
+* the stacked matmul in :func:`policy.forward` runs the same matrix-vector
+  product for every row as an unbatched call does;
+* each episode's draws are those of its own fresh stream, one uniform and
+  then ``horizon`` normals, with Box-Muller on ``math`` functions
+  (:func:`rng.leading_draws`); elementwise arithmetic does not depend on
+  the batch;
+* episode returns are summed in order 0 to n-1 and then divided, so results
+  do not depend on scheduling.
+
+:func:`rollout` and :func:`evaluate` run the same kernel for one episode and
+one genome.
 """
 
 from __future__ import annotations
@@ -17,7 +35,7 @@ import numpy as np
 from . import policy
 from .environments import Environment
 from .policy import PolicySpec
-from .rng import RandomStream, derive_seed
+from .rng import RandomStream, derive_seed, leading_draws
 
 
 @dataclass(frozen=True)
@@ -36,35 +54,79 @@ def scalarize(v) -> float:
     return float(np.sum(v) / v.shape[0])
 
 
-def rollout(env: Environment, spec: PolicySpec, genome, rng: RandomStream) -> np.ndarray:
-    """One Monte Carlo sample of the discounted vector return."""
+def _check_shapes(env: Environment, spec: PolicySpec) -> None:
     if spec.obs_dim != env.spec.obs_dim or spec.action_dim != env.spec.action_dim:
         raise ValueError(
             f"policy ({spec.obs_dim}->{spec.action_dim}) does not match "
             f"environment ({env.spec.obs_dim}->{env.spec.action_dim})"
         )
-    layers = policy.unflatten(spec, genome)
-    state = env.reset(rng)
-    total = np.zeros(env.spec.k)
+
+
+def _returns(env: Environment, layers, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Discounted vector returns ``[B, k]`` of B lockstep episodes.
+
+    ``layers`` are stacked per episode, ``u[B]`` are the initial uniforms and
+    ``noise[B, horizon]`` the per-step standard normals.
+    """
+    values = env.initial(u)
+    total = np.zeros((len(u), env.spec.k))
     discount = 1.0
-    for _ in range(env.spec.horizon):
-        action = policy.forward(layers, env.observation(state))
-        result = env.step(state, action, rng)
-        total += discount * result.reward
+    for t in range(env.spec.horizon):
+        actions = policy.forward(layers, env.observe(values))
+        values, rewards = env.transition(values, actions, noise[:, t])
+        total += discount * rewards
         discount *= env.spec.gamma
-        state = result.next_state
     return total
+
+
+def rollout(env: Environment, spec: PolicySpec, genome, rng: RandomStream) -> np.ndarray:
+    """One Monte Carlo sample of the discounted vector return.
+
+    Takes the episode's draws from ``rng`` up front, in the order the episode
+    uses them: the initial uniform, then one normal per step.
+    """
+    _check_shapes(env, spec)
+    layers = policy.unflatten(spec, np.asarray(genome, dtype=np.float64)[None, :])
+    horizon = env.spec.horizon
+    if env.stochastic:
+        u = np.array([rng.uniform()])
+        noise = np.array([[rng.normal() for _ in range(horizon)]])
+    else:
+        u, noise = np.zeros(1), np.zeros((1, horizon))
+    return _returns(env, layers, u, noise)[0]
+
+
+def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes: int,
+                        seed_bases) -> list[EvaluatedIndividual]:
+    """Empirical mean return of each genome over ``n_episodes`` episodes.
+
+    Genome ``i`` draws episode ``e`` from ``derive_seed(seed_bases[i], e)``.
+    """
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be >= 1")
+    _check_shapes(env, spec)
+    genomes = [np.asarray(genome, dtype=np.float64) for genome in genomes]
+    if len(seed_bases) != len(genomes):
+        raise ValueError("expected one seed base per genome")
+    horizon = env.spec.horizon
+    n = len(genomes) * n_episodes
+    if env.stochastic:
+        keys = [derive_seed(base, episode) for base in seed_bases for episode in range(n_episodes)]
+        u, noise = leading_draws(keys, horizon)
+    else:
+        u, noise = np.zeros(n), np.zeros((n, horizon))
+    layers = policy.unflatten(spec, np.repeat(np.array(genomes), n_episodes, axis=0))
+    returns = _returns(env, layers, u, noise).reshape(len(genomes), n_episodes, env.spec.k)
+    total = np.zeros((len(genomes), env.spec.k))
+    for episode in range(n_episodes):
+        total = total + returns[:, episode]
+    means = total / n_episodes
+    return [EvaluatedIndividual(genome=genome, mean_return=mean,
+                                n_episodes=n_episodes, scalar_value=scalarize(mean))
+            for genome, mean in zip(genomes, means)]
 
 
 def evaluate(env: Environment, spec: PolicySpec, genome, n_episodes: int,
              seed_base: int) -> EvaluatedIndividual:
     """Empirical mean return over ``n_episodes`` independent episodes."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    genome = np.asarray(genome, dtype=np.float64)
-    total = np.zeros(env.spec.k)
-    for episode in range(n_episodes):
-        total = total + rollout(env, spec, genome, RandomStream(derive_seed(seed_base, episode)))
-    mean = total / n_episodes
-    return EvaluatedIndividual(genome=genome, mean_return=mean,
-                               n_episodes=n_episodes, scalar_value=scalarize(mean))
+    return evaluate_population(env, spec, [genome], n_episodes, [seed_base])[0]

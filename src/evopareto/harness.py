@@ -26,7 +26,9 @@ from . import indicators, rng
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
-from .evaluation import evaluate
+# One call evaluates a whole generation; benchmarks/tracer.py times it
+# through this module-level name.
+from .evaluation import evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed
 
@@ -82,11 +84,9 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
     started = time.perf_counter()
     for generation in range(config.generations):
         genomes = optimizer.ask()
-        evaluated = [
-            evaluate(env, spec, genome, config.n_episodes,
-                     derive_seed(run_seed, "eval", generation, i))
-            for i, genome in enumerate(genomes)
-        ]
+        evaluated = evaluate(env, spec, genomes, config.n_episodes,
+                             [derive_seed(run_seed, "eval", generation, i)
+                              for i in range(len(genomes))])
         eval_count += len(evaluated)
         if not all(np.all(np.isfinite(ind.mean_return)) for ind in evaluated):
             status = "aborted"
@@ -307,6 +307,12 @@ def build_score_table(rows, metric: str, mode: str = "per-run") -> stats.ScoreTa
             if key not in last_gen or row.generation > last_gen[key].generation:
                 last_gen[key] = row
         runs = sorted({run for (_, run) in last_gen})
+        missing = [f"{algorithm} run {run}" for run in runs for algorithm in algorithms
+                   if (algorithm, run) not in last_gen]
+        if missing:
+            where = f" of problem {problem!r}" if isinstance(rows, dict) else ""
+            raise ValueError(f"no metric rows{where} for {', '.join(missing)} "
+                             "(missing or aborted runs)")
         block = np.array([[getattr(last_gen[(algorithm, run)], metric)
                            for algorithm in algorithms] for run in runs])
         if mode == "problem-mean":

@@ -42,17 +42,22 @@ def init_genome(spec: PolicySpec, rng: RandomStream) -> np.ndarray:
 
 
 def unflatten(spec: PolicySpec, genome: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat genome into per-layer (weights, bias) arrays."""
+    """Split a flat genome into per-layer (weights, bias) arrays.
+
+    A ``(B, n)`` stack of genomes gives stacked ``(B, out, in)`` weights and
+    ``(B, out)`` biases.
+    """
     theta = np.asarray(genome, dtype=np.float64)
     expected = genome_length(spec)
-    if theta.shape != (expected,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != expected:
         raise ValueError(f"genome length {theta.shape} does not match spec ({expected},)")
+    batch = theta.shape[:-1]
     layers = []
     offset = 0
     for n_in, n_out in spec.layer_sizes():
-        w = theta[offset : offset + n_in * n_out].reshape(n_out, n_in)
+        w = theta[..., offset : offset + n_in * n_out].reshape(*batch, n_out, n_in)
         offset += n_in * n_out
-        b = theta[offset : offset + n_out]
+        b = theta[..., offset : offset + n_out]
         offset += n_out
         layers.append((w, b))
     return layers
@@ -64,10 +69,16 @@ def flatten(layers) -> np.ndarray:
 
 
 def forward(layers, observation: np.ndarray) -> np.ndarray:
-    """Run the network on one observation; tanh at every layer."""
+    """Run the network; tanh at every layer.
+
+    Takes one ``(in,)`` observation with one network's layers, or ``(B, in)``
+    observations with stacked layers, row ``i`` through network ``i``.  The
+    stacked matmul runs the same matrix-vector product per row as a single
+    network does, so each row is bit-identical to its own unbatched call.
+    """
     x = observation
     for w, b in layers:
-        x = np.tanh(w @ x + b)
+        x = np.tanh(np.matmul(w, x[..., None])[..., 0] + b)
     return x
 
 

@@ -179,3 +179,26 @@ def test_sigma_override_rules():
     assert make_env("TradeoffBandit", sigma=0.0).spec.sigma == 0.0
     with pytest.raises(ValueError):
         make_env("TradeoffBandit", sigma=0.1)
+
+
+@pytest.mark.parametrize("name", ("TradeoffBandit", "NoisyPointWalker", "HopLander"))
+def test_batched_transition_rows_equal_single_rows(name):
+    env = make_env(name)
+    stream = RandomStream(23)
+    b, d, a = 64, len(env.reset(stream).values), env.spec.action_dim
+    values = stream.uniform_vector(b * d, -2.0, 2.0).reshape(b, d)
+    actions = stream.uniform_vector(b * a, -1.5, 1.5).reshape(b, a)
+    noise = np.array([stream.normal() for _ in range(b)])
+    batch_values, batch_rewards = env.transition(values, actions, noise)
+    assert batch_rewards.shape == (b, env.spec.k)
+    for i in range(b):
+        row_values, row_rewards = env.transition(values[i:i + 1], actions[i:i + 1], noise[i:i + 1])
+        assert np.array_equal(batch_values[i:i + 1], row_values)
+        assert np.array_equal(batch_rewards[i:i + 1], row_rewards)
+
+
+def test_lander_grounding_follows_python_max():
+    # max(0.0, nan) is 0.0, where np.maximum would give NaN; grounding then zeroes w.
+    env = make_env("HopLander", sigma=0.0)
+    out, _ = env.transition(np.array([[np.nan, 0.0, 0.0]]), np.zeros((1, 2)), np.zeros(1))
+    assert out[0, 0] == 0.0 and out[0, 1] == 0.0

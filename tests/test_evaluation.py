@@ -163,3 +163,113 @@ def test_scalar_value_is_mean_of_components():
     out = evaluation.evaluate(env, spec, genome, 2, seed_base=3)
     assert out.scalar_value == pytest.approx(out.mean_return.mean(), abs=1e-15)
     assert math.isfinite(out.scalar_value)
+
+
+# -- lockstep population evaluation ---------------------------------------------
+
+ENV_NAMES = ("TradeoffBandit", "NoisyPointWalker", "HopLander")
+
+
+def policy_for(env):
+    return PolicySpec(env.spec.obs_dim, (4, 4, 4), env.spec.action_dim)
+
+
+def probe_genomes(spec, n_random=12):
+    """Random genomes in the search bounds plus genomes at and near +-5."""
+    n = policy.genome_length(spec)
+    stream = RandomStream(derive_seed(21, n))
+    random = [stream.uniform_vector(n, -5.0, 5.0) for _ in range(n_random)]
+    near_bounds = [np.full(n, 5.0), np.full(n, -5.0), np.full(n, 5.0 - 1e-9),
+                   np.where(np.arange(n) % 2 == 0, 5.0, -5.0),
+                   np.sign(stream.uniform_vector(n, -1.0, 1.0)) * 5.0]
+    return random + near_bounds
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+@pytest.mark.parametrize("n_episodes", (1, 5))
+@pytest.mark.parametrize("noisy", (False, True))
+def test_population_equals_per_genome_evaluate(name, n_episodes, noisy):
+    env = make_env(name, sigma=None if noisy else 0.0)
+    spec = policy_for(env)
+    genomes = probe_genomes(spec)
+    bases = [derive_seed(7, "eval", i) for i in range(len(genomes))]
+    batched = evaluation.evaluate_population(env, spec, genomes, n_episodes, bases)
+    assert len(batched) == len(genomes)
+    for genome, base, got in zip(genomes, bases, batched):
+        alone = evaluation.evaluate(env, spec, genome, n_episodes, base)
+        assert got.genome is genome
+        assert got.n_episodes == n_episodes
+        assert np.array_equal(got.mean_return, alone.mean_return)
+        assert got.scalar_value == alone.scalar_value
+
+
+def replay(env, spec, genome, rng):
+    """Discounted return and every state of one episode, stepped one at a time."""
+    layers = policy.unflatten(spec, genome)
+    state = env.reset(rng)
+    states = [state.values]
+    total = np.zeros(env.spec.k)
+    discount = 1.0
+    for _ in range(env.spec.horizon):
+        result = env.step(state, policy.forward(layers, env.observation(state)), rng)
+        total += discount * result.reward
+        discount *= env.spec.gamma
+        state = result.next_state
+        states.append(state.values)
+    return total, np.array(states)
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_population_equals_stepwise_replays(name):
+    env = make_env(name)
+    spec = policy_for(env)
+    genomes = probe_genomes(spec, n_random=4)
+    bases = [derive_seed(8, i) for i in range(len(genomes))]
+    batched = evaluation.evaluate_population(env, spec, genomes, 3, bases)
+    for genome, base, got in zip(genomes, bases, batched):
+        total = np.zeros(env.spec.k)
+        for episode in range(3):
+            total = total + replay(env, spec, genome, RandomStream(derive_seed(base, episode)))[0]
+        assert np.array_equal(got.mean_return, total / 3)
+
+
+def test_near_bound_genomes_reach_clamp_and_grounding():
+    walker_env = make_env("NoisyPointWalker")
+    spec = policy_for(walker_env)
+    speeds = [replay(walker_env, spec, g, RandomStream(3))[1][:, 1]
+              for g in probe_genomes(spec)]
+    assert any(np.any(np.abs(v) == 1.0) for v in speeds)
+    lander = make_env("HopLander")
+    spec = policy_for(lander)
+    heights = [replay(lander, spec, g, RandomStream(3))[1][:, 0] for g in probe_genomes(spec)]
+    assert any(np.any(h == 0.0) for h in heights)
+    assert any(np.all(h[1:] > 0.0) for h in heights)
+
+
+@pytest.mark.parametrize("horizon", (1, 4, 5, 20))
+def test_rollout_draws_one_uniform_and_horizon_normals(horizon):
+    for name, draws in (("NoisyPointWalker", 1 + 2 * math.ceil(horizon / 2)),
+                        ("HopLander", 1 + 2 * math.ceil(horizon / 2)),
+                        ("TradeoffBandit", 0)):
+        env = make_env(name)
+        env.spec = replace(env.spec, horizon=horizon)
+        spec = policy_for(env)
+        genome = policy.init_genome(spec, RandomStream(12))
+        stream = RandomStream(40)
+        evaluation.rollout(env, spec, genome, stream)
+        fresh = RandomStream(40)
+        for _ in range(draws):
+            fresh.next_u64()
+        assert stream.next_u64() == fresh.next_u64(), name
+
+
+def test_population_rejects_bad_arguments():
+    env = walker()
+    spec = PolicySpec(2, (4, 4, 4), 1)
+    genomes = [np.zeros(policy.genome_length(spec))] * 2
+    with pytest.raises(ValueError):
+        evaluation.evaluate_population(env, spec, genomes, 0, [1, 2])
+    with pytest.raises(ValueError):
+        evaluation.evaluate_population(env, spec, genomes, 1, [1])
+    with pytest.raises(ValueError):
+        evaluation.evaluate_population(env, PolicySpec(3, (4, 4, 4), 1), genomes, 1, [1, 2])

@@ -91,12 +91,12 @@ def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
                               pop_size=4, generations=3, n_episodes=1, n_runs=1)
     calls = {"n": 0}
 
-    def sometimes_nan(env, spec, genome, n_episodes, seed_base):
-        out = real_evaluate(env, spec, genome, n_episodes, seed_base)
+    def sometimes_nan(env, spec, genomes, n_episodes, seed_bases):
+        out = real_evaluate(env, spec, genomes, n_episodes, seed_bases)
         calls["n"] += 1
-        if calls["n"] <= 4:  # poison only the first generation of the first run
-            return EvaluatedIndividual(out.genome, np.full_like(out.mean_return, np.nan),
-                                       out.n_episodes, out.scalar_value)
+        if calls["n"] == 1:  # poison only the first generation of the first run
+            return [EvaluatedIndividual(ind.genome, np.full_like(ind.mean_return, np.nan),
+                                        ind.n_episodes, ind.scalar_value) for ind in out]
         return out
 
     monkeypatch.setattr(harness, "evaluate", sometimes_nan)
@@ -277,6 +277,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli.main(["export-plots", str(out3)]) == 0
     assert (out3 / "curves.csv").exists()
     capsys.readouterr()
+
+
+def test_cli_stats_names_missing_runs(tmp_path, capsys):
+    # An aborted or missing run leaves (algorithm, run) cells without rows.
+    config = ExperimentConfig(environment="TradeoffBandit", algorithms=("NSGA2", "GA", "PSO"),
+                              pop_size=4, generations=2, n_episodes=1, n_runs=3)
+    rows, _, _ = harness.compute_metrics(harness.run_experiment(config))
+    kept = [row for row in rows if (row.algorithm, row.run) != ("GA", 2)]
+    harness.write_metrics_csv(kept, tmp_path / "metrics.csv")
+    capsys.readouterr()
+    assert cli.main(["stats", str(tmp_path), "--metric", "hv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: no metric rows for GA run 2 (missing or aborted runs)"]
+    assert not (tmp_path / "cd.csv").exists()
 
 
 def test_cli_seed_override_recorded(tmp_path):

@@ -97,3 +97,28 @@ def test_rejects_mismatched_inputs():
         policy.act(spec, genome, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         policy.act(spec, genome[:-1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("obs_dim,action_dim", ((1, 1), (2, 1), (3, 2)))
+def test_stacked_forward_is_bit_identical_to_per_network_loop(obs_dim, action_dim):
+    spec = PolicySpec(obs_dim, (4, 4, 4), action_dim)
+    stream = RandomStream(obs_dim * 10 + action_dim)
+    n = policy.genome_length(spec)
+    genomes = np.array([stream.uniform_vector(n, -5.0, 5.0) for _ in range(300)])
+    observations = np.array([stream.uniform_vector(obs_dim, -2.0, 2.0) for _ in range(300)])
+    batched = policy.forward(policy.unflatten(spec, genomes), observations)
+    assert batched.shape == (300, action_dim)
+    for genome, obs, got in zip(genomes, observations, batched):
+        x = obs
+        for w, b in policy.unflatten(spec, genome):
+            x = np.tanh(w @ x + b)  # the reference: one network, one observation
+        assert np.array_equal(got, x)
+        assert np.array_equal(policy.forward(policy.unflatten(spec, genome), obs), x)
+
+
+def test_unflatten_rejects_bad_stacks():
+    spec = PolicySpec(2, (4, 4, 4), 1)
+    with pytest.raises(ValueError):
+        policy.unflatten(spec, np.zeros((2, 56)))
+    with pytest.raises(ValueError):
+        policy.unflatten(spec, np.zeros((2, 2, 57)))
