@@ -3,11 +3,14 @@
 Each case runs one algorithm alone (pop 10, 4 generations, 2 runs, 1
 episode, master seed 3; pop 8 on NoisyPointWalker) and pins the SHA-256 of
 ``metrics.csv`` followed by ``fronts.csv``.  The multi-episode cases run the
-same configs at 3 episodes, so they also pin the ordered episode sum.  A refactor that keeps every
-draw in the same order leaves these unchanged; a deliberate change of the
-output bytes must bump ``rng.SCHEME`` and re-pin the digests.
+same configs at 3 episodes, so they also pin the ordered episode sum.  The
+noisy case runs HopLander at sigma 0.5, where the Gaussian noise is large
+enough that a last-bit change of a normal draw reaches the CSVs.  A refactor
+that keeps every draw in the same order leaves these unchanged; a deliberate
+change of the output bytes must bump ``rng.SCHEME`` and re-pin the digests.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -70,6 +73,9 @@ MULTI_EPISODE = {
         "4b928b70a34a0de25aabffe3bd0f0c2c3331ed0592d7677aade15902e1edeab4",
 }
 
+NOISY = ("HopLander", "NSGA2", 0.5,
+         "b5f37829beeaf8db5bc4a05fb35d36160be79ac40c387a1c624389e031079603")
+
 
 def golden_config(environment: str, algorithm: str, n_episodes: int = 1) -> ExperimentConfig:
     return ExperimentConfig(environment=environment, algorithms=(algorithm,),
@@ -108,3 +114,10 @@ def test_multi_episode_output_digest_is_pinned(environment, algorithm, tmp_path)
     found = output_digest(golden_config(environment, algorithm, n_episodes=3), tmp_path)
     assert found == MULTI_EPISODE[(environment, algorithm)], (
         f"{algorithm} on {environment} at 3 episodes: output digest changed")
+
+
+def test_noisy_output_digest_is_pinned(tmp_path):
+    environment, algorithm, sigma, expected = NOISY
+    config = dataclasses.replace(golden_config(environment, algorithm, n_episodes=3), sigma=sigma)
+    assert output_digest(config, tmp_path) == expected, (
+        f"{algorithm} on {environment} at sigma {sigma}: output digest changed")
