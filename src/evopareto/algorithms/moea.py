@@ -102,14 +102,20 @@ class SPEA2(Optimizer):
 
     @staticmethod
     def _truncate(points: np.ndarray, candidates: list[int], keep: int) -> list[int]:
-        """Iteratively drop the member with lexicographically closest neighbours."""
-        alive = list(candidates)
+        """Iteratively drop the member with lexicographically closest neighbours.
+
+        Each member's row of sorted distances to the other alive members is
+        its key; the stable lexsort lets the first member in ``alive`` order
+        win ties.  The infinite self-distance sorts last in every row.
+        """
+        alive = np.array(candidates)
         diff = points[:, None, :] - points[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
+        np.fill_diagonal(dist, np.inf)
         while len(alive) > keep:
-            victim = min(alive, key=lambda i: sorted(dist[i, j] for j in alive if j != i))
-            alive.remove(victim)
-        return alive
+            rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
+            alive = np.delete(alive, np.lexsort(rows.T[::-1])[0])
+        return alive.tolist()
 
     def _key(self, i):
         return (self._fitness_values[i], i)

@@ -167,14 +167,22 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
 
 
 def load_records(directory) -> list[RunRecord]:
+    """All run records under ``directory``; they must share one config."""
     directory = Path(directory)
     paths = sorted((directory / "records").glob("*.jsonl"))
     if not paths:
         raise FileNotFoundError(f"no run records under {directory}/records")
     records = []
+    first_config = None
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             header = json.loads(handle.readline())
+            if first_config is None:
+                first_config = header["config"]
+            elif header["config"] != first_config:
+                raise ValueError(
+                    f"run records under {directory}/records come from different configs: "
+                    f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
             snapshots = []
             for line in handle:
                 payload = json.loads(line)

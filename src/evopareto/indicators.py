@@ -6,6 +6,24 @@ a cross-check oracle.  Per the reporting convention, hypervolume is measured
 in normalized space (reference-front ideal -> 0, nadir -> 1, reference point
 (1, ..., 1)) so it lands in [0, 1], while GD and IGD stay on the raw
 objective scale.
+
+Exclusive contributions (SMS-EMOA's selection) are one batched leave-one-out
+pass that gives, bit for bit, ``hv(front) - hv(front without i)`` as a loop
+of :func:`hypervolume_exact` calls would.  Four rules keep the bytes:
+
+* sort once: the points inside ``ref`` are sorted by the same stable
+  ``lexsort`` as the sweep, and dropping one keeps the others' order;
+* mask, don't delete: the removed point, and in 3-D every point above the
+  slab, gets y = +inf, so it never lowers the sweep's running minimum and
+  its term is exactly 0.0;
+* ordered sums: sweep terms and 3-D slab volumes are added left to right
+  (``cumsum``, never the pairwise ``np.sum``), and adding 0.0 is exact; a
+  point alone at its height takes its slab, and the slab below then spans
+  up to the next bound as one subtraction;
+* the total still comes from :func:`hypervolume_exact`.
+
+SMS-EMOA drops the first minimal contribution in worst-front order
+(``np.argmin``), so exact ties go to the earlier member.
 """
 
 from __future__ import annotations
@@ -91,16 +109,64 @@ def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
 
 
 def hypervolume_contributions(front, ref) -> np.ndarray:
-    """Exclusive hypervolume of each point: hv(front) - hv(front minus point)."""
+    """Exclusive hypervolume of each point: hv(front) - hv(front minus point).
+
+    One batched leave-one-out pass, bit-identical to calling
+    :func:`hypervolume_exact` once per removed point (see the module notes).
+    """
     arr = np.asarray(front, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
+    ref = np.asarray(ref, dtype=np.float64)
     total = hypervolume_exact(arr, ref)
-    out = np.empty(arr.shape[0])
-    for i in range(arr.shape[0]):
-        rest = np.delete(arr, i, axis=0)
-        out[i] = total if rest.shape[0] == 0 else total - hypervolume_exact(rest, ref)
-    return out
+    # Removing a point outside ref leaves the hypervolume unchanged.
+    rest = np.full(arr.shape[0], total)
+    inside = np.all(arr < ref, axis=1)
+    if inside.any():
+        points = arr[inside]
+        order = np.lexsort((points[:, 1], points[:, 0]))
+        points = points[order]
+        # without[i, j]: point j is still there once point i is removed.
+        without = ~np.eye(points.shape[0], dtype=bool)
+        if ref.shape[0] == 2:
+            rest_hv = _masked_hv2d(points, without, ref)
+        else:
+            rest_hv = _hv3d_without_each(points, without, ref)
+        rest[np.flatnonzero(inside)[order]] = rest_hv
+    return total - rest
+
+
+def _masked_hv2d(points: np.ndarray, active: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """:func:`_hv2d` of each subset ``active[..., :]`` of the sorted points:
+    inactive points get y = +inf and add exactly 0.0, and the terms are
+    summed left to right, as the sweep adds them."""
+    ys = np.where(active, points[:, 1], np.inf)
+    start = np.full(ys.shape[:-1] + (1,), ref[1])
+    prev_min = np.minimum.accumulate(np.concatenate([start, ys[..., :-1]], axis=-1), axis=-1)
+    gain = ys < prev_min
+    xs = np.broadcast_to(points[:, 0], ys.shape)
+    terms = np.zeros(ys.shape)
+    terms[gain] = (ref[0] - xs[gain]) * (prev_min[gain] - ys[gain])
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _hv3d_without_each(points: np.ndarray, without: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Row i: :func:`_hv3d` of the sorted points without point i."""
+    z = points[:, 2]
+    zs = np.unique(z)
+    bounds = np.append(zs, ref[2])
+    # Slab t of the front without point i holds the points j with z_j <= zs[t].
+    area = _masked_hv2d(points, (z <= zs[:, None]) & without[:, None, :], ref)
+    width = np.tile(bounds[1:] - bounds[:-1], (points.shape[0], 1))
+    # A point alone at its height takes its slab with it; the slab below
+    # then reaches up to the next remaining bound.
+    slab = np.searchsorted(zs, z)
+    alone = np.flatnonzero(np.bincount(slab)[slab] == 1)
+    width[alone, slab[alone]] = 0.0
+    above = alone[slab[alone] > 0]
+    width[above, slab[above] - 1] = bounds[slab[above] + 1] - bounds[slab[above] - 1]
+    terms = np.where(width > 0.0, area * width, 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _pairwise_min_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -358,6 +358,40 @@ def test_spea2_truncation_removes_middle_of_collinear_triple():
     assert alive == [0, 2]
 
 
+def truncate_by_sorted_neighbours(points, candidates, keep):
+    """Oracle: drop the first member whose sorted neighbour distances are
+    lexicographically least, one Python ``min`` per removal."""
+    alive = list(candidates)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    while len(alive) > keep:
+        victim = min(alive, key=lambda i: sorted(dist[i, j] for j in alive if j != i))
+        alive.remove(victim)
+    return alive
+
+
+def test_spea2_truncation_matches_oracle():
+    stream = RandomStream(17)
+    for trial in range(120):
+        n = 3 + stream.below(28)
+        points = stream.uniform_vector(2 * n).reshape(n, 2)
+        if trial % 2:
+            points = np.round(points, 1)  # tied distances: first in order must win
+        candidates = [int(i) for i in np.flatnonzero(stream.uniform_vector(n) < 0.8)]
+        if trial % 3 == 0:
+            candidates.reverse()
+        keep = 1 + stream.below(max(len(candidates), 1))
+        expected = truncate_by_sorted_neighbours(points, candidates, keep)
+        assert SPEA2._truncate(points, candidates, keep) == expected, f"trial {trial}"
+
+
+def test_spea2_truncation_breaks_ties_by_candidate_order():
+    # Four corners of a square: every member has the same neighbour row.
+    points = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert SPEA2._truncate(points, [2, 0, 3, 1], 3) == [0, 3, 1]
+    assert SPEA2._truncate(points, [0, 1, 2, 3], 3) == [1, 2, 3]
+
+
 def test_spea2_fills_archive_with_best_dominated():
     config = AlgorithmConfig(name="SPEA2", pop_size=4)
     spea = SPEA2(config, 1, RandomStream(3))

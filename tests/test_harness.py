@@ -294,6 +294,24 @@ def test_cli_stats_names_missing_runs(tmp_path, capsys):
     assert not (tmp_path / "cd.csv").exists()
 
 
+def test_cli_metrics_rejects_records_of_two_configs(tmp_path, capsys):
+    # A second config run into the same --out leaves the first one's records.
+    body = "environment = TradeoffBandit\npop_size = 4\ngenerations = 2\nn_episodes = 1\nn_runs = 1\n"
+    config_a = tmp_path / "a.cfg"
+    config_a.write_text("algorithms = GA, DE\n" + body)
+    config_b = tmp_path / "b.cfg"
+    config_b.write_text("algorithms = GA\n" + body)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config_a), "--out", str(out_dir), "--seed", "1"]) == 0
+    assert cli.main(["run", str(config_b), "--out", str(out_dir), "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "DE_run000.jsonl" in err[0] and "GA_run000.jsonl" in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
 def test_cli_seed_override_recorded(tmp_path):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(

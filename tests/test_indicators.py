@@ -78,6 +78,85 @@ def test_hv_contributions_worked_example():
     assert contrib[2] == pytest.approx(0.05, abs=1e-12)
 
 
+def test_hv_contributions_worked_example_3d():
+    # ref (1, 1, 1).  P1 alone covers z in [0, 0.4): 0.32 x 0.4; above it P2
+    # takes the overlap [0.6, 1]^2, leaving 0.16 x 0.4; P3 covers all of
+    # z >= 0.8.  P2 holds the other 0.16 x 0.4 of that middle slab, and P3
+    # keeps what P1 and P2 leave of the unit square: (1 - 0.48) x 0.2.
+    front = [(0.2, 0.6, 0.0), (0.6, 0.2, 0.4), (0.0, 0.0, 0.8)]
+    contrib = indicators.hypervolume_contributions(front, (1.0, 1.0, 1.0))
+    assert contrib == pytest.approx([0.192, 0.064, 0.104], abs=1e-12)
+
+
+def contributions_by_removal(front, ref):
+    """Oracle: one exact hypervolume per removed point, total minus rest."""
+    arr = np.asarray(front, dtype=np.float64)
+    total = indicators.hypervolume_exact(arr, ref)
+    out = np.empty(arr.shape[0])
+    for i in range(arr.shape[0]):
+        rest = np.delete(arr, i, axis=0)
+        out[i] = total if rest.shape[0] == 0 else total - indicators.hypervolume_exact(rest, ref)
+    return out
+
+
+def oracle_cases(k):
+    """Seeded fronts with ties, duplicates, points on or beyond ref and -0.0."""
+    stream = RandomStream(40 + k)
+    ref = np.full(k, 1.0)
+    for n in (1, 2, 25, 38, 51):
+        raw = stream.uniform_vector(n * k).reshape(n, k)
+        front = raw / raw.sum(axis=1, keepdims=True)  # nondominated simplex points
+        yield f"n{n}-simplex", front, ref
+        yield f"n{n}-random", raw, ref
+        rounded = np.round(front, 1)
+        yield f"n{n}-rounded", rounded, ref
+        duplicated = front.copy()
+        duplicated[n // 2:] = front[: n - n // 2]
+        yield f"n{n}-duplicated", duplicated, ref
+        beyond = front * 1.3
+        beyond[0, 0] = 1.0
+        beyond[-1, -1] = 1.5
+        yield f"n{n}-beyond-ref", beyond, ref
+        signed = rounded - 0.5  # 0.5 is common after rounding: many zeros
+        zeros = np.flatnonzero(signed == 0.0)
+        signed.flat[zeros[::2]] = -0.0
+        yield f"n{n}-signed-zeros", signed, ref - 0.5
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hv_contributions_match_removal_oracle_bit_for_bit(k):
+    for name, front, ref in oracle_cases(k):
+        got = indicators.hypervolume_contributions(front, ref)
+        assert np.array_equal(got, contributions_by_removal(front, ref)), f"k={k} {name}"
+
+
+def test_hv_contributions_match_removal_oracle_on_small_skewed_fronts():
+    # Cubed coordinates crowd near 0, where a merged slab's width
+    # hi - lo differs in the last bit from the sum of its two parts.
+    stream = RandomStream(60)
+    for trial in range(300):
+        k = 2 + trial % 2
+        n = 3 + stream.below(10)
+        front = stream.uniform_vector(n * k).reshape(n, k) ** 3
+        ref = np.full(k, 1.0)
+        got = indicators.hypervolume_contributions(front, ref)
+        assert np.array_equal(got, contributions_by_removal(front, ref)), f"trial {trial}"
+
+
+def test_hv_contributions_oracle_cases_hit_every_edge():
+    for k in (2, 3):
+        names = {name.split("-", 1)[1] for name, _, _ in oracle_cases(k)}
+        assert names == {"simplex", "random", "rounded", "duplicated", "beyond-ref", "signed-zeros"}
+        for name, front, ref in oracle_cases(k):
+            if name.endswith("signed-zeros") and len(front) > 2:
+                assert np.any(np.signbit(front) & (front == 0.0))
+                assert np.any(~np.signbit(front) & (front == 0.0))
+            if name.endswith("beyond-ref"):
+                assert np.any(front == 1.0) and np.any(front > 1.0)
+            if name.endswith("rounded") and len(front) > 2:
+                assert all(len(np.unique(front[:, j])) < len(front) for j in range(k))
+
+
 def test_gd_igd_examples():
     assert indicators.gd([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]) == pytest.approx(1.0)
     assert indicators.gd([(1.0, 0.0), (0.0, 1.0)], [(0.0, 0.0)]) == pytest.approx(1.0)
