@@ -9,7 +9,7 @@ used to compare them.
 from .algorithms import ALGORITHM_NAMES, AlgorithmConfig, make_optimizer
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
-from .evaluation import EvaluatedIndividual, evaluate, rollout, scalarize
+from .evaluation import Population, evaluate, rollout, scalarize
 from .harness import compute_metrics, run_experiment
 from .policy import PolicySpec, act, genome_length, init_genome
 from .rng import RandomStream, derive_seed
@@ -20,9 +20,9 @@ __all__ = [
     "ALGORITHM_NAMES",
     "AlgorithmConfig",
     "ConfigError",
-    "EvaluatedIndividual",
     "ExperimentConfig",
     "PolicySpec",
+    "Population",
     "RandomStream",
     "act",
     "compute_metrics",

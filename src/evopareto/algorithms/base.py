@@ -1,17 +1,22 @@
 """Shared optimizer machinery: configuration, variation operators, ask/tell.
 
-Every algorithm runs through the same generation loop: ``ask()`` yields
-exactly ``pop_size`` genomes to evaluate (the initial population on the
-first call), ``tell()`` receives their evaluations and updates internal
-state.  One ask/tell cycle therefore costs exactly ``pop_size`` evaluations
-for every algorithm, which is what makes cross-algorithm budgets comparable.
+Every algorithm runs through the same generation loop: ``ask()`` yields a
+``(pop_size, n_genes)`` array of genomes to evaluate (the initial population
+on the first call), ``tell()`` receives their evaluations as one
+:class:`~evopareto.evaluation.Population` and updates internal state.  One
+ask/tell cycle therefore costs exactly ``pop_size`` evaluations for every
+algorithm, which is what makes cross-algorithm budgets comparable.
 Survivors between generations keep their stored evaluations; nothing is
 silently re-evaluated or cached across generations.
 
-A concrete algorithm fills in ``_key(i)``, slot i's binary-tournament key
-(lower wins), or overrides ``_parents()``; ``_install_initial`` only when the
-first population needs more than storing; ``_absorb`` for survival
-selection; and ``_propose`` only when offspring are not the pairwise SBX +
+``population`` holds the current slots as one ``Population``, row i being
+slot i.  ``_tournament()`` and ``_random_pair()`` return slot indices, and
+``_vary_pair(i, j)`` varies the genomes of slots i and j.  A concrete
+algorithm fills in ``_key(i)``, slot i's binary-tournament key (lower wins),
+or overrides ``_parents()``; ``_install_initial(evaluated)`` only when the
+first population needs more than storing; ``_absorb(evaluated)`` for
+survival selection, which picks rows of ``population.join(evaluated)`` with
+``take``; and ``_propose`` only when offspring are not the pairwise SBX +
 polynomial-mutation children of ``_parents()``.
 
 All randomness is drawn sequentially from the optimizer's own stream, so a
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..evaluation import EvaluatedIndividual
+from ..evaluation import Population
 from ..rng import RandomStream
 
 ALGORITHM_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
@@ -125,16 +130,12 @@ class Optimizer:
         self.n_genes = genome_length
         self.rng = rng
         self.generation = -1
-        self._population: list[EvaluatedIndividual] = []
+        # The current holdings, row i being slot i; set by every tell().
+        self.population: Population | None = None
 
     @property
     def name(self) -> str:
         return self.config.name
-
-    @property
-    def population(self) -> list[EvaluatedIndividual]:
-        """The algorithm's current holdings, one entry per population slot."""
-        return list(self._population)
 
     @property
     def mutation_rate(self) -> float:
@@ -142,19 +143,19 @@ class Optimizer:
 
     @property
     def best_scalar(self) -> float:
-        return max(ind.scalar_value for ind in self._population)
+        return float(self.population.scalars.max())
 
-    def ask(self) -> list[np.ndarray]:
-        """Exactly pop_size genomes to evaluate next."""
+    def ask(self) -> np.ndarray:
+        """Exactly pop_size genomes to evaluate next, one per row."""
         self.generation += 1
         if self.generation == 0:
             # Initial parameters follow the policy-genome convention: U(-1, 1),
             # well inside the search bounds where tanh layers are responsive.
-            return [self.rng.uniform_vector(self.n_genes, -1.0, 1.0)
-                    for _ in range(self.config.pop_size)]
+            n, g = self.config.pop_size, self.n_genes
+            return self.rng.uniform_vector(n * g, -1.0, 1.0).reshape(n, g)
         return self._propose()
 
-    def tell(self, evaluated: list[EvaluatedIndividual]) -> None:
+    def tell(self, evaluated: Population) -> None:
         if len(evaluated) != self.config.pop_size:
             raise ValueError("tell() expects exactly pop_size evaluated individuals")
         if self.generation == 0:
@@ -164,7 +165,9 @@ class Optimizer:
 
     # Parent selection and variation shared by the concrete algorithms.
 
-    def _vary_pair(self, parent_a: np.ndarray, parent_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _vary_pair(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """SBX + mutation children of the genomes in slots i and j."""
+        parent_a, parent_b = self.population.genomes[i], self.population.genomes[j]
         if self.rng.uniform() < self.config.p_crossover:
             child_a, child_b = sbx_crossover(parent_a, parent_b, self.config.eta_c,
                                              self.rng, self.config.bounds)
@@ -179,31 +182,29 @@ class Optimizer:
     def _key(self, i: int) -> tuple:
         raise NotImplementedError
 
-    def _tournament(self) -> np.ndarray:
-        """Binary tournament on ``_key``: slot i wins ties."""
+    def _tournament(self) -> int:
+        """Binary tournament on ``_key``: the winning slot; slot i wins ties."""
         i = self.rng.below(self.config.pop_size)
         j = self.rng.below(self.config.pop_size)
-        return self._population[j if self._key(j) < self._key(i) else i].genome
+        return j if self._key(j) < self._key(i) else i
 
-    def _random_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Genomes of two distinct, uniformly drawn slots."""
+    def _random_pair(self) -> tuple[int, int]:
+        """Two distinct, uniformly drawn slots."""
         i = self.rng.below(self.config.pop_size)
         j = self.rng.below(self.config.pop_size)
         while j == i:
             j = self.rng.below(self.config.pop_size)
-        return self._population[i].genome, self._population[j].genome
+        return i, j
 
-    def _parents(self) -> tuple[np.ndarray, np.ndarray]:
+    def _parents(self) -> tuple[int, int]:
         return self._tournament(), self._tournament()
 
-    def _propose(self) -> list[np.ndarray]:
-        offspring = []
-        while len(offspring) < self.config.pop_size:
-            offspring.extend(self._vary_pair(*self._parents()))
-        return offspring[: self.config.pop_size]
+    def _propose(self) -> np.ndarray:
+        pairs = [self._vary_pair(*self._parents()) for _ in range(self.config.pop_size // 2)]
+        return np.array(pairs).reshape(self.config.pop_size, self.n_genes)
 
-    def _install_initial(self, evaluated: list[EvaluatedIndividual]) -> None:
-        self._population = list(evaluated)
+    def _install_initial(self, evaluated: Population) -> None:
+        self.population = evaluated
 
-    def _absorb(self, evaluated: list[EvaluatedIndividual]) -> None:
+    def _absorb(self, evaluated: Population) -> None:
         raise NotImplementedError

@@ -13,13 +13,8 @@ import math
 import numpy as np
 
 from .. import pareto
-from ..evaluation import EvaluatedIndividual
 from ..indicators import hypervolume_contributions
 from .base import Optimizer
-
-
-def _returns(individuals: list[EvaluatedIndividual]) -> np.ndarray:
-    return np.array([ind.mean_return for ind in individuals])
 
 
 def _fill_by_fronts(ranked, size: int) -> tuple[list[int], np.ndarray | None]:
@@ -39,8 +34,8 @@ class NSGA2(Optimizer):
     """Elitist nondominated sorting GA with crowded tournament selection."""
 
     def _install_initial(self, evaluated):
-        self._population = list(evaluated)
-        ranked = pareto.fast_nondominated_sort(_returns(evaluated))
+        self.population = evaluated
+        ranked = pareto.fast_nondominated_sort(evaluated.returns)
         self._ranks = ranked.ranks
         self._crowding = ranked.crowding
 
@@ -48,14 +43,14 @@ class NSGA2(Optimizer):
         return (self._ranks[i], -self._crowding[i])
 
     def _absorb(self, evaluated):
-        pool = self._population + list(evaluated)
-        ranked = pareto.fast_nondominated_sort(_returns(pool))
+        pool = self.population.join(evaluated)
+        ranked = pareto.fast_nondominated_sort(pool.returns)
         survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
         if split is not None:
             # Descending crowding; stable to keep input order on ties.
             order = np.argsort(-ranked.crowding[split], kind="stable")
             survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
-        self._population = [pool[i] for i in survivors]
+        self.population = pool.take(survivors)
         self._ranks = ranked.ranks[survivors]
         self._crowding = ranked.crowding[survivors]
 
@@ -69,31 +64,38 @@ class SPEA2(Optimizer):
     """
 
     def _install_initial(self, evaluated):
-        self._select_archive(list(evaluated))
+        self._select_archive(evaluated)
 
-    def _select_archive(self, union: list[EvaluatedIndividual]) -> None:
-        points = _returns(union)
-        fitness = self._fitness(points)
+    def _select_archive(self, union) -> None:
+        points = union.returns
+        dist = self._distances(points)
+        fitness = self._fitness(points, dist)
         keep = self.config.pop_size
-        nondominated = [i for i in range(len(union)) if fitness[i] < 1.0]
+        nondominated = np.flatnonzero(fitness < 1.0)
         if len(nondominated) > keep:
-            chosen = self._truncate(points, nondominated, keep)
+            chosen = self._truncate(dist, nondominated, keep)
         else:
-            chosen = list(nondominated)
-            if len(chosen) < keep:
-                dominated = [i for i in range(len(union)) if fitness[i] >= 1.0]
-                dominated.sort(key=lambda i: (fitness[i], i))
-                chosen.extend(dominated[: keep - len(chosen)])
-        self._population = [union[i] for i in chosen]
+            # The best dominated members fill the archive; index order on ties.
+            dominated = np.flatnonzero(fitness >= 1.0)
+            dominated = dominated[np.argsort(fitness[dominated], kind="stable")]
+            chosen = np.concatenate([nondominated, dominated[: keep - len(nondominated)]])
+        self.population = union.take(chosen)
         self._fitness_values = fitness[chosen]
 
-    def _fitness(self, points: np.ndarray) -> np.ndarray:
-        dom = pareto._dominance_matrix(points)
-        strength = dom.sum(axis=1).astype(np.float64)
-        raw = strength @ dom
+    @staticmethod
+    def _distances(points: np.ndarray) -> np.ndarray:
+        """Pairwise Euclidean distances with an infinite self-distance."""
         diff = points[:, None, :] - points[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
         np.fill_diagonal(dist, np.inf)
+        return dist
+
+    def _fitness(self, points: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """Raw strength fitness plus k-th nearest neighbour density;
+        ``dist`` is :meth:`_distances` of ``points``."""
+        dom = pareto._dominance_matrix(points)
+        strength = dom.sum(axis=1).astype(np.float64)
+        raw = strength @ dom
         kappa = int(math.isqrt(2 * self.config.pop_size))
         idx = min(kappa - 1, points.shape[0] - 2)
         sigma = np.sort(dist, axis=1)[:, max(idx, 0)]
@@ -101,17 +103,15 @@ class SPEA2(Optimizer):
         return raw + density
 
     @staticmethod
-    def _truncate(points: np.ndarray, candidates: list[int], keep: int) -> list[int]:
+    def _truncate(dist: np.ndarray, candidates, keep: int) -> list[int]:
         """Iteratively drop the member with lexicographically closest neighbours.
 
-        Each member's row of sorted distances to the other alive members is
-        its key; the stable lexsort lets the first member in ``alive`` order
-        win ties.  The infinite self-distance sorts last in every row.
+        ``dist`` is :meth:`_distances` of all points.  Each member's row of
+        sorted distances to the other alive members is its key; the stable
+        lexsort lets the first member in ``alive`` order win ties.  The
+        infinite self-distance sorts last in every row.
         """
         alive = np.array(candidates)
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        np.fill_diagonal(dist, np.inf)
         while len(alive) > keep:
             rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
             alive = np.delete(alive, np.lexsort(rows.T[::-1])[0])
@@ -121,7 +121,7 @@ class SPEA2(Optimizer):
         return (self._fitness_values[i], i)
 
     def _absorb(self, evaluated):
-        self._select_archive(self._population + list(evaluated))
+        self._select_archive(self.population.join(evaluated))
 
 
 def smsemoa_removal_index(points: np.ndarray) -> int:
@@ -154,19 +154,22 @@ class SMSEMOA(Optimizer):
     """
 
     def _install_initial(self, evaluated):
-        if evaluated[0].mean_return.shape[0] > 3:
+        if evaluated.returns.shape[1] > 3:
             raise ValueError("SMS-EMOA uses exact hypervolume and supports k <= 3 only")
-        self._population = list(evaluated)
+        self.population = evaluated
 
     def _propose(self):
-        return [self._vary_pair(*self._random_pair())[0] for _ in range(self.config.pop_size)]
+        return np.array([self._vary_pair(*self._random_pair())[0]
+                         for _ in range(self.config.pop_size)])
 
     def _absorb(self, evaluated):
-        for child in evaluated:
-            pool = self._population + [child]
-            drop = smsemoa_removal_index(_returns(pool))
-            del pool[drop]
-            self._population = pool
+        # Rows of the joined pool that are alive, in population order.
+        pool = self.population.join(evaluated)
+        alive = np.arange(len(self.population))
+        for child in range(len(self.population), len(pool)):
+            alive = np.append(alive, child)
+            alive = np.delete(alive, smsemoa_removal_index(pool.returns[alive]))
+        self.population = pool.take(alive)
 
 
 def generate_reference_directions(k: int, partitions: int) -> np.ndarray:
@@ -235,9 +238,9 @@ class NSGA3(Optimizer):
     """Reference-direction niching NSGA for the many-front regime."""
 
     def _install_initial(self, evaluated):
-        k = evaluated[0].mean_return.shape[0]
+        k = evaluated.returns.shape[1]
         self._directions = generate_reference_directions(k, minimum_partitions(k, self.config.pop_size))
-        self._population = list(evaluated)
+        self.population = evaluated
 
     def _parents(self):
         return self._random_pair()
@@ -266,12 +269,12 @@ class NSGA3(Optimizer):
         return t / intercepts
 
     def _absorb(self, evaluated):
-        pool = self._population + list(evaluated)
-        points = _returns(pool)
+        pool = self.population.join(evaluated)
+        points = pool.returns
         ranked = pareto.fast_nondominated_sort(points)
         selected, last_front = _fill_by_fronts(ranked, self.config.pop_size)
         if last_front is None:
-            self._population = [pool[i] for i in selected]
+            self.population = pool.take(selected)
             return
         need = self.config.pop_size - len(selected)
         consider = selected + last_front.tolist()
@@ -283,8 +286,7 @@ class NSGA3(Optimizer):
         niche_count = np.bincount(assoc[:n_selected], minlength=self._directions.shape[0])
         chosen = niche_fill(niche_count, assoc[n_selected:], assoc_dist[n_selected:],
                             need, self.rng)
-        picked = [int(last_front[c]) for c in chosen]
-        self._population = [pool[i] for i in selected + picked]
+        self.population = pool.take(selected + last_front[chosen].tolist())
 
 
 def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
@@ -334,11 +336,14 @@ class RNSGA2(Optimizer):
     def _install_initial(self, evaluated):
         if self.config.rnsga2_epsilon <= 0:
             raise ValueError("rnsga2_epsilon must be positive")
-        self._population = list(evaluated)
-        points = _returns(evaluated)
-        ranked = pareto.fast_nondominated_sort(points)
+        self._hold(evaluated)
+
+    def _hold(self, population) -> None:
+        """Keep ``population`` with the ranks and preferences of its own fronts."""
+        self.population = population
+        ranked = pareto.fast_nondominated_sort(population.returns)
         self._ranks = ranked.ranks
-        self._pref = self._frontwise_preference(points, ranked)
+        self._pref = self._frontwise_preference(population.returns, ranked)
 
     def _reference_points(self, k: int, pool_min: np.ndarray, pool_max: np.ndarray) -> np.ndarray:
         raw = self.config.rnsga2_reference_points
@@ -363,16 +368,12 @@ class RNSGA2(Optimizer):
         return (self._ranks[i], self._pref[i])
 
     def _absorb(self, evaluated):
-        pool = self._population + list(evaluated)
-        points = _returns(pool)
+        pool = self.population.join(evaluated)
+        points = pool.returns
         ranked = pareto.fast_nondominated_sort(points)
         pref = self._frontwise_preference(points, ranked)
         survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
         if split is not None:
             order = np.argsort(pref[split], kind="stable")
             survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
-        self._population = [pool[i] for i in survivors]
-        new_points = points[survivors]
-        new_ranked = pareto.fast_nondominated_sort(new_points)
-        self._ranks = new_ranked.ranks
-        self._pref = self._frontwise_preference(new_points, new_ranked)
+        self._hold(pool.take(survivors))

@@ -1,6 +1,6 @@
 """Scalarized single-objective baselines: GA, DE, PSO.
 
-All three maximize ``scalar_value`` (the equal-weight mean of the objective
+All three maximize ``scalars`` (the equal-weight mean of the objective
 components).  ``best_scalar``, the best scalar value the population
 retains, is non-decreasing over generations on deterministic environments:
 GA through 1-elitism, DE through per-slot greedy replacement, PSO through
@@ -11,28 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..evaluation import EvaluatedIndividual
 from .base import Optimizer
-
-
-def _argbest(individuals: list[EvaluatedIndividual]) -> int:
-    """Index of the highest scalar value; first one on ties."""
-    return int(np.argmax([ind.scalar_value for ind in individuals]))
 
 
 class GA(Optimizer):
     """Generational GA: binary tournament, SBX + polynomial mutation, 1-elitism."""
 
     def _key(self, i):
-        return (-self._population[i].scalar_value,)
+        return (-self.population.scalars[i],)
 
     def _absorb(self, evaluated):
-        elite = self._population[_argbest(self._population)]
-        newcomers = list(evaluated)
-        if elite.scalar_value > newcomers[_argbest(newcomers)].scalar_value:
-            worst = min(range(len(newcomers)), key=lambda i: newcomers[i].scalar_value)
-            newcomers[worst] = elite
-        self._population = newcomers
+        # The offspring replace the population; a strictly better elite takes
+        # the first worst offspring's slot.
+        rows = np.arange(len(evaluated))
+        elite = int(np.argmax(self.population.scalars))
+        if self.population.scalars[elite] > evaluated.scalars.max():
+            rows[np.argmin(evaluated.scalars)] = len(evaluated) + elite
+        self.population = evaluated.join(self.population).take(rows)
+
+
+def _keep_or_replace(current, challengers, replace):
+    """Slot i holds ``challengers``' row i where ``replace[i]``, else ``current``'s."""
+    return current.join(challengers).take(np.arange(len(current)) + len(current) * replace)
 
 
 class DE(Optimizer):
@@ -53,24 +53,21 @@ class DE(Optimizer):
 
     def _propose(self):
         lo, hi = self.config.bounds
-        trials = []
+        x = self.population.genomes
+        trials = np.empty_like(x)
         for i in range(self.config.pop_size):
             r1, r2, r3 = self._distinct_donors(i)
-            x1 = self._population[r1].genome
-            x2 = self._population[r2].genome
-            x3 = self._population[r3].genome
-            mutant = x1 + self.config.de_f * (x2 - x3)
-            target = self._population[i].genome
+            mutant = x[r1] + self.config.de_f * (x[r2] - x[r3])
             j_rand = self.rng.below(self.n_genes)
             crossed = self.rng.uniform_vector(self.n_genes) < self.config.de_cr
             crossed[j_rand] = True
-            trials.append(np.clip(np.where(crossed, mutant, target), lo, hi))
+            trials[i] = np.clip(np.where(crossed, mutant, x[i]), lo, hi)
         return trials
 
     def _absorb(self, evaluated):
-        for i, trial in enumerate(evaluated):
-            if trial.scalar_value >= self._population[i].scalar_value:
-                self._population[i] = trial
+        # A trial at least as good as its target takes the slot.
+        self.population = _keep_or_replace(self.population, evaluated,
+                                            evaluated.scalars >= self.population.scalars)
 
 
 class PSO(Optimizer):
@@ -82,31 +79,27 @@ class PSO(Optimizer):
     """
 
     def _install_initial(self, evaluated):
-        self._positions = list(evaluated)
-        self._velocities = [np.zeros(self.n_genes) for _ in evaluated]
-        self._population = list(evaluated)  # personal bests
-        self._gbest = _argbest(self._population)
+        self._positions = evaluated.genomes
+        self._velocities = np.zeros_like(evaluated.genomes)
+        self.population = evaluated  # personal bests
 
     def _propose(self):
         cfg = self.config
         lo, hi = cfg.bounds
         v_max = 0.5 * (hi - lo)
-        gbest = self._population[self._gbest].genome
-        proposals = []
-        for i, particle in enumerate(self._positions):
-            u1 = self.rng.uniform_vector(self.n_genes)
-            u2 = self.rng.uniform_vector(self.n_genes)
-            velocity = (cfg.pso_w * self._velocities[i]
-                        + cfg.pso_c1 * u1 * (self._population[i].genome - particle.genome)
-                        + cfg.pso_c2 * u2 * (gbest - particle.genome))
-            velocity = np.clip(velocity, -v_max, v_max)
-            self._velocities[i] = velocity
-            proposals.append(np.clip(particle.genome + velocity, lo, hi))
-        return proposals
+        x = self._positions
+        pbest = self.population.genomes
+        gbest = pbest[np.argmax(self.population.scalars)]
+        # Particle i draws its u1 and then its u2 block of n_genes uniforms.
+        u = self.rng.uniform_vector(2 * x.size).reshape(len(x), 2, self.n_genes)
+        velocity = (cfg.pso_w * self._velocities
+                    + cfg.pso_c1 * u[:, 0] * (pbest - x)
+                    + cfg.pso_c2 * u[:, 1] * (gbest - x))
+        self._velocities = np.clip(velocity, -v_max, v_max)
+        return np.clip(x + self._velocities, lo, hi)
 
     def _absorb(self, evaluated):
-        self._positions = list(evaluated)
-        for i, particle in enumerate(evaluated):
-            if particle.scalar_value > self._population[i].scalar_value:
-                self._population[i] = particle
-        self._gbest = _argbest(self._population)
+        self._positions = evaluated.genomes
+        # Only a strictly better position replaces a personal best.
+        self.population = _keep_or_replace(self.population, evaluated,
+                                            evaluated.scalars > self.population.scalars)

@@ -58,23 +58,10 @@ class ExperimentConfig:
                     f"not a multiple of k = {k}"
                 )
             refs = tuple(tuple(flat[i : i + k]) for i in range(0, len(flat), k))
-        return AlgorithmConfig(
-            name=name,
-            pop_size=self.pop_size,
-            generations=self.generations,
-            bounds=self.bounds,
-            eta_c=self.eta_c,
-            p_crossover=self.p_crossover,
-            eta_m=self.eta_m,
-            p_m=self.p_m,
-            de_f=self.de_f,
-            de_cr=self.de_cr,
-            pso_w=self.pso_w,
-            pso_c1=self.pso_c1,
-            pso_c2=self.pso_c2,
-            rnsga2_epsilon=self.rnsga2_epsilon,
-            rnsga2_reference_points=refs,
-        )
+        # Every other operator setting is an experiment key of the same name.
+        shared = {f.name: getattr(self, f.name) for f in fields(AlgorithmConfig)
+                  if f.name not in ("name", "rnsga2_reference_points")}
+        return AlgorithmConfig(name=name, rnsga2_reference_points=refs, **shared)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=seed)

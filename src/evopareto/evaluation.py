@@ -22,6 +22,11 @@ reasons:
 * episode returns are summed in order 0 to n-1 and then divided, so results
   do not depend on scheduling.
 
+An evaluated generation is one :class:`Population`: row ``i`` of its
+``genomes[n, g]``, ``returns[n, k]`` and ``scalars[n]`` arrays is individual
+``i``.  Optimizers select from it with ``take(rows)`` and ``join(other)``,
+and the harness records it as is, so its arrays are read-only.
+
 :func:`rollout` and :func:`evaluate` run the same kernel for one episode and
 one genome.
 """
@@ -39,19 +44,38 @@ from .rng import RandomStream, derive_seed, leading_draws
 
 
 @dataclass(frozen=True)
-class EvaluatedIndividual:
-    genome: np.ndarray
-    mean_return: np.ndarray
-    n_episodes: int
-    scalar_value: float
+class Population:
+    """Evaluated individuals as rows: ``genomes[n, g]``, mean ``returns[n, k]``
+    and ``scalars[n]`` (:func:`scalarize` of each return row)."""
+
+    genomes: np.ndarray
+    returns: np.ndarray
+    scalars: np.ndarray
+
+    def __post_init__(self):
+        for rows in (self.genomes, self.returns, self.scalars):
+            rows.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.scalars)
+
+    def take(self, rows) -> Population:
+        """The individuals at ``rows``, in that order."""
+        return Population(self.genomes[rows], self.returns[rows], self.scalars[rows])
+
+    def join(self, other: Population) -> Population:
+        """This population's rows followed by ``other``'s."""
+        return Population(np.concatenate([self.genomes, other.genomes]),
+                          np.concatenate([self.returns, other.returns]),
+                          np.concatenate([self.scalars, other.scalars]))
 
 
-def scalarize(v) -> float:
-    """Equal-weight scalarization: mean of the objective components."""
+def scalarize(v):
+    """Equal-weight scalarization: mean of the objective components, per row."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] < 2:
+    if v.shape[-1] < 2:
         raise ValueError("scalarization expects k >= 2 objectives")
-    return float(np.sum(v) / v.shape[0])
+    return np.sum(v, axis=-1) / v.shape[-1]
 
 
 def _check_shapes(env: Environment, spec: PolicySpec) -> None:
@@ -97,15 +121,15 @@ def rollout(env: Environment, spec: PolicySpec, genome, rng: RandomStream) -> np
 
 
 def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes: int,
-                        seed_bases) -> list[EvaluatedIndividual]:
-    """Empirical mean return of each genome over ``n_episodes`` episodes.
+                        seed_bases) -> Population:
+    """Empirical mean return of each genome (row) over ``n_episodes`` episodes.
 
     Genome ``i`` draws episode ``e`` from ``derive_seed(seed_bases[i], e)``.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     _check_shapes(env, spec)
-    genomes = [np.asarray(genome, dtype=np.float64) for genome in genomes]
+    genomes = np.array(genomes, dtype=np.float64)
     if len(seed_bases) != len(genomes):
         raise ValueError("expected one seed base per genome")
     horizon = env.spec.horizon
@@ -115,18 +139,17 @@ def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes:
         u, noise = leading_draws(keys, horizon)
     else:
         u, noise = np.zeros(n), np.zeros((n, horizon))
-    layers = policy.unflatten(spec, np.repeat(np.array(genomes), n_episodes, axis=0))
+    layers = policy.unflatten(spec, np.repeat(genomes, n_episodes, axis=0))
     returns = _returns(env, layers, u, noise).reshape(len(genomes), n_episodes, env.spec.k)
     total = np.zeros((len(genomes), env.spec.k))
     for episode in range(n_episodes):
         total = total + returns[:, episode]
     means = total / n_episodes
-    return [EvaluatedIndividual(genome=genome, mean_return=mean,
-                                n_episodes=n_episodes, scalar_value=scalarize(mean))
-            for genome, mean in zip(genomes, means)]
+    return Population(genomes, means, scalarize(means))
 
 
 def evaluate(env: Environment, spec: PolicySpec, genome, n_episodes: int,
-             seed_base: int) -> EvaluatedIndividual:
-    """Empirical mean return over ``n_episodes`` independent episodes."""
-    return evaluate_population(env, spec, [genome], n_episodes, [seed_base])[0]
+             seed_base: int) -> Population:
+    """Empirical mean return over ``n_episodes`` independent episodes, as a
+    one-row population."""
+    return evaluate_population(env, spec, [genome], n_episodes, [seed_base])

@@ -28,7 +28,7 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
 # One call evaluates a whole generation; benchmarks/tracer.py times it
 # through this module-level name.
-from .evaluation import evaluate_population as evaluate
+from .evaluation import Population, evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed
 
@@ -36,13 +36,6 @@ if TYPE_CHECKING:
     from . import stats
 
 METRICS_HEADER = "algorithm,run,generation,hv,gd,igd,scalarized_best"
-
-
-@dataclass(frozen=True)
-class GenerationSnapshot:
-    genomes: np.ndarray  # (pop, n_genes)
-    returns: np.ndarray  # (pop, k)
-    scalars: np.ndarray  # (pop,)
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class RunRecord:
     wall_time: float
     rng_scheme: str
     config: ExperimentConfig
-    generations: list[GenerationSnapshot]
+    generations: list[Population]  # the optimizer's population after each tell
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
     run_seed = derive_seed(config.master_seed, algorithm, run_index)
     optimizer = make_optimizer(config.algorithm_config(algorithm, env.spec.k),
                                n_genes, RandomStream(derive_seed(run_seed, "optimizer")))
-    snapshots: list[GenerationSnapshot] = []
+    generations: list[Population] = []
     eval_count = 0
     status = "ok"
     started = time.perf_counter()
@@ -88,16 +81,11 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
                              [derive_seed(run_seed, "eval", generation, i)
                               for i in range(len(genomes))])
         eval_count += len(evaluated)
-        if not all(np.all(np.isfinite(ind.mean_return)) for ind in evaluated):
+        if not np.all(np.isfinite(evaluated.returns)):
             status = "aborted"
             break
         optimizer.tell(evaluated)
-        population = optimizer.population
-        snapshots.append(GenerationSnapshot(
-            genomes=np.array([ind.genome for ind in population]),
-            returns=np.array([ind.mean_return for ind in population]),
-            scalars=np.array([ind.scalar_value for ind in population]),
-        ))
+        generations.append(optimizer.population)
     return RunRecord(
         algorithm=algorithm,
         run_index=run_index,
@@ -107,7 +95,7 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
         wall_time=time.perf_counter() - started,
         rng_scheme=rng.SCHEME,
         config=config,
-        generations=snapshots,
+        generations=generations,
     )
 
 
@@ -154,12 +142,12 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
                 "config": serialize_config(record.config),
             }
             handle.write(json.dumps(header) + "\n")
-            for g, snapshot in enumerate(record.generations):
+            for g, population in enumerate(record.generations):
                 line = {
                     "generation": g,
-                    "genomes": snapshot.genomes.tolist(),
-                    "returns": snapshot.returns.tolist(),
-                    "scalars": snapshot.scalars.tolist(),
+                    "genomes": population.genomes.tolist(),
+                    "returns": population.returns.tolist(),
+                    "scalars": population.scalars.tolist(),
                 }
                 handle.write(json.dumps(line) + "\n")
         paths.append(path)
@@ -183,14 +171,12 @@ def load_records(directory) -> list[RunRecord]:
                 raise ValueError(
                     f"run records under {directory}/records come from different configs: "
                     f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
-            snapshots = []
+            generations = []
             for line in handle:
                 payload = json.loads(line)
-                snapshots.append(GenerationSnapshot(
-                    genomes=np.array(payload["genomes"]),
-                    returns=np.array(payload["returns"]),
-                    scalars=np.array(payload["scalars"]),
-                ))
+                generations.append(Population(np.array(payload["genomes"]),
+                                              np.array(payload["returns"]),
+                                              np.array(payload["scalars"])))
         records.append(RunRecord(
             algorithm=header["algorithm"],
             run_index=header["run"],
@@ -200,7 +186,7 @@ def load_records(directory) -> list[RunRecord]:
             wall_time=header["wall_time"],
             rng_scheme=header["rng"],
             config=parse_config(header["config"]),
-            generations=snapshots,
+            generations=generations,
         ))
     order = records[0].config.algorithms
     records.sort(key=lambda r: (order.index(r.algorithm), r.run_index))
@@ -230,9 +216,9 @@ def compute_metrics(records: list[RunRecord]):
     rows: list[MetricRow] = []
     for record in usable:
         series = indicators.indicator_series(
-            [snapshot.returns for snapshot in record.generations],
+            [population.returns for population in record.generations],
             reference, record.algorithm)
-        for report, snapshot in zip(series, record.generations):
+        for report, population in zip(series, record.generations):
             rows.append(MetricRow(
                 algorithm=record.algorithm,
                 run=record.run_index,
@@ -240,7 +226,7 @@ def compute_metrics(records: list[RunRecord]):
                 hv=float(report.hv),
                 gd=float(report.gd),
                 igd=float(report.igd),
-                scalarized_best=float(snapshot.scalars.max()),
+                scalarized_best=float(population.scalars.max()),
             ))
     return rows, reference, algorithm_fronts
 

@@ -1,3 +1,6 @@
+import copy
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from evopareto.algorithms import (
     smsemoa_removal_index,
 )
 from evopareto.algorithms.moea import _fill_by_fronts
-from evopareto.evaluation import EvaluatedIndividual
+from evopareto.evaluation import Population, scalarize
 from evopareto.indicators import hypervolume_exact
 from evopareto.rng import RandomStream
 
@@ -29,14 +32,18 @@ ALL_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
 
 
 def evaluated(genome, returns):
-    ret = np.asarray(returns, dtype=np.float64)
-    return EvaluatedIndividual(genome=np.asarray(genome, dtype=np.float64),
-                               mean_return=ret, n_episodes=1,
-                               scalar_value=float(ret.mean()))
+    """One individual as a one-row population."""
+    ret = np.asarray(returns, dtype=np.float64)[None, :]
+    return Population(np.asarray(genome, dtype=np.float64)[None, :], ret, scalarize(ret))
+
+
+def stack(individuals):
+    """One population of the given individuals, in order."""
+    return functools.reduce(Population.join, individuals)
 
 
 def evaluate_batch(genomes, objective):
-    return [evaluated(g, objective(np.asarray(g))) for g in genomes]
+    return stack([evaluated(g, objective(np.asarray(g))) for g in genomes])
 
 
 def drive(optimizer, objective, generations):
@@ -94,8 +101,9 @@ def test_population_size_and_bounds_preserved(name):
     objective = tri3 if name == "NSGA3" else line2
     for population in drive(optimizer, objective, 4):
         assert len(population) == 8
-        for ind in population:
-            assert np.all((config.bounds[0] <= ind.genome) & (ind.genome <= config.bounds[1]))
+        genomes = population.genomes
+        assert genomes.shape == (8, 2)
+        assert np.all((config.bounds[0] <= genomes) & (genomes <= config.bounds[1]))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -105,8 +113,7 @@ def test_fixed_seed_reproduces_populations(name):
     def genome_history(seed):
         config = AlgorithmConfig(name=name, pop_size=8, generations=3)
         optimizer = make_optimizer(config, 3, RandomStream(seed))
-        return [np.array([ind.genome for ind in pop])
-                for pop in drive(optimizer, objective, 3)]
+        return [pop.genomes for pop in drive(optimizer, objective, 3)]
 
     first = genome_history(42)
     second = genome_history(42)
@@ -122,7 +129,7 @@ def test_ga_identical_population_closed_under_variation():
     ga = GA(config, 3, RandomStream(7))
     ga.ask()
     genome = np.array([0.5, -1.0, 2.0])
-    ga.tell([evaluated(genome, (1.0, 1.0))] * 4)
+    ga.tell(stack([evaluated(genome, (1.0, 1.0))] * 4))
     for child in ga.ask():
         assert np.array_equal(child, genome)
 
@@ -149,7 +156,7 @@ def test_ga_offspring_match_hand_trace():
     )
     ga = GA(config, 1, stream)
     ga.ask()
-    ga.tell([evaluated([0.0], (1.0, 1.0)), evaluated([1.0], (0.0, 0.0))])
+    ga.tell(stack([evaluated([0.0], (1.0, 1.0)), evaluated([1.0], (0.0, 0.0))]))
     offspring = ga.ask()
     beta = (1.0 / (2.0 * (1.0 - 0.8))) ** (1.0 / 16.0)
     assert offspring[0][0] == pytest.approx(0.5 * (1.0 - beta), abs=1e-14)
@@ -161,10 +168,10 @@ def test_ga_elite_survives():
     ga = GA(config, 1, RandomStream(1))
     ga.ask()
     elite = evaluated([2.0], (9.0, 9.0))
-    ga.tell([elite, evaluated([0.0], (0.0, 0.0))])
+    ga.tell(stack([elite, evaluated([0.0], (0.0, 0.0))]))
     ga.ask()
-    ga.tell([evaluated([0.1], (1.0, 1.0)), evaluated([0.2], (2.0, 2.0))])
-    scalars = [ind.scalar_value for ind in ga.population]
+    ga.tell(stack([evaluated([0.1], (1.0, 1.0)), evaluated([0.2], (2.0, 2.0))]))
+    scalars = ga.population.scalars.tolist()
     assert 9.0 in scalars
 
 
@@ -184,7 +191,7 @@ def test_de_trials_match_rand1bin_formula():
     de = DE(config, 1, stream)
     de.ask()
     genomes = [np.array([float(i)]) for i in range(4)]
-    de.tell([evaluated(g, (0.0, 0.0)) for g in genomes])
+    de.tell(stack([evaluated(g, (0.0, 0.0)) for g in genomes]))
     trials = de.ask()
     for i in range(4):
         r1, r2, r3 = (i + 1) % 4, (i + 2) % 4, (i + 3) % 4
@@ -201,7 +208,7 @@ def test_de_zero_f_copies_first_donor():
     de = DE(config, 1, stream)
     de.ask()
     genomes = [np.array([float(i)]) for i in range(4)]
-    de.tell([evaluated(g, (0.0, 0.0)) for g in genomes])
+    de.tell(stack([evaluated(g, (0.0, 0.0)) for g in genomes]))
     trials = de.ask()
     for i in range(4):
         assert trials[i][0] == genomes[(i + 1) % 4][0]
@@ -211,12 +218,12 @@ def test_de_greedy_selection():
     config = AlgorithmConfig(name="DE", pop_size=4)
     de = DE(config, 1, RandomStream(9))
     de.ask()
-    de.tell([evaluated([float(i)], (float(i), float(i))) for i in range(4)])
+    de.tell(stack([evaluated([float(i)], (float(i), float(i))) for i in range(4)]))
     de.generation += 1  # worse trials everywhere: population unchanged
-    de._absorb([evaluated([9.0], (-1.0, -1.0))] * 4)
-    assert [ind.scalar_value for ind in de.population] == [0.0, 1.0, 2.0, 3.0]
-    de._absorb([evaluated([7.0], (5.0, 5.0))] * 4)  # better everywhere
-    assert [ind.scalar_value for ind in de.population] == [5.0] * 4
+    de._absorb(stack([evaluated([9.0], (-1.0, -1.0))] * 4))
+    assert de.population.scalars.tolist() == [0.0, 1.0, 2.0, 3.0]
+    de._absorb(stack([evaluated([7.0], (5.0, 5.0))] * 4))  # better everywhere
+    assert de.population.scalars.tolist() == [5.0] * 4
 
 
 def test_de_best_scalar_monotone():
@@ -236,7 +243,7 @@ def test_pso_stationary_when_at_both_bests():
     pso = PSO(config, 2, RandomStream(4))
     pso.ask()
     genome = np.array([0.3, -0.6])
-    pso.tell([evaluated(genome, (1.0, 1.0))] * 2)
+    pso.tell(stack([evaluated(genome, (1.0, 1.0))] * 2))
     for proposal in pso.ask():
         assert np.array_equal(proposal, genome)
 
@@ -250,7 +257,7 @@ def test_pso_one_step_matches_hand_computation():
     pso.ask()
     x0 = np.array([0.0, 0.0])
     x1 = np.array([1.0, 1.0])
-    pso.tell([evaluated(x0, (0.0, 0.0)), evaluated(x1, (2.0, 2.0))])
+    pso.tell(stack([evaluated(x0, (0.0, 0.0)), evaluated(x1, (2.0, 2.0))]))
     proposals = pso.ask()
     velocity = config.pso_c2 * u2 * (x1 - x0)  # inertia and pbest terms vanish
     assert np.allclose(proposals[0], x0 + velocity, atol=1e-14)
@@ -261,10 +268,10 @@ def test_pso_population_is_personal_best_memory():
     config = AlgorithmConfig(name="PSO", pop_size=2)
     pso = PSO(config, 1, RandomStream(8))
     pso.ask()
-    pso.tell([evaluated([0.0], (5.0, 5.0)), evaluated([1.0], (1.0, 1.0))])
+    pso.tell(stack([evaluated([0.0], (5.0, 5.0)), evaluated([1.0], (1.0, 1.0))]))
     pso.ask()
-    pso.tell([evaluated([0.2], (3.0, 3.0)), evaluated([1.2], (2.0, 2.0))])
-    scalars = sorted(ind.scalar_value for ind in pso.population)
+    pso.tell(stack([evaluated([0.2], (3.0, 3.0)), evaluated([1.2], (2.0, 2.0))]))
+    scalars = sorted(pso.population.scalars.tolist())
     assert scalars == [2.0, 5.0]  # slot 0 keeps 5, slot 1 improves to 2
     assert pso.best_scalar == 5.0
 
@@ -279,16 +286,119 @@ def test_pso_gbest_monotone():
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 
+# -- scalar survival against per-slot oracles -----------------------------------
+
+def slots(population):
+    return [population.take([i]) for i in range(len(population))]
+
+
+def ga_elitism_by_slots(population, offspring):
+    """Oracle: the offspring replace the population, and a strictly better
+    elite takes the first worst offspring's slot."""
+    elite = max(slots(population), key=lambda ind: ind.scalars[0])
+    new = slots(offspring)
+    if elite.scalars[0] > max(ind.scalars[0] for ind in new):
+        worst = min(range(len(new)), key=lambda i: new[i].scalars[0])
+        new[worst] = elite
+    return stack(new)
+
+
+def replace_by_slots(population, challengers, better):
+    """Oracle: slot i takes challenger i where ``better(challenger, held)``."""
+    held = slots(population)
+    for i, challenger in enumerate(slots(challengers)):
+        if better(challenger.scalars[0], held[i].scalars[0]):
+            held[i] = challenger
+    return stack(held)
+
+
+def survival_cases():
+    """Seeded (population, offspring) pairs whose scalars tie often."""
+    stream = RandomStream(31)
+    cases = []
+    for trial in range(150):
+        n = 2 * (2 + stream.below(5))
+        decimals = trial % 3  # 0 decimals: almost every scalar ties
+        pair = []
+        for _ in range(2):
+            genomes = stream.uniform_vector(2 * n, -5.0, 5.0).reshape(n, 2)
+            pair.append(stack([evaluated(g, np.round(stream.uniform_vector(2), decimals))
+                               for g in genomes]))
+        cases.append(tuple(pair))
+    return cases + [all_tied_case()]
+
+
+def all_tied_case():
+    """Population and offspring of 4 whose scalars all equal 1.0."""
+    return (stack([evaluated([float(i)], (1.0, 1.0)) for i in range(4)]),
+            stack([evaluated([10.0 + i], (1.0, 1.0)) for i in range(4)]))
+
+
+def assert_same_population(got, expected):
+    assert np.array_equal(got.genomes, expected.genomes)
+    assert np.array_equal(got.returns, expected.returns)
+    assert np.array_equal(got.scalars, expected.scalars)
+
+
+@pytest.mark.parametrize("name", ["GA", "DE", "PSO"])
+def test_scalar_survival_matches_per_slot_oracle(name):
+    oracles = {
+        "GA": ga_elitism_by_slots,
+        "DE": lambda pop, new: replace_by_slots(pop, new, lambda c, h: c >= h),
+        "PSO": lambda pop, new: replace_by_slots(pop, new, lambda c, h: c > h),
+    }
+    for population, offspring in survival_cases():
+        n = len(population)
+        optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=n),
+                                   population.genomes.shape[1], RandomStream(1))
+        optimizer.ask()
+        optimizer.tell(population)
+        optimizer.ask()
+        optimizer.tell(offspring)
+        assert_same_population(optimizer.population, oracles[name](population, offspring))
+
+
+def test_scalar_survival_tie_rules():
+    population, offspring = all_tied_case()
+    for name, expected in (("GA", offspring), ("DE", offspring), ("PSO", population)):
+        optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=4), 1, RandomStream(1))
+        optimizer.ask()
+        optimizer.tell(population)
+        optimizer.ask()
+        optimizer.tell(offspring)
+        assert_same_population(optimizer.population, expected)
+    # GA: an elite better than every child replaces the first of tied worst children.
+    ga = make_optimizer(AlgorithmConfig(name="GA", pop_size=4), 1, RandomStream(1))
+    ga.ask()
+    ga.tell(stack([evaluated([9.0], (5.0, 5.0))] * 4))
+    ga.ask()
+    ga.tell(stack([evaluated([float(i)], r) for i, r in
+                   enumerate([(1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (2.0, 2.0)])]))
+    assert ga.population.genomes[:, 0].tolist() == [0.0, 9.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_recorded_populations_are_never_mutated(name):
+    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=8), 2, RandomStream(19))
+    objective = tri3 if name == "NSGA3" else line2
+    recorded = []
+    for _ in range(6):
+        optimizer.tell(evaluate_batch(optimizer.ask(), objective))
+        recorded.append((optimizer.population, copy.deepcopy(optimizer.population)))
+    for population, at_record_time in recorded:
+        assert_same_population(population, at_record_time)
+
+
 # -- NSGA-II -------------------------------------------------------------------
 
 def test_nsga2_keeps_exactly_full_first_front():
     config = AlgorithmConfig(name="NSGA2", pop_size=2)
     nsga = NSGA2(config, 1, RandomStream(2))
     nsga.ask()
-    nsga.tell([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))])
+    nsga.tell(stack([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))]))
     nsga.generation += 1
-    nsga._absorb([evaluated([2.0], (0.0, 0.0)), evaluated([3.0], (0.5, 0.5))])
-    survivors = {tuple(ind.mean_return) for ind in nsga.population}
+    nsga._absorb(stack([evaluated([2.0], (0.0, 0.0)), evaluated([3.0], (0.5, 0.5))]))
+    survivors = {tuple(r) for r in nsga.population.returns}
     assert survivors == {(1.0, 2.0), (2.0, 1.0)}
 
 
@@ -297,12 +407,12 @@ def test_nsga2_fills_last_front_by_crowding():
     nsga = NSGA2(config, 1, RandomStream(2))
     nsga.ask()
     front0 = [(10.0, 10.0), (11.0, 9.0)]
-    nsga.tell([evaluated([0.0], front0[0]), evaluated([1.0], front0[1]),
-               evaluated([2.0], (0.0, 3.0)), evaluated([3.0], (3.0, 0.0))])
+    nsga.tell(stack([evaluated([0.0], front0[0]), evaluated([1.0], front0[1]),
+               evaluated([2.0], (0.0, 3.0)), evaluated([3.0], (3.0, 0.0))]))
     nsga.generation += 1
-    nsga._absorb([evaluated([4.0], (1.0, 2.0)), evaluated([5.0], (2.0, 1.0)),
-                  evaluated([6.0], (0.5, 0.5)), evaluated([7.0], (0.2, 0.2))])
-    survivors = {tuple(ind.mean_return) for ind in nsga.population}
+    nsga._absorb(stack([evaluated([4.0], (1.0, 2.0)), evaluated([5.0], (2.0, 1.0)),
+                  evaluated([6.0], (0.5, 0.5)), evaluated([7.0], (0.2, 0.2))]))
+    survivors = {tuple(r) for r in nsga.population.returns}
     # Whole first front plus the two boundary points of the second front.
     assert survivors == {(10.0, 10.0), (11.0, 9.0), (0.0, 3.0), (3.0, 0.0)}
 
@@ -311,12 +421,12 @@ def test_nsga2_crowding_tie_breaks_by_input_order():
     config = AlgorithmConfig(name="NSGA2", pop_size=2)
     nsga = NSGA2(config, 1, RandomStream(2))
     nsga.ask()
-    nsga.tell([evaluated([0.0], (0.0, 3.0)), evaluated([1.0], (1.0, 2.0))])
+    nsga.tell(stack([evaluated([0.0], (0.0, 3.0)), evaluated([1.0], (1.0, 2.0))]))
     nsga.generation += 1
     # Pool front: four points, boundaries tie at +inf; interior points tie at
     # equal crowding, so the earlier pool index must win the last slot.
-    nsga._absorb([evaluated([2.0], (2.0, 1.0)), evaluated([3.0], (3.0, 0.0))])
-    kept = [tuple(ind.mean_return) for ind in nsga.population]
+    nsga._absorb(stack([evaluated([2.0], (2.0, 1.0)), evaluated([3.0], (3.0, 0.0))]))
+    kept = [tuple(r) for r in nsga.population.returns]
     assert kept == [(0.0, 3.0), (3.0, 0.0)]
 
 
@@ -331,12 +441,11 @@ def test_nsga2_no_survivor_dominated_by_discarded():
             genomes, lambda g: (g[0] + stream.uniform(), g[1] + stream.uniform()))
         pool_history.append(evaluated_batch)
         nsga.tell(evaluated_batch)
-    survivors = np.array([ind.mean_return for ind in nsga.population])
-    discarded = [ind for batch in pool_history for ind in batch
-                 if not any(np.array_equal(ind.mean_return, s) for s in survivors)]
+    survivors = nsga.population.returns
+    discarded = [r for batch in pool_history for r in batch.returns
+                 if not any(np.array_equal(r, s) for s in survivors)]
     last_pool_discarded = discarded[-8:]
-    ranked = pareto.fast_nondominated_sort(
-        np.vstack([survivors, [d.mean_return for d in last_pool_discarded]]))
+    ranked = pareto.fast_nondominated_sort(np.vstack([survivors, last_pool_discarded]))
     # No discarded point may sit at a strictly better rank than any survivor
     # of the pool it lost to (fill rule keeps whole best fronts).
     assert ranked.ranks[: len(survivors)].max() <= ranked.ranks.max()
@@ -347,14 +456,15 @@ def test_nsga2_no_survivor_dominated_by_discarded():
 def test_spea2_strength_and_raw_fitness_example():
     config = AlgorithmConfig(name="SPEA2", pop_size=2)
     spea = SPEA2(config, 1, RandomStream(2))
-    fitness = spea._fitness(np.array([(3.0, 3.0), (2.0, 2.0), (1.0, 1.0)]))
+    points = np.array([(3.0, 3.0), (2.0, 2.0), (1.0, 1.0)])
+    fitness = spea._fitness(points, SPEA2._distances(points))
     assert np.floor(fitness).tolist() == [0.0, 2.0, 3.0]
     assert fitness[0] < 1.0
 
 
 def test_spea2_truncation_removes_middle_of_collinear_triple():
     points = np.array([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)])
-    alive = SPEA2._truncate(points, [0, 1, 2], 2)
+    alive = SPEA2._truncate(SPEA2._distances(points), [0, 1, 2], 2)
     assert alive == [0, 2]
 
 
@@ -382,23 +492,49 @@ def test_spea2_truncation_matches_oracle():
             candidates.reverse()
         keep = 1 + stream.below(max(len(candidates), 1))
         expected = truncate_by_sorted_neighbours(points, candidates, keep)
-        assert SPEA2._truncate(points, candidates, keep) == expected, f"trial {trial}"
+        assert SPEA2._truncate(SPEA2._distances(points), candidates, keep) == expected, \
+            f"trial {trial}"
 
 
 def test_spea2_truncation_breaks_ties_by_candidate_order():
     # Four corners of a square: every member has the same neighbour row.
     points = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    assert SPEA2._truncate(points, [2, 0, 3, 1], 3) == [0, 3, 1]
-    assert SPEA2._truncate(points, [0, 1, 2, 3], 3) == [1, 2, 3]
+    dist = SPEA2._distances(points)
+    assert SPEA2._truncate(dist, [2, 0, 3, 1], 3) == [0, 3, 1]
+    assert SPEA2._truncate(dist, [0, 1, 2, 3], 3) == [1, 2, 3]
+
+
+def archive_rows_by_lists(fitness, dist, keep):
+    """Oracle: nondominated members in index order, truncated when too many,
+    else topped up with dominated members sorted by (fitness, index)."""
+    nondominated = [i for i in range(len(fitness)) if fitness[i] < 1.0]
+    if len(nondominated) > keep:
+        return SPEA2._truncate(dist, nondominated, keep)
+    dominated = sorted((i for i in range(len(fitness)) if fitness[i] >= 1.0),
+                       key=lambda i: (fitness[i], i))
+    return nondominated + dominated[: keep - len(nondominated)]
+
+
+def test_spea2_archive_matches_list_oracle():
+    stream = RandomStream(23)
+    for trial in range(120):
+        n = 4 + stream.below(20)
+        keep = 2 * (1 + stream.below(n // 2))
+        returns = np.round(stream.uniform_vector(2 * n).reshape(n, 2), trial % 3)
+        spea = SPEA2(AlgorithmConfig(name="SPEA2", pop_size=keep), 1, RandomStream(1))
+        spea._select_archive(stack([evaluated([float(i)], r) for i, r in enumerate(returns)]))
+        dist = SPEA2._distances(returns)
+        rows = archive_rows_by_lists(spea._fitness(returns, dist), dist, keep)
+        assert spea.population.genomes[:, 0].tolist() == [float(i) for i in rows], f"trial {trial}"
 
 
 def test_spea2_fills_archive_with_best_dominated():
     config = AlgorithmConfig(name="SPEA2", pop_size=4)
     spea = SPEA2(config, 1, RandomStream(3))
     spea.ask()
-    spea.tell([evaluated([0.0], (5.0, 5.0)), evaluated([1.0], (4.0, 4.0)),
-               evaluated([2.0], (3.0, 3.0)), evaluated([3.0], (1.0, 1.0))])
-    returns = sorted(tuple(ind.mean_return) for ind in spea.population)
+    spea.tell(stack([evaluated([0.0], (5.0, 5.0)), evaluated([1.0], (4.0, 4.0)),
+               evaluated([2.0], (3.0, 3.0)), evaluated([3.0], (1.0, 1.0))]))
+    returns = sorted(tuple(r) for r in spea.population.returns)
     assert returns == [(1.0, 1.0), (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
     assert len(spea.population) == 4
 
@@ -407,12 +543,12 @@ def test_spea2_truncates_surplus_nondominated_archive():
     config = AlgorithmConfig(name="SPEA2", pop_size=2)
     spea = SPEA2(config, 1, RandomStream(3))
     spea.ask()
-    spea.tell([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))])
+    spea.tell(stack([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))]))
     spea.generation += 1
     # Union has three nondominated points; (1.5, 1.5) has the closest
     # neighbours lexicographically, so truncation drops it.
-    spea._absorb([evaluated([2.0], (0.0, 0.0)), evaluated([3.0], (1.5, 1.5))])
-    survivors = {tuple(ind.mean_return) for ind in spea.population}
+    spea._absorb(stack([evaluated([2.0], (0.0, 0.0)), evaluated([3.0], (1.5, 1.5))]))
+    survivors = {tuple(r) for r in spea.population.returns}
     assert survivors == {(1.0, 2.0), (2.0, 1.0)}
 
 
@@ -443,7 +579,7 @@ def test_smsemoa_rejects_many_objectives():
     sms = SMSEMOA(config, 1, RandomStream(5))
     sms.ask()
     with pytest.raises(ValueError):
-        sms.tell([evaluated([0.0], (1.0, 2.0, 3.0, 4.0))] * 2)
+        sms.tell(stack([evaluated([0.0], (1.0, 2.0, 3.0, 4.0))] * 2))
 
 
 def test_smsemoa_step_never_loses_hypervolume():
@@ -455,7 +591,7 @@ def test_smsemoa_step_never_loses_hypervolume():
     for _ in range(20):
         child = evaluated([stream.uniform(-5, 5)],
                           (stream.uniform(-5, 5), stream.uniform(-5, 5)))
-        pool = np.array([ind.mean_return for ind in population] + [child.mean_return])
+        pool = population.join(child).returns
         minimized = -pool
         nadir = minimized.max(axis=0)
         span = nadir - minimized.min(axis=0)
@@ -465,7 +601,7 @@ def test_smsemoa_step_never_loses_hypervolume():
         survivors = [p for i, p in enumerate(pool) if i != drop]
         after = hypervolume_exact(-np.array(survivors), ref)
         assert after >= before - 1e-12
-        population = [ind for i, ind in enumerate(population + [child]) if i != drop]
+        population = population.join(child).take([i for i in range(len(pool)) if i != drop])
 
 
 # -- NSGA-III ------------------------------------------------------------------
@@ -514,13 +650,13 @@ def test_nsga3_selects_exactly_popsize_through_niching():
     config = AlgorithmConfig(name="NSGA3", pop_size=4)
     nsga = NSGA3(config, 1, RandomStream(3))
     nsga.ask()
-    nsga.tell([evaluated([0.0], (0.0, 8.0)), evaluated([1.0], (8.0, 0.0)),
-               evaluated([2.0], (4.0, 4.0)), evaluated([3.0], (2.0, 6.0))])
+    nsga.tell(stack([evaluated([0.0], (0.0, 8.0)), evaluated([1.0], (8.0, 0.0)),
+               evaluated([2.0], (4.0, 4.0)), evaluated([3.0], (2.0, 6.0))]))
     nsga.generation += 1
-    nsga._absorb([evaluated([4.0], (6.0, 2.0)), evaluated([5.0], (1.0, 7.0)),
-                  evaluated([6.0], (7.0, 1.0)), evaluated([7.0], (3.0, 5.0))])
+    nsga._absorb(stack([evaluated([4.0], (6.0, 2.0)), evaluated([5.0], (1.0, 7.0)),
+                  evaluated([6.0], (7.0, 1.0)), evaluated([7.0], (3.0, 5.0))]))
     assert len(nsga.population) == 4
-    points = np.array([ind.mean_return for ind in nsga.population])
+    points = nsga.population.returns
     assert len(pareto.nondominated_filter(points)) == 4
 
 
@@ -562,7 +698,7 @@ def test_rnsga2_single_survivor_survives():
     config = AlgorithmConfig(name="RNSGA2", pop_size=2)
     r = RNSGA2(config, 1, RandomStream(4))
     r.ask()
-    r.tell([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))])
+    r.tell(stack([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))]))
     assert len(r.population) == 2
 
 
@@ -571,7 +707,7 @@ def test_rnsga2_epsilon_must_be_positive():
         config = AlgorithmConfig(name="RNSGA2", pop_size=2, rnsga2_epsilon=-1.0)
         r = RNSGA2(config, 1, RandomStream(4))
         r.ask()
-        r.tell([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))])
+        r.tell(stack([evaluated([0.0], (1.0, 2.0)), evaluated([1.0], (2.0, 1.0))]))
 
 
 def test_rnsga2_prefers_points_near_custom_reference():
@@ -580,12 +716,12 @@ def test_rnsga2_prefers_points_near_custom_reference():
                              rnsga2_reference_points=refs)
     r = RNSGA2(config, 1, RandomStream(4))
     r.ask()
-    r.tell([evaluated([0.0], (0.0, 8.0)), evaluated([1.0], (8.0, 0.0))])
+    r.tell(stack([evaluated([0.0], (0.0, 8.0)), evaluated([1.0], (8.0, 0.0))]))
     r.generation += 1
     # Four mutually nondominated points; the two nearest the reference corner
     # (8, 0) must be kept.
-    r._absorb([evaluated([2.0], (7.0, 1.0)), evaluated([3.0], (1.0, 7.0))])
-    survivors = {tuple(ind.mean_return) for ind in r.population}
+    r._absorb(stack([evaluated([2.0], (7.0, 1.0)), evaluated([3.0], (1.0, 7.0))]))
+    survivors = {tuple(row) for row in r.population.returns}
     assert survivors == {(8.0, 0.0), (7.0, 1.0)}
 
 
@@ -595,7 +731,7 @@ def two_slot_optimizer(name):
     """Two mutually nondominated, equal-scalar slots: genomes [0.0] and [1.0]."""
     optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=2), 1, RandomStream(0))
     optimizer.ask()
-    optimizer.tell([evaluated([0.0], (1.0, 0.0)), evaluated([1.0], (0.0, 1.0))])
+    optimizer.tell(stack([evaluated([0.0], (1.0, 0.0)), evaluated([1.0], (0.0, 1.0))]))
     return optimizer
 
 
@@ -605,7 +741,7 @@ def test_tournament_first_drawn_slot_wins_tied_key(name):
     assert optimizer._key(0) == optimizer._key(1)
     for first, second in ((0, 1), (1, 0)):
         optimizer.rng = ScriptedStream(ints=[first, second])
-        assert optimizer._tournament() is optimizer.population[first].genome
+        assert optimizer._tournament() == first
 
 
 def test_spea2_tournament_breaks_fitness_ties_by_slot():
@@ -613,37 +749,37 @@ def test_spea2_tournament_breaks_fitness_ties_by_slot():
     assert spea._fitness_values[0] == spea._fitness_values[1]
     for draws in ((0, 1), (1, 0)):
         spea.rng = ScriptedStream(ints=list(draws))
-        assert spea._tournament() is spea.population[0].genome
+        assert spea._tournament() == 0
 
 
 @pytest.mark.parametrize("name", ["GA", "NSGA2", "SPEA2", "RNSGA2"])
 def test_tournament_lower_key_wins_either_draw_order(name):
     optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=2), 1, RandomStream(0))
     optimizer.ask()
-    optimizer.tell([evaluated([0.0], (0.0, 0.0)), evaluated([1.0], (1.0, 1.0))])
+    optimizer.tell(stack([evaluated([0.0], (0.0, 0.0)), evaluated([1.0], (1.0, 1.0))]))
     best = 0 if optimizer._key(0) < optimizer._key(1) else 1
-    assert optimizer.population[best].genome[0] == 1.0
+    assert optimizer.population.genomes[best][0] == 1.0
     for draws in ((0, 1), (1, 0)):
         optimizer.rng = ScriptedStream(ints=list(draws))
-        assert optimizer._tournament() is optimizer.population[best].genome
+        assert optimizer._tournament() == best
 
 
 def test_random_pair_redraws_a_repeated_slot():
     nsga3 = two_slot_optimizer("NSGA3")
     nsga3.rng = ScriptedStream(ints=[1, 1, 1, 0])
     first, second = nsga3._random_pair()
-    assert first is nsga3.population[1].genome
-    assert second is nsga3.population[0].genome
+    assert first == 1
+    assert second == 0
 
 
 @pytest.mark.parametrize("name", ["SMSEMOA", "NSGA3"])
 def test_random_pair_never_returns_one_slot_twice(name):
     optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=4), 1, RandomStream(9))
     optimizer.ask()
-    optimizer.tell([evaluated([float(i)], (float(i), -float(i))) for i in range(4)])
+    optimizer.tell(stack([evaluated([float(i)], (float(i), -float(i))) for i in range(4)]))
     for _ in range(200):
         first, second = optimizer._random_pair()
-        assert first[0] != second[0]
+        assert first != second
 
 
 FRONT_POINTS = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [2.0, 0.0], [1.0, 0.0]])
@@ -671,5 +807,5 @@ def test_best_scalar_is_population_maximum(name):
     optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=6), 2, RandomStream(12))
     for _ in range(4):
         drive(optimizer, lambda g: (g[0] - g[1] ** 2, g[0]), 1)
-        scalars = [ind.scalar_value for ind in optimizer.population]
+        scalars = optimizer.population.scalars.tolist()
         assert optimizer.best_scalar == max(scalars)

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from evopareto.config import ConfigError, parse_config, serialize_config
+from evopareto.algorithms import AlgorithmConfig
+from evopareto.config import ConfigError, ExperimentConfig, parse_config, serialize_config
 
 MINIMAL = """
 environment = TradeoffBandit
@@ -89,6 +92,15 @@ def test_algorithm_config_carries_operator_parameters():
     assert algo.eta_c == 12.5
     assert algo.de_f == 0.7
     assert algo.pop_size == 50
+
+
+def test_algorithm_and_experiment_configs_share_defaults():
+    experiment = {f.name: f.default for f in fields(ExperimentConfig)}
+    algorithm = {f.name: f.default for f in fields(AlgorithmConfig) if f.name != "name"}
+    assert set(algorithm) <= set(experiment)
+    for key, default in algorithm.items():
+        assert experiment[key] == default, key
+    assert parse_config(MINIMAL).algorithm_config("GA", k=2) == AlgorithmConfig(name="GA")
 
 
 def test_rnsga2_reference_points_grouped_by_k():

@@ -36,6 +36,31 @@ def test_scalarize_commutes_with_convex_mixing():
         assert mixed == pytest.approx(split, abs=1e-12)
 
 
+def test_scalarize_rows_match_one_vector_at_a_time():
+    stream = RandomStream(29)
+    for k in (2, 3):
+        rows = stream.uniform_vector(2000 * k, -50.0, 50.0).reshape(2000, k)
+        expected = [float(np.sum(row) / k) for row in rows]
+        assert evaluation.scalarize(rows).tolist() == expected
+
+
+def test_population_take_join_and_read_only_rows():
+    genomes = np.arange(6.0).reshape(3, 2)
+    returns = np.array([(1.0, 3.0), (2.0, 2.0), (0.0, 1.0)])
+    pop = evaluation.Population(genomes, returns, evaluation.scalarize(returns))
+    assert len(pop) == 3
+    picked = pop.take([2, 0])
+    assert picked.genomes.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+    assert picked.scalars.tolist() == [0.5, 2.0]
+    joined = pop.join(picked)
+    assert len(joined) == 5
+    assert joined.returns.tolist() == returns.tolist() + [[0.0, 1.0], [1.0, 3.0]]
+    for population in (pop, picked, joined):
+        for rows in (population.genomes, population.returns, population.scalars):
+            with pytest.raises(ValueError):
+                rows[0] = 9.0
+
+
 def test_bandit_zero_genome_rollout():
     env = make_env("TradeoffBandit")
     spec = PolicySpec(1, (4, 4, 4), 1)
@@ -102,7 +127,7 @@ def test_evaluate_on_deterministic_env_ignores_episode_count():
     genome = policy.init_genome(spec, RandomStream(2))
     one = evaluation.evaluate(env, spec, genome, 1, seed_base=17)
     many = evaluation.evaluate(env, spec, genome, 7, seed_base=17)
-    assert np.allclose(one.mean_return, many.mean_return, atol=1e-12)
+    assert np.allclose(one.returns, many.returns, atol=1e-12)
 
 
 def test_evaluate_single_episode_equals_rollout_stream_zero():
@@ -111,8 +136,8 @@ def test_evaluate_single_episode_equals_rollout_stream_zero():
     genome = policy.init_genome(spec, RandomStream(4))
     got = evaluation.evaluate(env, spec, genome, 1, seed_base=123)
     expected = evaluation.rollout(env, spec, genome, RandomStream(derive_seed(123, 0)))
-    assert np.array_equal(got.mean_return, expected)
-    assert got.scalar_value == evaluation.scalarize(expected)
+    assert np.array_equal(got.returns[0], expected)
+    assert got.scalars[0] == evaluation.scalarize(expected)
 
 
 def test_evaluate_equals_hand_averaged_replays():
@@ -124,7 +149,7 @@ def test_evaluate_equals_hand_averaged_replays():
     for episode in range(5):
         replayed = replayed + evaluation.rollout(
             env, spec, genome, RandomStream(derive_seed(99, episode)))
-    assert np.array_equal(got.mean_return, replayed / 5)
+    assert np.array_equal(got.returns[0], replayed / 5)
 
 
 def test_evaluate_rejects_nonpositive_episodes():
@@ -138,7 +163,7 @@ def test_batched_mean_matches_single_pass():
     env = walker(sigma=0.01)
     spec = PolicySpec(2, (4, 4, 4), 1)
     genome = policy.init_genome(spec, RandomStream(8))
-    single = evaluation.evaluate(env, spec, genome, 6, seed_base=5).mean_return
+    single = evaluation.evaluate(env, spec, genome, 6, seed_base=5).returns[0]
     episodes = [evaluation.rollout(env, spec, genome, RandomStream(derive_seed(5, e)))
                 for e in range(6)]
     batched = (sum(episodes[:3]) / 3 + sum(episodes[3:]) / 3) / 2
@@ -149,9 +174,9 @@ def test_variance_shrinks_with_more_episodes():
     env = walker(sigma=0.05)
     spec = PolicySpec(2, (4, 4, 4), 1)
     genome = policy.init_genome(spec, RandomStream(10))
-    speed_1 = [evaluation.evaluate(env, spec, genome, 1, seed_base=s).mean_return[0]
+    speed_1 = [evaluation.evaluate(env, spec, genome, 1, seed_base=s).returns[0, 0]
                for s in range(40)]
-    speed_10 = [evaluation.evaluate(env, spec, genome, 10, seed_base=1000 + s).mean_return[0]
+    speed_10 = [evaluation.evaluate(env, spec, genome, 10, seed_base=1000 + s).returns[0, 0]
                 for s in range(40)]
     assert np.var(speed_10) < np.var(speed_1)
 
@@ -161,8 +186,8 @@ def test_scalar_value_is_mean_of_components():
     spec = PolicySpec(3, (4, 4, 4), 2)
     genome = policy.init_genome(spec, RandomStream(11))
     out = evaluation.evaluate(env, spec, genome, 2, seed_base=3)
-    assert out.scalar_value == pytest.approx(out.mean_return.mean(), abs=1e-15)
-    assert math.isfinite(out.scalar_value)
+    assert out.scalars[0] == pytest.approx(out.returns[0].mean(), abs=1e-15)
+    assert math.isfinite(out.scalars[0])
 
 
 # -- lockstep population evaluation ---------------------------------------------
@@ -195,12 +220,12 @@ def test_population_equals_per_genome_evaluate(name, n_episodes, noisy):
     bases = [derive_seed(7, "eval", i) for i in range(len(genomes))]
     batched = evaluation.evaluate_population(env, spec, genomes, n_episodes, bases)
     assert len(batched) == len(genomes)
-    for genome, base, got in zip(genomes, bases, batched):
+    assert batched.returns.shape == (len(genomes), env.spec.k)
+    for i, (genome, base) in enumerate(zip(genomes, bases)):
         alone = evaluation.evaluate(env, spec, genome, n_episodes, base)
-        assert got.genome is genome
-        assert got.n_episodes == n_episodes
-        assert np.array_equal(got.mean_return, alone.mean_return)
-        assert got.scalar_value == alone.scalar_value
+        assert np.array_equal(batched.genomes[i], genome)
+        assert np.array_equal(batched.returns[i], alone.returns[0])
+        assert batched.scalars[i] == alone.scalars[0]
 
 
 def replay(env, spec, genome, rng):
@@ -226,11 +251,11 @@ def test_population_equals_stepwise_replays(name):
     genomes = probe_genomes(spec, n_random=4)
     bases = [derive_seed(8, i) for i in range(len(genomes))]
     batched = evaluation.evaluate_population(env, spec, genomes, 3, bases)
-    for genome, base, got in zip(genomes, bases, batched):
+    for genome, base, got in zip(genomes, bases, batched.returns):
         total = np.zeros(env.spec.k)
         for episode in range(3):
             total = total + replay(env, spec, genome, RandomStream(derive_seed(base, episode)))[0]
-        assert np.array_equal(got.mean_return, total / 3)
+        assert np.array_equal(got, total / 3)
 
 
 def test_near_bound_genomes_reach_clamp_and_grounding():

@@ -5,7 +5,7 @@ import pytest
 
 from evopareto import cli, harness
 from evopareto.config import ExperimentConfig, parse_config
-from evopareto.evaluation import EvaluatedIndividual
+from evopareto.evaluation import Population
 
 SMALL = ExperimentConfig(
     environment="TradeoffBandit",
@@ -23,11 +23,7 @@ def fabricate_record(algorithm, run, returns_per_gen, config=SMALL):
     for returns in returns_per_gen:
         returns = np.asarray(returns, dtype=np.float64)
         n = returns.shape[0]
-        gens.append(harness.GenerationSnapshot(
-            genomes=np.zeros((n, 3)),
-            returns=returns,
-            scalars=returns.mean(axis=1),
-        ))
+        gens.append(Population(np.zeros((n, 3)), returns, returns.mean(axis=1)))
     return harness.RunRecord(
         algorithm=algorithm, run_index=run, seed=1, status="ok", eval_count=0,
         wall_time=0.0, rng_scheme="test", config=config, generations=gens,
@@ -95,8 +91,7 @@ def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
         out = real_evaluate(env, spec, genomes, n_episodes, seed_bases)
         calls["n"] += 1
         if calls["n"] == 1:  # poison only the first generation of the first run
-            return [EvaluatedIndividual(ind.genome, np.full_like(ind.mean_return, np.nan),
-                                        ind.n_episodes, ind.scalar_value) for ind in out]
+            return Population(out.genomes, np.full_like(out.returns, np.nan), out.scalars)
         return out
 
     monkeypatch.setattr(harness, "evaluate", sometimes_nan)
