@@ -102,6 +102,8 @@ def polynomial_mutation(genome: np.ndarray, eta_m: float, p_m: float,
     Each gene mutates with probability p_m; the perturbation is zero at
     u = 0.5 and respects the gene's distance to each bound.
     """
+    if eta_m < 0:
+        raise ValueError("eta_m must be nonnegative")
     if not 0.0 <= p_m <= 1.0:
         raise ValueError("p_m must lie in [0, 1]")
     lo, hi = bounds

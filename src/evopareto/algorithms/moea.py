@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .. import pareto
-from ..indicators import hypervolume_contributions
+from ..indicators import euclidean_distances, hypervolume_contributions
 from .base import Optimizer
 
 
@@ -85,8 +85,7 @@ class SPEA2(Optimizer):
     @staticmethod
     def _distances(points: np.ndarray) -> np.ndarray:
         """Pairwise Euclidean distances with an infinite self-distance."""
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        dist = euclidean_distances(points, points)
         np.fill_diagonal(dist, np.inf)
         return dist
 

@@ -152,8 +152,14 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be positive")
     if config.pop_size % 2 != 0:
         raise ConfigError("pop_size must be even (pairwise crossover)")
+    if "DE" in config.algorithms and config.pop_size < 4:
+        raise ConfigError("DE rand/1 needs pop_size >= 4 for distinct donors")
     if len(config.bounds) != 2 or config.bounds[0] >= config.bounds[1]:
         raise ConfigError("bounds must be two values, low < high")
+    if config.eta_c <= 0.0:
+        raise ConfigError("eta_c must be positive")
+    if config.eta_m < 0.0:
+        raise ConfigError("eta_m must be nonnegative")
     if config.p_m is not None and not 0.0 <= config.p_m <= 1.0:
         raise ConfigError("p_m must lie in [0, 1]")
     if config.rnsga2_epsilon <= 0.0:

@@ -161,36 +161,45 @@ def load_records(directory) -> list[RunRecord]:
     if not paths:
         raise FileNotFoundError(f"no run records under {directory}/records")
     records = []
-    first_config = None
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            if first_config is None:
-                first_config = header["config"]
-            elif header["config"] != first_config:
-                raise ValueError(
-                    f"run records under {directory}/records come from different configs: "
-                    f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
-            generations = []
-            for line in handle:
-                payload = json.loads(line)
-                generations.append(Population(np.array(payload["genomes"]),
-                                              np.array(payload["returns"]),
-                                              np.array(payload["scalars"])))
-        records.append(RunRecord(
-            algorithm=header["algorithm"],
-            run_index=header["run"],
-            seed=header["seed"],
-            status=header["status"],
-            eval_count=header["eval_count"],
-            wall_time=header["wall_time"],
-            rng_scheme=header["rng"],
-            config=parse_config(header["config"]),
-            generations=generations,
-        ))
+        record = _read_record(path)
+        if records and record.config != records[0].config:
+            raise ValueError(
+                f"run records under {directory}/records come from different configs: "
+                f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
+        records.append(record)
     order = records[0].config.algorithms
     records.sort(key=lambda r: (order.index(r.algorithm), r.run_index))
     return records
+
+
+def _read_record(path: Path) -> RunRecord:
+    """One record file; ``ValueError`` names the file and the line that does not parse."""
+    lineno = 1
+    with open(path, encoding="utf-8") as handle:
+        try:
+            header = json.loads(handle.readline())
+            record = RunRecord(
+                algorithm=header["algorithm"],
+                run_index=header["run"],
+                seed=header["seed"],
+                status=header["status"],
+                eval_count=header["eval_count"],
+                wall_time=header["wall_time"],
+                rng_scheme=header["rng"],
+                config=parse_config(header["config"]),
+                generations=[],
+            )
+            for lineno, line in enumerate(handle, start=2):
+                payload = json.loads(line)
+                record.generations.append(Population(np.array(payload["genomes"]),
+                                                     np.array(payload["returns"]),
+                                                     np.array(payload["scalars"])))
+        except KeyError as exc:
+            raise ValueError(f"{path} line {lineno}: run record lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} line {lineno}: unreadable run record: {exc}") from None
+    return record
 
 
 # -- metrics -----------------------------------------------------------------

@@ -7,20 +7,25 @@ in normalized space (reference-front ideal -> 0, nadir -> 1, reference point
 (1, ..., 1)) so it lands in [0, 1], while GD and IGD stay on the raw
 objective scale.
 
-Exclusive contributions (SMS-EMOA's selection) are one batched leave-one-out
-pass that gives, bit for bit, ``hv(front) - hv(front without i)`` as a loop
-of :func:`hypervolume_exact` calls would.  Four rules keep the bytes:
+Exact hypervolume is one kernel, a sweep over the points inside ``ref``
+that scores several subsets of them at once: :func:`hypervolume_exact` is
+the subset of every point, and the exclusive contributions (SMS-EMOA's
+selection) are ``hv(front) - hv(front without i)`` from the leave-one-out
+subsets.  Its results are the bytes of the scalar 2-D sweep and 3-D slicing
+loops (kept in the tests as the oracle).  Four rules keep them:
 
-* sort once: the points inside ``ref`` are sorted by the same stable
-  ``lexsort`` as the sweep, and dropping one keeps the others' order;
-* mask, don't delete: the removed point, and in 3-D every point above the
-  slab, gets y = +inf, so it never lowers the sweep's running minimum and
-  its term is exactly 0.0;
-* ordered sums: sweep terms and 3-D slab volumes are added left to right
-  (``cumsum``, never the pairwise ``np.sum``), and adding 0.0 is exact; a
-  point alone at its height takes its slab, and the slab below then spans
-  up to the next bound as one subtraction;
-* the total still comes from :func:`hypervolume_exact`.
+* sort once: the points are sorted by a stable ``lexsort`` on (x, y), and a
+  subset keeps that order, as a sweep over the subset alone would sort it;
+* mask, don't delete: a point outside the subset, and in 3-D every point
+  above the slab, gets y = +inf, so it never lowers the sweep's running
+  minimum and its term is exactly 0.0;
+* ordered sums: sweep terms and slab volumes are added left to right
+  (``cumsum``, never the pairwise ``np.sum``), and adding 0.0 is exact;
+* one slab rule: the slabs are the distinct heights z of all the points.
+  Slab t exists in a subset when one of its points sits at that height, and
+  reaches up to the subset's next slab, or to ``ref[2]``; its width is that
+  bound minus its height, one subtraction, and a slab that does not exist
+  adds 0.0.
 
 SMS-EMOA drops the first minimal contribution in worst-front order
 (``np.argmin``), so exact ties go to the earlier member.
@@ -45,6 +50,15 @@ def hypervolume_exact(front, ref) -> float:
     coordinate enclose no volume and are dropped.  Exact algorithms are
     provided for k in {2, 3} only.
     """
+    arr, ref, rows = _sweep_rows(front, ref)
+    if rows.size == 0:
+        return 0.0
+    return float(_masked_hv(arr[rows], np.ones((1, rows.size), dtype=bool), ref)[0])
+
+
+def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The front and ref as float arrays, and the indices of the points
+    strictly inside ref in sweep order (stable ``lexsort`` by x, then y)."""
     arr = np.asarray(front, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -54,31 +68,30 @@ def hypervolume_exact(front, ref) -> float:
         raise ValueError("front and reference point dimensions differ")
     if k not in (2, 3):
         raise ValueError("exact hypervolume supports k in {2, 3}; use hypervolume_mc")
-    arr = arr[np.all(arr < ref, axis=1)]
-    if arr.shape[0] == 0:
-        return 0.0
-    return float(_hv2d(arr, ref) if k == 2 else _hv3d(arr, ref))
+    rows = np.flatnonzero(np.all(arr < ref, axis=1))
+    return arr, ref, rows[np.lexsort((arr[rows, 1], arr[rows, 0]))]
 
 
-def _hv2d(points: np.ndarray, ref: np.ndarray) -> float:
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    area = 0.0
-    min_y = ref[1]
-    for x, y in points[order]:
-        if y < min_y:
-            area += (ref[0] - x) * (min_y - y)
-            min_y = y
-    return area
-
-
-def _hv3d(points: np.ndarray, ref: np.ndarray) -> float:
-    zs = np.unique(points[:, 2])
-    bounds = np.append(zs, ref[2])
-    volume = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        active = points[points[:, 2] <= lo]
-        volume += _hv2d(active[:, :2], ref[:2]) * (hi - lo)
-    return volume
+def _masked_hv(points: np.ndarray, active: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Hypervolume of each subset ``active[..., :]`` of the sweep-ordered
+    points inside ``ref`` (see the module notes)."""
+    if ref.shape[0] == 3:
+        z = points[:, 2]
+        zs = np.unique(z)
+        # Slab t exists in a row when an active point sits at zs[t]; it
+        # reaches up to the row's next slab, or to ref[2].
+        exists = (active[:, None, :] & (z == zs[:, None])).any(axis=-1)
+        later = np.where(exists[:, 1:], zs[1:], np.inf)
+        later = np.concatenate([later, np.full((len(later), 1), ref[2])], axis=1)
+        upper = np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
+        area = _masked_hv(points[:, :2], active[:, None, :] & (z <= zs[:, None]), ref[:2])
+        terms = np.where(exists, area * (upper - zs), 0.0)
+        return np.cumsum(terms, axis=-1)[..., -1]
+    ys = np.where(active, points[:, 1], np.inf)
+    start = np.full(ys.shape[:-1] + (1,), ref[1])
+    prev_min = np.minimum.accumulate(np.concatenate([start, ys[..., :-1]], axis=-1), axis=-1)
+    terms = np.where(ys < prev_min, (ref[0] - points[:, 0]) * (prev_min - ys), 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
@@ -111,67 +124,22 @@ def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
 def hypervolume_contributions(front, ref) -> np.ndarray:
     """Exclusive hypervolume of each point: hv(front) - hv(front minus point).
 
-    One batched leave-one-out pass, bit-identical to calling
-    :func:`hypervolume_exact` once per removed point (see the module notes).
+    One batched pass: row 0 holds every point inside ``ref`` and row 1 + i
+    all of them but point i.  Points outside ``ref`` contribute 0.0.
     """
-    arr = np.asarray(front, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    ref = np.asarray(ref, dtype=np.float64)
-    total = hypervolume_exact(arr, ref)
-    # Removing a point outside ref leaves the hypervolume unchanged.
-    rest = np.full(arr.shape[0], total)
-    inside = np.all(arr < ref, axis=1)
-    if inside.any():
-        points = arr[inside]
-        order = np.lexsort((points[:, 1], points[:, 0]))
-        points = points[order]
-        # without[i, j]: point j is still there once point i is removed.
-        without = ~np.eye(points.shape[0], dtype=bool)
-        if ref.shape[0] == 2:
-            rest_hv = _masked_hv2d(points, without, ref)
-        else:
-            rest_hv = _hv3d_without_each(points, without, ref)
-        rest[np.flatnonzero(inside)[order]] = rest_hv
-    return total - rest
+    arr, ref, rows = _sweep_rows(front, ref)
+    contributions = np.zeros(arr.shape[0])
+    if rows.size:
+        active = np.vstack([np.ones(rows.size, dtype=bool), ~np.eye(rows.size, dtype=bool)])
+        hv = _masked_hv(arr[rows], active, ref)
+        contributions[rows] = hv[0] - hv[1:]
+    return contributions
 
 
-def _masked_hv2d(points: np.ndarray, active: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """:func:`_hv2d` of each subset ``active[..., :]`` of the sorted points:
-    inactive points get y = +inf and add exactly 0.0, and the terms are
-    summed left to right, as the sweep adds them."""
-    ys = np.where(active, points[:, 1], np.inf)
-    start = np.full(ys.shape[:-1] + (1,), ref[1])
-    prev_min = np.minimum.accumulate(np.concatenate([start, ys[..., :-1]], axis=-1), axis=-1)
-    gain = ys < prev_min
-    xs = np.broadcast_to(points[:, 0], ys.shape)
-    terms = np.zeros(ys.shape)
-    terms[gain] = (ref[0] - xs[gain]) * (prev_min[gain] - ys[gain])
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
-def _hv3d_without_each(points: np.ndarray, without: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Row i: :func:`_hv3d` of the sorted points without point i."""
-    z = points[:, 2]
-    zs = np.unique(z)
-    bounds = np.append(zs, ref[2])
-    # Slab t of the front without point i holds the points j with z_j <= zs[t].
-    area = _masked_hv2d(points, (z <= zs[:, None]) & without[:, None, :], ref)
-    width = np.tile(bounds[1:] - bounds[:-1], (points.shape[0], 1))
-    # A point alone at its height takes its slab with it; the slab below
-    # then reaches up to the next remaining bound.
-    slab = np.searchsorted(zs, z)
-    alone = np.flatnonzero(np.bincount(slab)[slab] == 1)
-    width[alone, slab[alone]] = 0.0
-    above = alone[slab[alone] > 0]
-    width[above, slab[above] - 1] = bounds[slab[above] + 1] - bounds[slab[above] - 1]
-    terms = np.where(width > 0.0, area * width, 0.0)
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
-def _pairwise_min_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[i, j]``: Euclidean distance from point ``a[i]`` to point ``b[j]``."""
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def gd(approx, reference) -> float:
@@ -180,7 +148,7 @@ def gd(approx, reference) -> float:
     r = pareto.as_points(reference)
     if a.shape[1] != r.shape[1]:
         raise ValueError("approximation and reference dimensions differ")
-    return float(_pairwise_min_distances(a, r).mean())
+    return float(euclidean_distances(a, r).min(axis=1).mean())
 
 
 def igd(approx, reference) -> float:

@@ -1,9 +1,13 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from evopareto import cli, harness
 from evopareto.algorithms import AlgorithmConfig
 from evopareto.config import ConfigError, ExperimentConfig, parse_config, serialize_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 MINIMAL = """
 environment = TradeoffBandit
@@ -115,3 +119,43 @@ def test_with_seed_returns_updated_copy():
     config = parse_config(MINIMAL)
     assert config.with_seed(99).master_seed == 99
     assert config.master_seed == 0
+
+
+def test_shipped_configs_parse_and_round_trip():
+    assert CONFIGS
+    for path in CONFIGS:
+        config = parse_config(path.read_text(encoding="utf-8"))
+        text = serialize_config(config)
+        assert parse_config(text) == config, path.name
+        assert serialize_config(parse_config(text)) == text, path.name
+
+
+@pytest.mark.parametrize("algorithms, setting, key", [
+    ("PSO, GA", "eta_m = -1", "eta_m"),
+    ("PSO, GA", "eta_c = 0", "eta_c"),
+    ("GA, DE", "pop_size = 2", "DE"),
+], ids=["eta_m", "eta_c", "DE-pop_size"])
+def test_cli_run_rejects_operator_settings_before_any_run(
+        tmp_path, capsys, monkeypatch, algorithms, setting, key):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the config was rejected")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        f"environment = TradeoffBandit\nalgorithms = {algorithms}\n{setting}\n"
+        "generations = 2\nn_episodes = 1\nn_runs = 1\n")
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_operator_settings_validated():
+    with pytest.raises(ConfigError, match="eta_c"):
+        parse_config(MINIMAL + "eta_c = -1.5\n")
+    with pytest.raises(ConfigError, match="eta_m"):
+        parse_config(MINIMAL + "eta_m = -0.5\n")
+    assert parse_config(MINIMAL + "eta_m = 0\n").eta_m == 0.0
+    assert parse_config("environment = TradeoffBandit\nalgorithms = DE\npop_size = 4\n").pop_size == 4
+    assert parse_config(MINIMAL + "pop_size = 2\n").pop_size == 2  # only DE needs four

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,59 @@ def test_cli_metrics_rejects_records_of_two_configs(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "DE_run000.jsonl" in err[0] and "GA_run000.jsonl" in err[0]
     assert not (out_dir / "metrics.csv").exists()
+
+
+def _truncate_last_line(text):
+    # An interrupted write: the last line loses its second half and newline.
+    lines = text.splitlines()
+    return text[: len(text) - 1 - len(lines[-1]) // 2], len(lines)
+
+
+def _empty(text):
+    return "", 1
+
+
+def _drop_config_key(text):
+    header, *rest = text.splitlines(keepends=True)
+    fields = json.loads(header)
+    del fields["config"]
+    return "".join([json.dumps(fields) + "\n"] + rest), 1
+
+
+@pytest.mark.parametrize("damage", [_truncate_last_line, _empty, _drop_config_key])
+def test_cli_metrics_names_unreadable_record(tmp_path, capsys, damage):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "environment = TradeoffBandit\nalgorithms = GA, NSGA2\n"
+        "pop_size = 4\ngenerations = 2\nn_episodes = 1\nn_runs = 1\n"
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 0
+    path = out_dir / "records" / "NSGA2_run000.jsonl"
+    text, bad_line = damage(path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{path} line {bad_line}:" in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_bandit_smoke_config_end_to_end(tmp_path, capsys):
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "bandit_smoke.cfg"
+    out_dir = tmp_path / "smoke"
+    assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    assert cli.main(["stats", str(out_dir), "--metric", "hv"]) == 0
+    assert cli.main(["export-plots", str(out_dir)]) == 0
+    config = parse_config(config_path.read_text(encoding="utf-8"))
+    rows = harness.read_metrics_csv(out_dir / "metrics.csv")
+    assert len(rows) == len(config.algorithms) * config.n_runs * config.generations
+    cd_lines = (out_dir / "cd.csv").read_text(encoding="utf-8").splitlines()
+    assert len(cd_lines) == 1 + len(config.algorithms)
+    assert (out_dir / "curves.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_seed_override_recorded(tmp_path):

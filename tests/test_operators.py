@@ -74,6 +74,12 @@ def test_sbx_rejects_bad_inputs():
         sbx_crossover(np.zeros(2), np.zeros(2), 0.0, RandomStream(1), BOUNDS)
 
 
+def test_pm_rejects_negative_eta():
+    for eta_m in (-1.0, -0.5):
+        with pytest.raises(ValueError, match="eta_m"):
+            polynomial_mutation(np.zeros(2), eta_m, 1.0, RandomStream(1), BOUNDS)
+
+
 def test_pm_zero_rate_is_identity():
     genome = np.array([1.0, -3.0, 0.25])
     out = polynomial_mutation(genome, 20.0, 0.0, RandomStream(5), BOUNDS)
