@@ -42,6 +42,9 @@ import numpy as np
 from . import pareto
 from .rng import RandomStream
 
+# A 3-D pool of up to 63 points (64 rows of 63 slabs) is scored in one block.
+_BLOCK_CELLS = 2**18
+
 
 def hypervolume_exact(front, ref) -> float:
     """Lebesgue measure of the union of boxes [point, ref] (minimization).
@@ -76,6 +79,12 @@ def _masked_hv(points: np.ndarray, active: np.ndarray, ref: np.ndarray) -> np.nd
     """Hypervolume of each subset ``active[..., :]`` of the sweep-ordered
     points inside ``ref`` (see the module notes)."""
     if ref.shape[0] == 3:
+        # Rows are independent: score them in blocks of at most
+        # _BLOCK_CELLS (row, slab, point) cells to bound the memory.
+        step = max(1, _BLOCK_CELLS // points.shape[0] ** 2)
+        if len(active) > step:
+            return np.concatenate([_masked_hv(points, active[i:i + step], ref)
+                                   for i in range(0, len(active), step)])
         z = points[:, 2]
         zs = np.unique(z)
         # Slab t exists in a row when an active point sits at zs[t]; it
@@ -125,7 +134,9 @@ def hypervolume_contributions(front, ref) -> np.ndarray:
     """Exclusive hypervolume of each point: hv(front) - hv(front minus point).
 
     One batched pass: row 0 holds every point inside ``ref`` and row 1 + i
-    all of them but point i.  Points outside ``ref`` contribute 0.0.
+    all of them but point i.  Points outside ``ref`` contribute 0.0.  In 3-D
+    the rows are scored in blocks, so memory stays bounded for large fronts;
+    each row is scored alone, so the blocks do not change a bit.
     """
     arr, ref, rows = _sweep_rows(front, ref)
     contributions = np.zeros(arr.shape[0])

@@ -7,6 +7,15 @@ which only involves 64-bit integer arithmetic, so sequences are bit-identical
 on every platform and can be produced scalar-by-scalar or as vectorized
 batches.
 
+Scalar draws (:meth:`~RandomStream.next_u64`, ``uniform``, ``below``,
+``normal``) are served from a look-ahead block of raw outputs that
+:func:`raw_outputs` computes ahead of use.  The look-ahead rule: the block is
+only a cache of the outputs after ``_counter``, and ``_counter`` alone counts
+what was consumed, so no value depends on the block's size or on when it was
+refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
+consumes; :meth:`~RandomStream.advance` consumes outputs unread.  Per-draw
+:func:`mix64` is left only in :func:`derive_seed`.
+
 Uniform doubles come from the top 53 bits of a raw output; Gaussian draws use
 the Box-Muller transform (pairs are generated together and the second value
 is cached).  Child streams are derived from hashable key paths with
@@ -33,6 +42,11 @@ _INV_2_53 = 2.0 ** -53
 
 #: Identifier persisted in run records so stored results name their generator.
 SCHEME = "splitmix64-boxmuller-v1"
+
+# Look-ahead block sizes: a stream that draws a few values computes a few.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 4096
+_NO_DRAWS = np.empty(0)
 
 
 def mix64(x: int) -> int:
@@ -103,22 +117,57 @@ def derive_seed(root: int, *keys: int | str) -> int:
 
 
 class RandomStream:
-    """Counter-mode SplitMix64 stream with uniform and Gaussian draws."""
+    """Counter-mode SplitMix64 stream with uniform and Gaussian draws.
 
-    __slots__ = ("key", "_counter", "_spare_normal")
+    The look-ahead block holds raw outputs ``_base + 1 .. _base + len(_raw)``
+    and their uniforms; it doubles on each refill, from ``_FIRST_BLOCK`` up
+    to ``_MAX_BLOCK`` outputs (see the module notes for the look-ahead rule).
+    """
+
+    __slots__ = ("key", "_counter", "_spare_normal", "_base", "_raw", "_units", "_block")
 
     def __init__(self, seed: int):
         self.key = seed & _MASK
         self._counter = 0
         self._spare_normal = None
+        self._base = 0
+        self._raw = self._units = _NO_DRAWS
+        self._block = _FIRST_BLOCK
 
     def spawn(self, *keys: int | str) -> "RandomStream":
         """Independent child stream keyed by this stream's seed and ``keys``."""
         return RandomStream(derive_seed(self.key, *keys))
 
+    def _refill(self, n: int) -> None:
+        """Cache at least the next ``n`` outputs, from ``_counter + 1`` on."""
+        raw = raw_outputs(self.key, self._counter + 1, max(n, self._block))
+        self._block = min(2 * self._block, _MAX_BLOCK)
+        self._base = self._counter
+        self._raw = raw
+        self._units = _unit(raw)
+        self._units.flags.writeable = False
+
     def next_u64(self) -> int:
+        i = self._counter - self._base
+        if i >= len(self._raw):
+            self._refill(1)
+            i = 0
         self._counter += 1
-        return mix64((self.key + self._counter * _GAMMA) & _MASK)
+        return self._raw.item(i)
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`uniform` draws, read-only, without consuming them."""
+        i = self._counter - self._base
+        if i + n > len(self._raw):
+            self._refill(n)
+            i = 0
+        return self._units[i:i + n]
+
+    def advance(self, n: int) -> None:
+        """Consume ``n`` outputs unread, as ``n`` :meth:`next_u64` calls would."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        self._counter += n
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform double in [low, high) from the top 53 bits of one output."""

@@ -79,6 +79,15 @@ class ScriptedStream:
     def uniform_vector(self, n, low=0.0, high=1.0):
         return np.array([self.uniform(low, high) for _ in range(n)])
 
+    def peek(self, n):
+        # The script may end early: an operator must not read past the draws
+        # it consumes.
+        return np.array(self._uniforms[:n])
+
+    def advance(self, n):
+        assert n <= len(self._uniforms), "consumed more draws than scripted"
+        del self._uniforms[:n]
+
     def below(self, n):
         return self._ints.pop(0) % n
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -193,6 +194,46 @@ def test_hv_contributions_match_removal_oracle_on_small_skewed_fronts():
         ref = np.full(k, 1.0)
         got = indicators.hypervolume_contributions(front, ref)
         assert np.array_equal(got, contributions_by_removal(front, ref)), f"trial {trial}"
+
+
+def simplex_front(stream, n):
+    """n points on the plane x + y + z = 1: all mutually nondominated."""
+    pts = stream.uniform_vector(3 * n).reshape(n, 3)
+    return pts / pts.sum(axis=1, keepdims=True)
+
+
+def test_hv_contributions_3d_blocks_match_removal_oracle(monkeypatch):
+    kernel = indicators._masked_hv
+    rows = []
+
+    def spy(points, active, ref):
+        if ref.shape[0] == 3:
+            rows.append(len(active))
+        return kernel(points, active, ref)
+
+    monkeypatch.setattr(indicators, "_masked_hv", spy)
+    stream = RandomStream(70)
+    ref = np.full(3, 1.0)
+    for front in (simplex_front(stream, 70), np.round(simplex_front(stream, 90), 2)):
+        rows.clear()
+        got = indicators.hypervolume_contributions(front, ref)
+        assert len(rows) > 2, "the front was scored in one block"
+        assert np.array_equal(got, contributions_by_removal(front, ref))
+    # An SMS-EMOA pool of 32 points is scored in one block of 33 rows.
+    rows.clear()
+    indicators.hypervolume_contributions(simplex_front(stream, 32), ref)
+    assert rows == [33]
+
+
+def test_hv_contributions_3d_memory_is_bounded():
+    front = simplex_front(RandomStream(200), 200)
+    tracemalloc.start()
+    try:
+        indicators.hypervolume_contributions(front, np.full(3, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_hv_contributions_oracle_cases_hit_every_edge():

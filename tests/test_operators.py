@@ -20,6 +20,15 @@ class ScriptedStream:
     def uniform_vector(self, n, low=0.0, high=1.0):
         return np.array([self.uniform(low, high) for _ in range(n)])
 
+    def peek(self, n):
+        # The script may end early: an operator must not read past the draws
+        # it consumes.
+        return np.array(self._uniforms[:n])
+
+    def advance(self, n):
+        assert n <= len(self._uniforms), "consumed more draws than scripted"
+        del self._uniforms[:n]
+
     def below(self, n):
         return self._ints.pop(0) % n
 
@@ -126,3 +135,79 @@ def test_pm_respects_bounds_and_rate_validation():
         assert np.all((BOUNDS[0] <= out) & (out <= BOUNDS[1]))
     with pytest.raises(ValueError):
         polynomial_mutation(genome, 20.0, 1.5, rng, BOUNDS)
+
+
+# The per-gene loops the operators replaced, kept as the oracle: one
+# application draw per gene, then a spread draw for an applied gene.
+
+def sbx_oracle(parent_a, parent_b, eta_c, rng, bounds):
+    child_a = parent_a.copy()
+    child_b = parent_b.copy()
+    for j in range(parent_a.shape[0]):
+        if rng.uniform() >= 0.5:
+            continue
+        u = rng.uniform()
+        if u <= 0.5:
+            beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
+        else:
+            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
+        x, y = parent_a[j], parent_b[j]
+        child_a[j] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
+        child_b[j] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+    lo, hi = bounds
+    return np.clip(child_a, lo, hi), np.clip(child_b, lo, hi)
+
+
+def pm_oracle(genome, eta_m, p_m, rng, bounds):
+    lo, hi = bounds
+    span = hi - lo
+    out = genome.copy()
+    for j in range(genome.shape[0]):
+        if rng.uniform() >= p_m:
+            continue
+        u = rng.uniform()
+        x = out[j]
+        if u <= 0.5:
+            d = (x - lo) / span
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0)) - 1.0
+        else:
+            d = (hi - x) / span
+            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0))
+        out[j] = x + delta * span
+    return np.clip(out, lo, hi)
+
+
+def parent_pairs(g, stream):
+    """Parents inside, at and beyond the bounds, and equal parents."""
+    inside = (stream.uniform_vector(g, -5.0, 5.0), stream.uniform_vector(g, -5.0, 5.0))
+    edge = np.array([-5.0, 5.0, -5.0, 5.0])
+    at_bounds = (np.resize(edge, g), np.resize(edge[::-1], g))
+    beyond = (stream.uniform_vector(g, -7.0, 7.0), stream.uniform_vector(g, -7.0, 7.0))
+    same = stream.uniform_vector(g, -5.0, 5.0)
+    return [inside, at_bounds, beyond, (same, same.copy())]
+
+
+@pytest.mark.parametrize("g", [1, 2, 53, 66])
+@pytest.mark.parametrize("eta_c", [0.5, 15.0])
+def test_sbx_matches_per_gene_oracle(g, eta_c):
+    for seed, (a, b) in enumerate(parent_pairs(g, RandomStream(g))):
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        for _ in range(60):
+            got = sbx_crossover(a, b, eta_c, fast, BOUNDS)
+            want = sbx_oracle(a, b, eta_c, slow, BOUNDS)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert fast._counter == slow._counter
+
+
+@pytest.mark.parametrize("g", [1, 2, 53, 66])
+@pytest.mark.parametrize("eta_m", [0.0, 20.0])
+def test_pm_matches_per_gene_oracle(g, eta_m):
+    for p_m in (0.0, 1.0 / g, 0.5, 1.0):
+        for seed, (a, _) in enumerate(parent_pairs(g, RandomStream(g))):
+            fast, slow = RandomStream(seed), RandomStream(seed)
+            for _ in range(60):
+                with np.errstate(invalid="ignore"):
+                    got = polynomial_mutation(a, eta_m, p_m, fast, BOUNDS)
+                    want = pm_oracle(a, eta_m, p_m, slow, BOUNDS)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert fast._counter == slow._counter

@@ -1,6 +1,9 @@
-import numpy as np
+import random
 
-from evopareto.rng import RandomStream, derive_seed, leading_draws, mix64, raw_outputs
+import numpy as np
+import pytest
+
+from evopareto.rng import RandomStream, box_muller, derive_seed, leading_draws, mix64, raw_outputs
 
 
 def test_same_seed_same_sequence():
@@ -103,3 +106,106 @@ def test_leading_draws_match_scalar_streams():
             stream = RandomStream(key)
             assert u == stream.uniform()
             assert z_row.tolist() == [stream.normal() for _ in range(n_normal)]
+
+
+class UnbufferedStream:
+    """The stream as specified: one ``mix64`` per draw, no look-ahead."""
+
+    def __init__(self, seed):
+        self.key = seed & (2**64 - 1)
+        self.counter = 0
+        self.spare = None
+
+    def output(self, i):
+        return mix64((self.key + i * 0x9E3779B97F4A7C15) & (2**64 - 1))
+
+    def next_u64(self):
+        self.counter += 1
+        return self.output(self.counter)
+
+    def uniform(self, low=0.0, high=1.0):
+        return low + (high - low) * ((self.next_u64() >> 11) * 2.0**-53)
+
+    def uniform_vector(self, n, low=0.0, high=1.0):
+        return np.array([self.uniform(low, high) for _ in range(n)])
+
+    def below(self, n):
+        return self.next_u64() % n
+
+    def normal(self):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (self.next_u64() >> 11) * 2.0**-53
+        z, self.spare = box_muller(u1, u2)
+        return z
+
+    def peek(self, n):
+        return np.array([(self.output(self.counter + i) >> 11) * 2.0**-53 for i in range(1, n + 1)])
+
+    def advance(self, n):
+        self.counter += n
+
+
+def interleave(stream, reference, script, steps):
+    """Run ``steps`` random draws on both streams; every value must agree."""
+    for _ in range(steps):
+        op = script.choice(["next_u64", "uniform", "below", "normal", "vector", "peek", "advance"])
+        if op == "next_u64":
+            assert stream.next_u64() == reference.next_u64()
+        elif op == "uniform":
+            low = script.uniform(-3.0, 0.0)
+            high = low + script.uniform(0.5, 4.0)
+            assert stream.uniform(low, high) == reference.uniform(low, high)
+        elif op == "below":
+            n = script.randint(1, 1000)
+            assert stream.below(n) == reference.below(n)
+        elif op == "normal":
+            assert stream.normal() == reference.normal()
+        elif op == "vector":
+            n = script.randint(0, 300)
+            assert np.array_equal(stream.uniform_vector(n, -1.0, 1.0),
+                                  reference.uniform_vector(n, -1.0, 1.0))
+        elif op == "peek":
+            n = script.randint(0, 300)
+            ahead = stream.peek(n)
+            assert not ahead.flags.writeable
+            assert np.array_equal(ahead, reference.peek(n))
+        else:
+            n = script.randint(0, 700)
+            stream.advance(n)
+            reference.advance(n)
+        assert stream._counter == reference.counter
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_look_ahead_block_matches_unbuffered_stream(seed):
+    stream, reference = RandomStream(seed), UnbufferedStream(seed)
+    script = random.Random(seed)
+    # Several refills, the later ones at the largest block size.
+    interleave(stream, reference, script, 400)
+    assert stream._counter > 3 * 4096
+    # A peek longer than one block, then consuming it piece by piece.
+    ahead = stream.peek(10_000)
+    assert np.array_equal(ahead, reference.peek(10_000))
+    assert np.array_equal(stream.uniform_vector(3), reference.uniform_vector(3))
+    assert [stream.uniform() for _ in range(5000)] == [reference.uniform() for _ in range(5000)]
+    assert stream._counter == reference.counter
+    # A spawned child follows its own key with a fresh block.
+    child = stream.spawn("child", 3)
+    child_reference = UnbufferedStream(derive_seed(stream.key, "child", 3))
+    interleave(child, child_reference, script, 200)
+    interleave(stream, reference, script, 50)
+
+
+def test_peek_does_not_consume():
+    stream = RandomStream(4)
+    ahead = stream.peek(20).copy()
+    assert stream._counter == 0
+    assert np.array_equal(stream.peek(5), ahead[:5])
+    assert [stream.uniform() for _ in range(20)] == ahead.tolist()
+    stream.advance(0)
+    assert stream._counter == 20
+    with pytest.raises(ValueError):
+        stream.advance(-1)
