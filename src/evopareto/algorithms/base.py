@@ -25,10 +25,10 @@ fixed seed reproduces populations generation by generation.
 SBX and polynomial mutation consume one application draw per gene and one
 spread draw per applied gene.  They peek the longest such run (2n uniforms),
 walk it once to find the applied genes and their spread draws, advance the
-stream by exactly the draws the genes consumed, and compute the applied
-genes' children as array expressions.  The pow rule: every ``**`` is a scalar
-Python or numpy-scalar power, never array ``np.power``, which differs from
-the C library's ``pow`` in the last bit for some inputs.
+stream by exactly the draws the genes consumed, and vary only the applied
+genes, one at a time.  The pow rule: every ``**`` is a scalar Python or
+numpy-scalar power, never array ``np.power``, which differs from the C
+library's ``pow`` in the last bit for some inputs.
 """
 
 from __future__ import annotations
@@ -108,20 +108,18 @@ def sbx_crossover(parent_a: np.ndarray, parent_b: np.ndarray, eta_c: float,
     n = parent_a.shape[0]
     genes, spreads, used = _walk(rng.peek(2 * n).tolist(), n, 0.5)
     rng.advance(used)
-    children = np.array([parent_a, parent_b])
-    if genes:
-        e = 1.0 / (eta_c + 1.0)
-        # Scalar ** on purpose: array np.power may differ in the last bit.
-        beta = np.array([(2.0 * u) ** e if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** e
-                         for u in spreads])
-        genes = np.array(genes)
-        x, y = children[:, genes]
-        # Rows (1 + beta, 1 - beta) and reversed: child a, then child b.
-        weights = np.array([1.0 + beta, 1.0 - beta])
-        children[:, genes] = 0.5 * (weights * x + weights[::-1] * y)
+    child_a = parent_a.copy()
+    child_b = parent_b.copy()
+    for j, u in zip(genes, spreads):
+        if u <= 0.5:
+            beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
+        else:
+            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
+        x, y = parent_a[j], parent_b[j]
+        child_a[j] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
+        child_b[j] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
     lo, hi = bounds
-    child_a, child_b = children.clip(lo, hi)
-    return child_a, child_b
+    return np.clip(child_a, lo, hi), np.clip(child_b, lo, hi)
 
 
 def polynomial_mutation(genome: np.ndarray, eta_m: float, p_m: float,
@@ -142,19 +140,16 @@ def polynomial_mutation(genome: np.ndarray, eta_m: float, p_m: float,
     genes, spreads, used = _walk(rng.peek(2 * n).tolist(), n, p_m)
     rng.advance(used)
     out = genome.copy()
-    if genes:
-        genes = np.array(genes)
-        x = out[genes]
-        d = np.where(np.array(spreads) <= 0.5, x - lo, hi - x) / span
-        e = eta_m + 1.0
-        # Scalar ** on numpy scalars, as the per-gene formula: a negative base
-        # (a gene beyond its bound) gives nan there, not a complex number.
-        delta = np.array([
-            (2.0 * u + (1.0 - 2.0 * u) * (1.0 - dj) ** e) ** (1.0 / e) - 1.0 if u <= 0.5
-            else 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - dj) ** e) ** (1.0 / e)
-            for u, dj in zip(spreads, d)])
-        out[genes] = x + delta * span
-    return out.clip(lo, hi)
+    for j, u in zip(genes, spreads):
+        x = out[j]
+        if u <= 0.5:
+            d = (x - lo) / span
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0)) - 1.0
+        else:
+            d = (hi - x) / span
+            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0))
+        out[j] = x + delta * span
+    return np.clip(out, lo, hi)
 
 
 class Optimizer:

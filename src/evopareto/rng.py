@@ -7,12 +7,12 @@ which only involves 64-bit integer arithmetic, so sequences are bit-identical
 on every platform and can be produced scalar-by-scalar or as vectorized
 batches.
 
-Scalar draws (:meth:`~RandomStream.next_u64`, ``uniform``, ``below``,
-``normal``) are served from a look-ahead block of raw outputs that
-:func:`raw_outputs` computes ahead of use.  The look-ahead rule: the block is
-only a cache of the outputs after ``_counter``, and ``_counter`` alone counts
-what was consumed, so no value depends on the block's size or on when it was
-refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
+Every draw (:meth:`~RandomStream.next_u64`, ``uniform``, ``below``,
+``normal``, ``uniform_vector``) is served from a look-ahead block of raw
+outputs that :func:`raw_outputs` computes ahead of use.  The look-ahead rule:
+the block is only a cache of the outputs after ``_counter``, and ``_counter``
+alone counts what was consumed, so no value depends on the block's size or
+on when it was refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
 consumes; :meth:`~RandomStream.advance` consumes outputs unread.  Per-draw
 :func:`mix64` is left only in :func:`derive_seed`.
 
@@ -43,9 +43,8 @@ _INV_2_53 = 2.0 ** -53
 #: Identifier persisted in run records so stored results name their generator.
 SCHEME = "splitmix64-boxmuller-v1"
 
-# Look-ahead block sizes: a stream that draws a few values computes a few.
-_FIRST_BLOCK = 8
-_MAX_BLOCK = 4096
+# Outputs computed per look-ahead refill (more when one peek asks for more).
+_BLOCK = 4096
 _NO_DRAWS = np.empty(0)
 
 
@@ -120,11 +119,11 @@ class RandomStream:
     """Counter-mode SplitMix64 stream with uniform and Gaussian draws.
 
     The look-ahead block holds raw outputs ``_base + 1 .. _base + len(_raw)``
-    and their uniforms; it doubles on each refill, from ``_FIRST_BLOCK`` up
-    to ``_MAX_BLOCK`` outputs (see the module notes for the look-ahead rule).
+    and their uniforms; each refill computes ``_BLOCK`` outputs, or more if
+    one peek asks for more (see the module notes for the look-ahead rule).
     """
 
-    __slots__ = ("key", "_counter", "_spare_normal", "_base", "_raw", "_units", "_block")
+    __slots__ = ("key", "_counter", "_spare_normal", "_base", "_raw", "_units")
 
     def __init__(self, seed: int):
         self.key = seed & _MASK
@@ -132,7 +131,6 @@ class RandomStream:
         self._spare_normal = None
         self._base = 0
         self._raw = self._units = _NO_DRAWS
-        self._block = _FIRST_BLOCK
 
     def spawn(self, *keys: int | str) -> "RandomStream":
         """Independent child stream keyed by this stream's seed and ``keys``."""
@@ -140,8 +138,7 @@ class RandomStream:
 
     def _refill(self, n: int) -> None:
         """Cache at least the next ``n`` outputs, from ``_counter + 1`` on."""
-        raw = raw_outputs(self.key, self._counter + 1, max(n, self._block))
-        self._block = min(2 * self._block, _MAX_BLOCK)
+        raw = raw_outputs(self.key, self._counter + 1, max(n, _BLOCK))
         self._base = self._counter
         self._raw = raw
         self._units = _unit(raw)
@@ -176,8 +173,8 @@ class RandomStream:
 
     def uniform_vector(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Vectorized batch equal to ``n`` successive :meth:`uniform` calls."""
-        u = _unit(raw_outputs(self.key, self._counter + 1, n))
-        self._counter += n
+        u = self.peek(n)
+        self.advance(n)
         return low + (high - low) * u
 
     def below(self, n: int) -> int:

@@ -183,7 +183,7 @@ def interleave(stream, reference, script, steps):
 def test_look_ahead_block_matches_unbuffered_stream(seed):
     stream, reference = RandomStream(seed), UnbufferedStream(seed)
     script = random.Random(seed)
-    # Several refills, the later ones at the largest block size.
+    # Several refills of the look-ahead block.
     interleave(stream, reference, script, 400)
     assert stream._counter > 3 * 4096
     # A peek longer than one block, then consuming it piece by piece.
@@ -192,6 +192,8 @@ def test_look_ahead_block_matches_unbuffered_stream(seed):
     assert np.array_equal(stream.uniform_vector(3), reference.uniform_vector(3))
     assert [stream.uniform() for _ in range(5000)] == [reference.uniform() for _ in range(5000)]
     assert stream._counter == reference.counter
+    # A batch longer than one block, served across a refill.
+    assert np.array_equal(stream.uniform_vector(9000), reference.uniform_vector(9000))
     # A spawned child follows its own key with a fresh block.
     child = stream.spawn("child", 3)
     child_reference = UnbufferedStream(derive_seed(stream.key, "child", 3))
