@@ -17,11 +17,11 @@ from ..indicators import euclidean_distances, hypervolume_contributions
 from .base import Optimizer
 
 
-def _fill_by_fronts(ranked, size: int) -> tuple[list[int], np.ndarray | None]:
+def _fill_by_fronts(ranks: np.ndarray, size: int) -> tuple[list[int], np.ndarray | None]:
     """Whole fronts while they fit in ``size``, and the front that overflows
     the remaining slots (None when whole fronts fill them exactly)."""
     selected: list[int] = []
-    for front in ranked.fronts():
+    for front in pareto.fronts(ranks):
         if len(selected) == size:
             break
         if len(selected) + len(front) > size:
@@ -30,29 +30,44 @@ def _fill_by_fronts(ranked, size: int) -> tuple[list[int], np.ndarray | None]:
     return selected, None
 
 
+def _truncate_by_fronts(ranks: np.ndarray, size: int, key: np.ndarray) -> list[int]:
+    """Whole fronts while they fit in ``size``, then the overflowing front in
+    ascending ``key`` order; stable, so input order breaks ties."""
+    survivors, split = _fill_by_fronts(ranks, size)
+    if split is not None:
+        order = np.argsort(key[split], kind="stable")
+        survivors.extend(split[order[: size - len(survivors)]].tolist())
+    return survivors
+
+
+def _crowding(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Crowding distance of every point within its own front."""
+    crowding = np.empty(points.shape[0], dtype=np.float64)
+    for front in pareto.fronts(ranks):
+        crowding[front] = pareto.crowding_distance(points[front])
+    return crowding
+
+
 class NSGA2(Optimizer):
     """Elitist nondominated sorting GA with crowded tournament selection."""
 
     def _install_initial(self, evaluated):
         self.population = evaluated
-        ranked = pareto.fast_nondominated_sort(evaluated.returns)
-        self._ranks = ranked.ranks
-        self._crowding = ranked.crowding
+        self._ranks = pareto.fast_nondominated_sort(evaluated.returns)
+        self._crowding = _crowding(evaluated.returns, self._ranks)
 
     def _key(self, i):
         return (self._ranks[i], -self._crowding[i])
 
     def _absorb(self, evaluated):
         pool = self.population.join(evaluated)
-        ranked = pareto.fast_nondominated_sort(pool.returns)
-        survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
-        if split is not None:
-            # Descending crowding; stable to keep input order on ties.
-            order = np.argsort(-ranked.crowding[split], kind="stable")
-            survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
+        ranks = pareto.fast_nondominated_sort(pool.returns)
+        crowding = _crowding(pool.returns, ranks)
+        # Descending crowding within the overflowing front.
+        survivors = _truncate_by_fronts(ranks, self.config.pop_size, -crowding)
         self.population = pool.take(survivors)
-        self._ranks = ranked.ranks[survivors]
-        self._crowding = ranked.crowding[survivors]
+        self._ranks = ranks[survivors]
+        self._crowding = crowding[survivors]
 
 
 class SPEA2(Optimizer):
@@ -131,8 +146,8 @@ def smsemoa_removal_index(points: np.ndarray) -> int:
     recomputed for this pool; coordinates with zero range get unit margin so
     remaining coordinates still discriminate.
     """
-    ranked = pareto.fast_nondominated_sort(points)
-    worst_front = ranked.fronts()[-1]
+    ranks = pareto.fast_nondominated_sort(points)
+    worst_front = np.flatnonzero(ranks == ranks.max())
     if worst_front.shape[0] == 1:
         return int(worst_front[0])
     minimized = -points
@@ -270,8 +285,8 @@ class NSGA3(Optimizer):
     def _absorb(self, evaluated):
         pool = self.population.join(evaluated)
         points = pool.returns
-        ranked = pareto.fast_nondominated_sort(points)
-        selected, last_front = _fill_by_fronts(ranked, self.config.pop_size)
+        ranks = pareto.fast_nondominated_sort(points)
+        selected, last_front = _fill_by_fronts(ranks, self.config.pop_size)
         if last_front is None:
             self.population = pool.take(selected)
             return
@@ -335,14 +350,14 @@ class RNSGA2(Optimizer):
     def _install_initial(self, evaluated):
         if self.config.rnsga2_epsilon <= 0:
             raise ValueError("rnsga2_epsilon must be positive")
-        self._hold(evaluated)
+        self._hold(evaluated, pareto.fast_nondominated_sort(evaluated.returns))
 
-    def _hold(self, population) -> None:
-        """Keep ``population`` with the ranks and preferences of its own fronts."""
+    def _hold(self, population, ranks: np.ndarray) -> None:
+        """Keep ``population``, whose fronts are ``ranks``, with preferences
+        computed within its own fronts."""
         self.population = population
-        ranked = pareto.fast_nondominated_sort(population.returns)
-        self._ranks = ranked.ranks
-        self._pref = self._frontwise_preference(population.returns, ranked)
+        self._ranks = ranks
+        self._pref = self._frontwise_preference(population.returns, ranks)
 
     def _reference_points(self, k: int, pool_min: np.ndarray, pool_max: np.ndarray) -> np.ndarray:
         raw = self.config.rnsga2_reference_points
@@ -353,12 +368,12 @@ class RNSGA2(Optimizer):
         safe = np.where(span > 0.0, span, 1.0)
         return np.where(span > 0.0, (refs - pool_min) / safe, 0.0)
 
-    def _frontwise_preference(self, points: np.ndarray, ranked: pareto.RankedPopulation) -> np.ndarray:
+    def _frontwise_preference(self, points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         pool_min = points.min(axis=0)
         pool_max = points.max(axis=0)
         refs = self._reference_points(points.shape[1], pool_min, pool_max)
         pref = np.empty(points.shape[0])
-        for front in ranked.fronts():
+        for front in pareto.fronts(ranks):
             pref[front] = reference_point_ranks(points[front], pool_min, pool_max,
                                                 refs, self.config.rnsga2_epsilon)
         return pref
@@ -369,10 +384,9 @@ class RNSGA2(Optimizer):
     def _absorb(self, evaluated):
         pool = self.population.join(evaluated)
         points = pool.returns
-        ranked = pareto.fast_nondominated_sort(points)
-        pref = self._frontwise_preference(points, ranked)
-        survivors, split = _fill_by_fronts(ranked, self.config.pop_size)
-        if split is not None:
-            order = np.argsort(pref[split], kind="stable")
-            survivors.extend(split[order[: self.config.pop_size - len(survivors)]].tolist())
-        self._hold(pool.take(survivors))
+        ranks = pareto.fast_nondominated_sort(points)
+        pref = self._frontwise_preference(points, ranks)
+        survivors = _truncate_by_fronts(ranks, self.config.pop_size, pref)
+        # Survivors are whole fronts plus part of the next, so each keeps its
+        # pool rank; only the preferences are recomputed on the survivors.
+        self._hold(pool.take(survivors), ranks[survivors])

@@ -4,6 +4,7 @@ Subcommands:
   run <config> --out <dir> [--seed N] [--jobs N]   execute an experiment
   metrics <dir>                                    metrics.csv + fronts.csv
   stats <dir> --metric {hv,gd,igd} [--alpha 0.05]  Friedman/Nemenyi -> cd.csv
+                                                   (one dataset per run)
   export-plots <dir>                               per-generation curve data
 """
 
@@ -51,7 +52,7 @@ def _cmd_stats(args) -> int:
     from .stats import friedman_nemenyi
 
     rows = harness.read_metrics_csv(Path(args.dir) / "metrics.csv")
-    table = harness.build_score_table(rows, args.metric, mode=args.mode)
+    table = harness.build_score_table(rows, args.metric)
     result = friedman_nemenyi(table, alpha=args.alpha)
     harness.write_cd_csv({args.metric: result}, Path(args.dir) / "cd.csv")
     print(f"Friedman chi-square = {result.statistic:.4f}, p = {result.p_value:.4g}, "
@@ -91,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument("dir")
     stats_cmd.add_argument("--metric", choices=("hv", "gd", "igd"), required=True)
     stats_cmd.add_argument("--alpha", type=float, default=0.05)
-    stats_cmd.add_argument("--mode", choices=("per-run", "problem-mean"), default="per-run")
     stats_cmd.set_defaults(func=_cmd_stats)
 
     plots = sub.add_parser("export-plots", help="export per-generation curve data")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .algorithms import ALGORITHM_NAMES, AlgorithmConfig
-from .environments import environment_names
+from .environments import environment_names, make_env
 
 
 class ConfigError(ValueError):
@@ -166,6 +166,13 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("rnsga2_epsilon must be positive")
     if config.sigma is not None and config.sigma < 0.0:
         raise ConfigError("sigma must be nonnegative")
+    # Rules that depend on the environment: its noise and its k.
+    try:
+        k = make_env(config.environment, config.sigma).spec.k
+        for name in config.algorithms:
+            config.algorithm_config(name, k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -155,7 +155,8 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
 
 
 def load_records(directory) -> list[RunRecord]:
-    """All run records under ``directory``; they must share one config."""
+    """All run records under ``directory``; they must share one config and
+    cover every (algorithm, run) of it."""
     directory = Path(directory)
     paths = sorted((directory / "records").glob("*.jsonl"))
     if not paths:
@@ -168,7 +169,15 @@ def load_records(directory) -> list[RunRecord]:
                 f"run records under {directory}/records come from different configs: "
                 f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
         records.append(record)
-    order = records[0].config.algorithms
+    config = records[0].config
+    found = {(r.algorithm, r.run_index) for r in records}
+    for algorithm in config.algorithms:
+        for run in range(config.n_runs):
+            if (algorithm, run) not in found:
+                raise ValueError(
+                    f"run records under {directory}/records are incomplete: "
+                    f"{record_path(directory, algorithm, run).name} is missing")
+    order = config.algorithms
     records.sort(key=lambda r: (order.index(r.algorithm), r.run_index))
     return records
 
@@ -224,17 +233,16 @@ def compute_metrics(records: list[RunRecord]):
     }
     rows: list[MetricRow] = []
     for record in usable:
-        series = indicators.indicator_series(
-            [population.returns for population in record.generations],
-            reference, record.algorithm)
-        for report, population in zip(series, record.generations):
+        hv, gd, igd = indicators.indicator_series(
+            [population.returns for population in record.generations], reference)
+        for generation, population in enumerate(record.generations):
             rows.append(MetricRow(
                 algorithm=record.algorithm,
                 run=record.run_index,
-                generation=report.generation,
-                hv=float(report.hv),
-                gd=float(report.gd),
-                igd=float(report.igd),
+                generation=generation,
+                hv=float(hv[generation]),
+                gd=float(gd[generation]),
+                igd=float(igd[generation]),
                 scalarized_best=float(population.scalars.max()),
             ))
     return rows, reference, algorithm_fronts

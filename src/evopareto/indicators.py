@@ -5,7 +5,9 @@ Hypervolume is computed on minimization points against a reference point
 a cross-check oracle.  Per the reporting convention, hypervolume is measured
 in normalized space (reference-front ideal -> 0, nadir -> 1, reference point
 (1, ..., 1)) so it lands in [0, 1], while GD and IGD stay on the raw
-objective scale.
+objective scale.  :func:`indicator_series` scores a run's generations and
+returns ``hv``, ``gd`` and ``igd`` as three float arrays, one entry per
+generation.
 
 Exact hypervolume is one kernel, a sweep over the points inside ``ref``
 that scores several subsets of them at once: :func:`hypervolume_exact` is
@@ -34,7 +36,6 @@ SMS-EMOA drops the first minimal contribution in worst-front order
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -177,15 +178,6 @@ def build_reference_front(final_fronts: Sequence) -> np.ndarray:
     return front[np.sort(first)]
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
-    algorithm: str
-    generation: int
-    hv: float
-    gd: float
-    igd: float
-
-
 def normalized_hypervolume(points, ideal, nadir) -> float:
     """Hypervolume of maximization points in normalized space vs (1, ..., 1).
 
@@ -198,13 +190,15 @@ def normalized_hypervolume(points, ideal, nadir) -> float:
     return hypervolume_exact(clipped, np.ones(clipped.shape[1]))
 
 
-def indicator_series(populations: Sequence, reference_front, algorithm: str) -> list[IndicatorReport]:
-    """Per-generation indicators of a run against a fixed reference front.
+def indicator_series(populations: Sequence, reference_front
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-generation ``(hv, gd, igd)`` of a run against a fixed reference front.
 
-    ``populations`` holds one (n, k) array of mean returns per generation.
-    HV uses the reference front's ideal/nadir normalization; a reference
-    front degenerate in some objective cannot be normalized, so HV is
-    reported as NaN with a diagnostic while GD/IGD (raw scale) proceed.
+    ``populations`` holds one (n, k) array of mean returns per generation,
+    and each returned float array has one entry per generation.  HV uses the
+    reference front's ideal/nadir normalization; a reference front
+    degenerate in some objective cannot be normalized, so HV is reported as
+    NaN with a diagnostic while GD/IGD (raw scale) proceed.
     """
     reference = pareto.as_points(reference_front)
     ideal = reference.max(axis=0)
@@ -216,15 +210,9 @@ def indicator_series(populations: Sequence, reference_front, algorithm: str) -> 
             f"{np.flatnonzero(ideal == nadir).tolist()}; HV reported as NaN",
             stacklevel=2,
         )
-    reports = []
+    values = np.empty((len(populations), 3))
     for generation, population in enumerate(populations):
         front = pareto.nondominated_filter(population)
         hv = float("nan") if degenerate else normalized_hypervolume(front, ideal, nadir)
-        reports.append(IndicatorReport(
-            algorithm=algorithm,
-            generation=generation,
-            hv=hv,
-            gd=gd(front, reference),
-            igd=igd(front, reference),
-        ))
-    return reports
+        values[generation] = hv, gd(front, reference), igd(front, reference)
+    return values[:, 0], values[:, 1], values[:, 2]

@@ -6,11 +6,14 @@ Points are plain float arrays: a population is an ``(n, k)`` array with
 ``k >= 2`` finite objectives per row.  Objective-space duplicates are legal
 and are kept by every operation here; deduplication happens only when the
 global reference front is assembled.
+
+Sorting works on plain arrays: :func:`fast_nondominated_sort` returns one
+``int64`` rank per point, :func:`fronts` splits ranks into index arrays, and
+:func:`crowding_distance` scores one front at a time, computed only by the
+one optimizer that reads it (NSGA-II).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,40 +64,18 @@ def nondominated_filter(points) -> np.ndarray:
     return arr[nondominated_mask(arr)]
 
 
-@dataclass(frozen=True)
-class RankedPopulation:
-    """Result of fast nondominated sorting.
+def fast_nondominated_sort(points) -> np.ndarray:
+    """Deb's fast nondominated sort: the ``int64`` rank of every point.
 
     ``ranks[i] == 0`` marks the nondominated subset; every rank ``r > 0``
-    point is dominated by at least one rank ``r - 1`` point.  ``crowding``
-    holds per-point crowding distance computed within each rank, ``+inf`` on
-    per-objective boundaries.
-    """
-
-    points: np.ndarray
-    ranks: np.ndarray
-    crowding: np.ndarray
-
-    def fronts(self) -> list[np.ndarray]:
-        """Index arrays per rank, input order preserved within each rank."""
-        n_fronts = int(self.ranks.max()) + 1
-        return [np.flatnonzero(self.ranks == r) for r in range(n_fronts)]
-
-
-def fast_nondominated_sort(points) -> RankedPopulation:
-    """Deb's fast nondominated sort with per-front crowding distances.
-
-    Stable: within each rank, points keep their input order.
+    point is dominated by at least one rank ``r - 1`` point.
     """
     arr = as_points(points)
-    n = arr.shape[0]
     dom = _dominance_matrix(arr)
-    n_dominators = dom.sum(axis=0)
-
-    ranks = np.full(n, -1, dtype=np.int64)
-    current = np.flatnonzero(n_dominators == 0)
+    ranks = np.full(arr.shape[0], -1, dtype=np.int64)
+    remaining = dom.sum(axis=0).astype(np.int64)
+    current = np.flatnonzero(remaining == 0)
     rank = 0
-    remaining = n_dominators.astype(np.int64)
     while current.size:
         ranks[current] = rank
         # Peel: members of the current front release the points they dominate.
@@ -102,12 +83,12 @@ def fast_nondominated_sort(points) -> RankedPopulation:
         remaining[current] = -1
         current = np.flatnonzero(remaining == 0)
         rank += 1
+    return ranks
 
-    crowding = np.empty(n, dtype=np.float64)
-    for r in range(rank):
-        idx = np.flatnonzero(ranks == r)
-        crowding[idx] = crowding_distance(arr[idx])
-    return RankedPopulation(points=arr, ranks=ranks, crowding=crowding)
+
+def fronts(ranks: np.ndarray) -> list[np.ndarray]:
+    """Index arrays per rank, input order preserved within each rank."""
+    return [np.flatnonzero(ranks == r) for r in range(int(ranks.max()) + 1)]
 
 
 def crowding_distance(front) -> np.ndarray:

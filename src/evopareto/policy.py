@@ -63,11 +63,6 @@ def unflatten(spec: PolicySpec, genome: np.ndarray) -> list[tuple[np.ndarray, np
     return layers
 
 
-def flatten(layers) -> np.ndarray:
-    """Inverse of :func:`unflatten`."""
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
-
-
 def forward(layers, observation: np.ndarray) -> np.ndarray:
     """Run the network; tanh at every layer.
 

@@ -132,10 +132,6 @@ class RandomStream:
         self._base = 0
         self._raw = self._units = _NO_DRAWS
 
-    def spawn(self, *keys: int | str) -> "RandomStream":
-        """Independent child stream keyed by this stream's seed and ``keys``."""
-        return RandomStream(derive_seed(self.key, *keys))
-
     def _refill(self, n: int) -> None:
         """Cache at least the next ``n`` outputs, from ``_counter + 1`` on."""
         raw = raw_outputs(self.key, self._counter + 1, max(n, _BLOCK))

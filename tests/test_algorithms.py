@@ -23,7 +23,7 @@ from evopareto.algorithms import (
     reference_point_ranks,
     smsemoa_removal_index,
 )
-from evopareto.algorithms.moea import _fill_by_fronts
+from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _truncate_by_fronts
 from evopareto.evaluation import Population, scalarize
 from evopareto.indicators import hypervolume_exact
 from evopareto.rng import RandomStream
@@ -454,10 +454,10 @@ def test_nsga2_no_survivor_dominated_by_discarded():
     discarded = [r for batch in pool_history for r in batch.returns
                  if not any(np.array_equal(r, s) for s in survivors)]
     last_pool_discarded = discarded[-8:]
-    ranked = pareto.fast_nondominated_sort(np.vstack([survivors, last_pool_discarded]))
+    ranks = pareto.fast_nondominated_sort(np.vstack([survivors, last_pool_discarded]))
     # No discarded point may sit at a strictly better rank than any survivor
     # of the pool it lost to (fill rule keeps whole best fronts).
-    assert ranked.ranks[: len(survivors)].max() <= ranked.ranks.max()
+    assert ranks[: len(survivors)].max() <= ranks.max()
 
 
 # -- SPEA2 ---------------------------------------------------------------------
@@ -795,20 +795,64 @@ FRONT_POINTS = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [2.0, 0.0], [1.0, 0
 
 
 def test_fill_by_fronts_exact_fill_has_no_split_front():
-    ranked = pareto.fast_nondominated_sort(FRONT_POINTS)
-    assert _fill_by_fronts(ranked, 2) == ([1, 3], None)
-    assert _fill_by_fronts(ranked, 4) == ([1, 3, 2, 4], None)
-    assert _fill_by_fronts(ranked, 5) == ([1, 3, 2, 4, 0], None)
+    ranks = pareto.fast_nondominated_sort(FRONT_POINTS)
+    assert _fill_by_fronts(ranks, 2) == ([1, 3], None)
+    assert _fill_by_fronts(ranks, 4) == ([1, 3, 2, 4], None)
+    assert _fill_by_fronts(ranks, 5) == ([1, 3, 2, 4, 0], None)
 
 
 def test_fill_by_fronts_returns_the_overflowing_front():
-    ranked = pareto.fast_nondominated_sort(FRONT_POINTS)
-    selected, split = _fill_by_fronts(ranked, 3)
+    ranks = pareto.fast_nondominated_sort(FRONT_POINTS)
+    selected, split = _fill_by_fronts(ranks, 3)
     assert selected == [1, 3]
     assert split.tolist() == [2, 4]
-    selected, split = _fill_by_fronts(ranked, 1)
+    selected, split = _fill_by_fronts(ranks, 1)
     assert selected == []
     assert split.tolist() == [1, 3]
+
+
+def grid_pool(stream):
+    """2..41 points with 2 or 3 objectives on a 5-level grid: duplicates and
+    ties in every coordinate."""
+    n = 2 + stream.below(40)
+    k = 2 + stream.below(2)
+    return np.floor(5.0 * stream.uniform_vector(n * k)).reshape(n, k)
+
+
+def test_survivors_keep_their_pool_ranks():
+    # R-NSGA-II holds ranks[survivors] rather than sorting the survivors again.
+    stream = RandomStream(41)
+    splits = duplicated = 0
+    for _ in range(300):
+        points = grid_pool(stream)
+        n = points.shape[0]
+        duplicated += len(np.unique(points, axis=0)) < n
+        ranks = pareto.fast_nondominated_sort(points)
+        size = 1 + stream.below(n)
+        splits += _fill_by_fronts(ranks, size)[1] is not None
+        key = np.floor(3.0 * stream.uniform_vector(n))  # tied keys too
+        survivors = _truncate_by_fronts(ranks, size, key)
+        assert len(survivors) == len(set(survivors)) == size
+        assert np.array_equal(ranks[survivors],
+                              pareto.fast_nondominated_sort(points[survivors]))
+    assert splits > 100 and duplicated > 100
+    # And in the optimizer itself, generation after generation.
+    optimizer = RNSGA2(AlgorithmConfig(name="RNSGA2", pop_size=8), 2, RandomStream(42))
+    for _ in range(6):
+        drive(optimizer, lambda g: (round(g[0]), round(g[1] - g[0])), 1)
+        assert np.array_equal(optimizer._ranks,
+                              pareto.fast_nondominated_sort(optimizer.population.returns))
+
+
+def test_nsga2_crowding_is_crowding_distance_per_front():
+    stream = RandomStream(43)
+    for _ in range(100):
+        points = grid_pool(stream)
+        ranks = pareto.fast_nondominated_sort(points)
+        crowding = _crowding(points, ranks)
+        assert crowding.shape == (points.shape[0],)
+        for front in pareto.fronts(ranks):
+            assert np.array_equal(crowding[front], pareto.crowding_distance(points[front]))
 
 
 @pytest.mark.parametrize("name", ["GA", "DE", "PSO"])

@@ -115,6 +115,23 @@ def test_rnsga2_reference_points_grouped_by_k():
         config.algorithm_config("RNSGA2", k=3)
 
 
+def test_noise_on_a_noiseless_environment_rejected_at_parse_time():
+    with pytest.raises(ConfigError, match="TradeoffBandit has no noise"):
+        parse_config(MINIMAL + "sigma = 0.5\n")
+    assert parse_config(MINIMAL + "sigma = 0\n").sigma == 0.0
+    walker = "environment = NoisyPointWalker\nalgorithms = GA\nsigma = 0.5\n"
+    assert parse_config(walker).sigma == 0.5
+
+
+def test_reference_points_checked_against_environment_k_at_parse_time():
+    lander = "environment = HopLander\nalgorithms = GA, RNSGA2\n"
+    with pytest.raises(ConfigError, match="not a multiple of k = 3"):
+        parse_config(lander + "rnsga2_reference_points = 1, 0, 0, 1\n")
+    config = parse_config(lander + "rnsga2_reference_points = 1, 0, 0, 0, 1, 0\n")
+    assert config.algorithm_config("RNSGA2", 3).rnsga2_reference_points == (
+        (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
 def test_with_seed_returns_updated_copy():
     config = parse_config(MINIMAL)
     assert config.with_seed(99).master_seed == 99

@@ -309,6 +309,31 @@ def test_cli_metrics_rejects_records_of_two_configs(tmp_path, capsys):
     assert not (out_dir / "metrics.csv").exists()
 
 
+def test_cli_metrics_rejects_a_partial_records_directory(tmp_path, capsys):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "environment = TradeoffBandit\nalgorithms = GA, NSGA2\n"
+        "pop_size = 4\ngenerations = 2\nn_episodes = 1\nn_runs = 2\n"
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 0
+    (out_dir / "records" / "NSGA2_run000.jsonl").unlink()
+    (out_dir / "records" / "GA_run001.jsonl").unlink()
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "GA_run001.jsonl is missing" in err[0]  # the first in config order
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_stats_has_no_mode_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stats", str(tmp_path), "--metric", "hv", "--mode", "per-run"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
 def _truncate_last_line(text):
     # An interrupted write: the last line loses its second half and newline.
     lines = text.splitlines()

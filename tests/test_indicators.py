@@ -305,30 +305,34 @@ def test_build_reference_front_matches_bruteforce_union():
 
 def test_indicator_series_perfect_generation():
     reference = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
-    series = indicators.indicator_series([reference.copy()], reference, "X")
-    report = series[0]
+    hv, gd, igd = indicators.indicator_series([reference.copy()], reference)
     ideal, nadir = reference.max(axis=0), reference.min(axis=0)
-    assert report.hv == pytest.approx(
+    assert hv[0] == pytest.approx(
         indicators.normalized_hypervolume(reference, ideal, nadir), abs=1e-12)
-    assert report.gd == 0.0 and report.igd == 0.0
-    assert report.algorithm == "X" and report.generation == 0
+    assert gd[0] == 0.0 and igd[0] == 0.0
+    assert hv.shape == gd.shape == igd.shape == (1,)
 
 
 def test_indicator_series_length_and_order():
     reference = np.array([(0.0, 1.0), (1.0, 0.0)])
     pops = [np.array([(0.1, 0.1)]), np.array([(0.2, 0.2)]), np.array([(0.3, 0.3)])]
-    series = indicators.indicator_series(pops, reference, "Y")
-    assert [r.generation for r in series] == [0, 1, 2]
+    hv, gd, igd = indicators.indicator_series(pops, reference)
+    assert hv.shape == gd.shape == igd.shape == (3,)
+    ideal, nadir = reference.max(axis=0), reference.min(axis=0)
+    for generation, population in enumerate(pops):
+        assert hv[generation] == indicators.normalized_hypervolume(population, ideal, nadir)
+        assert gd[generation] == indicators.gd(population, reference)
+        assert igd[generation] == indicators.igd(population, reference)
 
 
 def test_indicator_series_degenerate_reference_warns_and_nans_hv():
     reference = np.array([(0.5, 0.5)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        series = indicators.indicator_series([np.array([(0.5, 0.5)])], reference, "Z")
+        hv, _, igd = indicators.indicator_series([np.array([(0.5, 0.5)])], reference)
     assert any("degenerate" in str(w.message) for w in caught)
-    assert np.isnan(series[0].hv)
-    assert series[0].igd == 0.0
+    assert np.isnan(hv[0])
+    assert igd[0] == 0.0
 
 
 def test_analytic_front_normalized_hv_near_half():

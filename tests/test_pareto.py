@@ -86,40 +86,53 @@ def test_filter_idempotent():
 
 def test_sort_examples():
     chain = pareto.fast_nondominated_sort([(3, 3), (2, 2), (1, 1)])
-    assert chain.ranks.tolist() == [0, 1, 2]
+    assert chain.dtype == np.int64
+    assert chain.tolist() == [0, 1, 2]
     pair = pareto.fast_nondominated_sort([(1, 2), (2, 1)])
-    assert pair.ranks.tolist() == [0, 0]
+    assert pair.tolist() == [0, 0]
 
 
 def test_sort_matches_peeling_oracle():
     stream = RandomStream(9)
     for _ in range(10):
         pts = random_points(stream, 30, 3)
-        ranked = pareto.fast_nondominated_sort(pts)
-        assert ranked.ranks.tolist() == oracle_ranks(pts.tolist())
+        ranks = pareto.fast_nondominated_sort(pts)
+        assert ranks.tolist() == oracle_ranks(pts.tolist())
 
 
 def test_sort_rank_invariants():
     stream = RandomStream(10)
     pts = random_points(stream, 40, 2)
-    ranked = pareto.fast_nondominated_sort(pts)
+    ranks = pareto.fast_nondominated_sort(pts)
     # Rank 0 equals the nondominated filter output as multisets.
-    front0 = sorted(map(tuple, pts[ranked.ranks == 0]))
+    front0 = sorted(map(tuple, pts[ranks == 0]))
     filtered = sorted(map(tuple, pareto.nondominated_filter(pts)))
     assert front0 == filtered
     # Every rank r > 0 point is dominated by at least one rank r-1 point.
-    for i, r in enumerate(ranked.ranks):
+    for i, r in enumerate(ranks):
         if r > 0:
-            above = pts[ranked.ranks == r - 1]
+            above = pts[ranks == r - 1]
             assert any(pareto.dominates(p, pts[i]) for p in above)
 
 
 def test_sort_stable_within_rank():
     pts = [(1, 2), (0, 0), (2, 1), (0.5, 0.5)]
-    fronts = pareto.fast_nondominated_sort(pts).fronts()
+    fronts = pareto.fronts(pareto.fast_nondominated_sort(pts))
     assert fronts[0].tolist() == [0, 2]
     assert fronts[1].tolist() == [3]
     assert fronts[2].tolist() == [1]
+
+
+def test_fronts_keep_input_order():
+    ranks = np.array([2, 0, 1, 0, 2, 1, 0], dtype=np.int64)
+    assert [f.tolist() for f in pareto.fronts(ranks)] == [[1, 3, 6], [2, 5], [0, 4]]
+    stream = RandomStream(12)
+    for _ in range(20):
+        ranks = pareto.fast_nondominated_sort(random_points(stream, 30, 2))
+        fronts = pareto.fronts(ranks)
+        assert len(fronts) == ranks.max() + 1
+        for r, front in enumerate(fronts):
+            assert front.tolist() == [i for i in range(30) if ranks[i] == r]
 
 
 def test_positive_scaling_leaves_outcomes_unchanged():
@@ -128,8 +141,8 @@ def test_positive_scaling_leaves_outcomes_unchanged():
     scaled = 37.5 * pts
     assert pareto.dominates(pts[0], pts[1]) == pareto.dominates(scaled[0], scaled[1])
     assert np.array_equal(
-        pareto.fast_nondominated_sort(pts).ranks,
-        pareto.fast_nondominated_sort(scaled).ranks,
+        pareto.fast_nondominated_sort(pts),
+        pareto.fast_nondominated_sort(scaled),
     )
     assert np.array_equal(
         pareto.nondominated_mask(pts), pareto.nondominated_mask(scaled))

@@ -79,7 +79,9 @@ def test_act_is_pure_and_bounded():
 def test_unflatten_flatten_round_trip():
     spec = PolicySpec(3, (4, 10, 4), 2)
     genome = policy.init_genome(spec, RandomStream(77))
-    assert np.array_equal(policy.flatten(policy.unflatten(spec, genome)), genome)
+    layers = policy.unflatten(spec, genome)
+    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+    assert np.array_equal(flat, genome)
 
 
 def test_positional_encoding_matters():

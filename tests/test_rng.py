@@ -73,12 +73,6 @@ def test_derive_seed_distinguishes_paths():
     assert derive_seed(root, "alg", 0) == derive_seed(root, "alg", 0)
 
 
-def test_spawn_matches_derive():
-    s = RandomStream(77)
-    child = s.spawn("x", 3)
-    assert child.key == derive_seed(77, "x", 3)
-
-
 def test_mix64_bijective_sample():
     xs = [0, 1, 2, 2**63, 2**64 - 1]
     assert len({mix64(x) for x in xs}) == len(xs)
@@ -194,8 +188,8 @@ def test_look_ahead_block_matches_unbuffered_stream(seed):
     assert stream._counter == reference.counter
     # A batch longer than one block, served across a refill.
     assert np.array_equal(stream.uniform_vector(9000), reference.uniform_vector(9000))
-    # A spawned child follows its own key with a fresh block.
-    child = stream.spawn("child", 3)
+    # A child stream follows its own key with a fresh block.
+    child = RandomStream(derive_seed(stream.key, "child", 3))
     child_reference = UnbufferedStream(derive_seed(stream.key, "child", 3))
     interleave(child, child_reference, script, 200)
     interleave(stream, reference, script, 50)
