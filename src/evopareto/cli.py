@@ -24,6 +24,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path(config.output_dir or "results")
+    _check_out_dir(out_dir, config)
     records = harness.run_experiment(config, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(serialize_config(config), encoding="utf-8")
@@ -35,6 +36,20 @@ def _cmd_run(args) -> int:
         print(f"  aborted: {record.algorithm} run {record.run_index} "
               f"(non-finite evaluation)")
     return 0
+
+
+def _check_out_dir(out_dir: Path, config) -> None:
+    """Refuse a results directory that holds another config's results; the
+    same config may run into it again, since it gives the same results."""
+    echoed = out_dir / "config.txt"
+    records = out_dir / "records"
+    if echoed.exists():
+        if echoed.read_text(encoding="utf-8") != serialize_config(config):
+            raise ValueError(f"{out_dir} holds the results of a different config "
+                             f"(see {echoed}); use a fresh --out")
+    elif records.is_dir() and any(records.iterdir()):
+        raise ValueError(f"{records} holds run records but {out_dir} has no config.txt; "
+                         f"use a fresh --out")
 
 
 def _cmd_metrics(args) -> int:

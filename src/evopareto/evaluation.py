@@ -25,7 +25,8 @@ reasons:
 An evaluated generation is one :class:`Population`: row ``i`` of its
 ``genomes[n, g]``, ``returns[n, k]`` and ``scalars[n]`` arrays is individual
 ``i``.  Optimizers select from it with ``take(rows)`` and ``join(other)``,
-and the harness records it as is, so its arrays are read-only.
+and the harness records its arrays without copying them, so they are
+read-only.
 
 :func:`rollout` and :func:`evaluate` run the same kernel for one episode and
 one genome.

@@ -9,11 +9,17 @@ whether (algorithm, run) jobs execute sequentially or in a process pool.
 
 Every algorithm consumes exactly ``pop_size * generations`` evaluations; the
 counter is recorded per run so budget parity is auditable after the fact.
+
+A run record keeps what the analysis reads: every generation's returns and
+scalars, and the genomes of the final generation only.  Earlier generations
+keep zero-width ``(n, 0)`` genome rows, in memory, across the process pool
+and on disk alike.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +54,9 @@ class RunRecord:
     wall_time: float
     rng_scheme: str
     config: ExperimentConfig
-    generations: list[Population]  # the optimizer's population after each tell
+    # The optimizer's population after each tell; only the last one keeps
+    # its genomes, earlier ones have (n, 0) genome rows.
+    generations: list[Population]
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class MetricRow:
 
 
 def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> RunRecord:
-    """One seeded (algorithm, run) job producing a full per-generation record."""
+    """One seeded (algorithm, run) job producing a per-generation record."""
     env = make_env(config.environment, config.sigma)
     spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
                       action_dim=env.spec.action_dim)
@@ -86,6 +94,8 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
             break
         optimizer.tell(evaluated)
         generations.append(optimizer.population)
+    generations[:-1] = [Population(np.empty((len(p), 0)), p.returns, p.scalars)
+                        for p in generations[:-1]]
     return RunRecord(
         algorithm=algorithm,
         run_index=run_index,
@@ -125,31 +135,39 @@ def record_path(directory: Path, algorithm: str, run_index: int) -> Path:
 
 
 def save_records(records: list[RunRecord], directory) -> list[Path]:
+    """Write each record to a temporary name, then rename it into place, so a
+    failed write leaves no partial ``.jsonl`` and keeps any earlier record."""
     directory = Path(directory)
     (directory / "records").mkdir(parents=True, exist_ok=True)
     paths = []
     for record in records:
         path = record_path(directory, record.algorithm, record.run_index)
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "algorithm": record.algorithm,
-                "run": record.run_index,
-                "seed": record.seed,
-                "status": record.status,
-                "eval_count": record.eval_count,
-                "wall_time": record.wall_time,
-                "rng": record.rng_scheme,
-                "config": serialize_config(record.config),
-            }
-            handle.write(json.dumps(header) + "\n")
-            for g, population in enumerate(record.generations):
-                line = {
-                    "generation": g,
-                    "genomes": population.genomes.tolist(),
-                    "returns": population.returns.tolist(),
-                    "scalars": population.scalars.tolist(),
+        partial = path.with_name(path.name + ".partial")
+        try:
+            with open(partial, "w", encoding="utf-8") as handle:
+                header = {
+                    "algorithm": record.algorithm,
+                    "run": record.run_index,
+                    "seed": record.seed,
+                    "status": record.status,
+                    "eval_count": record.eval_count,
+                    "wall_time": record.wall_time,
+                    "rng": record.rng_scheme,
+                    "config": serialize_config(record.config),
                 }
-                handle.write(json.dumps(line) + "\n")
+                handle.write(json.dumps(header) + "\n")
+                for g, population in enumerate(record.generations):
+                    line = {
+                        "generation": g,
+                        "genomes": population.genomes.tolist(),
+                        "returns": population.returns.tolist(),
+                        "scalars": population.scalars.tolist(),
+                    }
+                    handle.write(json.dumps(line) + "\n")
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
         paths.append(path)
     return paths
 

@@ -148,10 +148,15 @@ def hypervolume_contributions(front, ref) -> np.ndarray:
     return contributions
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[i, j]``: squared Euclidean distance from point ``a[i]`` to point ``b[j]``."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[i, j]``: Euclidean distance from point ``a[i]`` to point ``b[j]``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    return np.sqrt(_squared_distances(a, b))
 
 
 def gd(approx, reference) -> float:
@@ -199,6 +204,13 @@ def indicator_series(populations: Sequence, reference_front
     reference front's ideal/nadir normalization; a reference front
     degenerate in some objective cannot be normalized, so HV is reported as
     NaN with a diagnostic while GD/IGD (raw scale) proceed.
+
+    GD and IGD read one squared-distance matrix per generation, along its
+    rows and its columns.  They equal :func:`gd` and :func:`igd` bit for
+    bit: ``(a - b)**2 == (b - a)**2`` and each entry sums its k terms in the
+    same order as the transposed entry, and ``sqrt`` is correctly rounded
+    and monotone, so the square root of the minimum is the minimum of the
+    square roots.
     """
     reference = pareto.as_points(reference_front)
     ideal = reference.max(axis=0)
@@ -214,5 +226,7 @@ def indicator_series(populations: Sequence, reference_front
     for generation, population in enumerate(populations):
         front = pareto.nondominated_filter(population)
         hv = float("nan") if degenerate else normalized_hypervolume(front, ideal, nadir)
-        values[generation] = hv, gd(front, reference), igd(front, reference)
+        squared = _squared_distances(front, reference)
+        values[generation] = (hv, np.sqrt(squared.min(axis=1)).mean(),
+                              np.sqrt(squared.min(axis=0)).mean())
     return values[:, 0], values[:, 1], values[:, 2]

@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -64,9 +65,13 @@ def test_parallel_jobs_match_sequential(tmp_path):
     parallel = harness.run_experiment(SMALL, jobs=4)
     for a, b in zip(sequential, parallel):
         assert a.algorithm == b.algorithm and a.run_index == b.run_index
+        final = a.generations[-1].genomes
+        assert final.shape[0] == SMALL.pop_size and final.shape[1] > 0
+        assert np.array_equal(final, b.generations[-1].genomes)
         for ga, gb in zip(a.generations, b.generations):
             assert np.array_equal(ga.genomes, gb.genomes)
             assert np.array_equal(ga.returns, gb.returns)
+            assert np.array_equal(ga.scalars, gb.scalars)
 
 
 def test_records_round_trip_through_disk(tmp_path):
@@ -77,10 +82,33 @@ def test_records_round_trip_through_disk(tmp_path):
     for a, b in zip(records, loaded):
         assert a.seed == b.seed and a.eval_count == b.eval_count
         assert a.config == b.config
+        # Only the final generation keeps its genomes.
+        assert len(a.generations) == len(b.generations) == SMALL.generations == 4
+        final = b.generations[-1].genomes
+        assert final.shape[0] == SMALL.pop_size and final.shape[1] > 0
+        for ga, gb in zip(a.generations[:-1], b.generations[:-1]):
+            assert ga.genomes.shape == gb.genomes.shape == (SMALL.pop_size, 0)
         for ga, gb in zip(a.generations, b.generations):
             assert np.array_equal(ga.genomes, gb.genomes)
             assert np.array_equal(ga.returns, gb.returns)
             assert np.array_equal(ga.scalars, gb.scalars)
+
+
+def test_failed_record_write_keeps_the_earlier_record(tmp_path):
+    good = fabricate_record("GA", 0, [[(0.2, 0.8)], [(0.3, 0.7)]])
+    path, = harness.save_records([good], tmp_path)
+    earlier = path.read_bytes()
+    # The second generation does not serialize: the write fails after the
+    # header and the first generation line.
+    unwritable = Population(np.zeros((1, 3)), np.array([[0.5, 0.5]]),
+                            np.array([{0.5}], dtype=object))
+    bad = harness.RunRecord(algorithm="GA", run_index=0, seed=2, status="ok",
+                            eval_count=2, wall_time=0.0, rng_scheme="test", config=SMALL,
+                            generations=[good.generations[0], unwritable])
+    with pytest.raises(TypeError):
+        harness.save_records([bad], tmp_path)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in (tmp_path / "records").iterdir()] == [path.name]
 
 
 def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
@@ -292,21 +320,59 @@ def test_cli_stats_names_missing_runs(tmp_path, capsys):
 
 
 def test_cli_metrics_rejects_records_of_two_configs(tmp_path, capsys):
-    # A second config run into the same --out leaves the first one's records.
+    # A record copied in from another config's results sits beside the
+    # first config's records (run itself refuses such an --out).
     body = "environment = TradeoffBandit\npop_size = 4\ngenerations = 2\nn_episodes = 1\nn_runs = 1\n"
     config_a = tmp_path / "a.cfg"
     config_a.write_text("algorithms = GA, DE\n" + body)
     config_b = tmp_path / "b.cfg"
     config_b.write_text("algorithms = GA\n" + body)
     out_dir = tmp_path / "out"
+    other = tmp_path / "other"
     assert cli.main(["run", str(config_a), "--out", str(out_dir), "--seed", "1"]) == 0
-    assert cli.main(["run", str(config_b), "--out", str(out_dir), "--seed", "5"]) == 0
+    assert cli.main(["run", str(config_b), "--out", str(other), "--seed", "5"]) == 0
+    shutil.copyfile(other / "records" / "GA_run000.jsonl",
+                    out_dir / "records" / "GA_run000.jsonl")
     capsys.readouterr()
     assert cli.main(["metrics", str(out_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "DE_run000.jsonl" in err[0] and "GA_run000.jsonl" in err[0]
     assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_run_refuses_another_configs_results(tmp_path, capsys):
+    body = "environment = TradeoffBandit\nalgorithms = GA, NSGA2\npop_size = 4\n" \
+           "generations = 2\nn_episodes = 1\n"
+    three = tmp_path / "three.cfg"
+    three.write_text(body + "n_runs = 3\n")
+    two = tmp_path / "two.cfg"
+    two.write_text(body + "n_runs = 2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(three), "--out", str(out_dir)]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    for argv in (["run", str(two), "--out", str(out_dir)],
+                 ["run", str(three), "--out", str(out_dir), "--seed", "9"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "config.txt" in err[0]
+    assert {p.name: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+    # The same config may run again: it gives the same results.
+    assert cli.main(["run", str(three), "--out", str(out_dir)]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    for name in ("config.txt", "metrics.csv", "fronts.csv"):
+        assert (out_dir / name).read_bytes() == before[name]
+    # Records without a config.txt belong to an unknown config.
+    (out_dir / "config.txt").unlink()
+    capsys.readouterr()
+    assert cli.main(["run", str(three), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "no config.txt" in err[0]
 
 
 def test_cli_metrics_rejects_a_partial_records_directory(tmp_path, capsys):

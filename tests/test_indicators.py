@@ -325,6 +325,26 @@ def test_indicator_series_length_and_order():
         assert igd[generation] == indicators.igd(population, reference)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_indicator_series_gd_igd_equal_separate_calls_bit_for_bit(k):
+    # One squared-distance matrix per generation, read along rows (GD) and
+    # columns (IGD), gives exactly the separate gd()/igd() values.
+    cases = {name: front for name, front, _ in oracle_cases(k)}
+    populations = list(cases.values())
+    references = [indicators.build_reference_front(populations),
+                  cases["n25-duplicated"], cases["n51-signed-zeros"],
+                  cases["n38-rounded"], cases["n1-simplex"]]
+    assert any(np.any(np.signbit(front) & (front == 0.0)) for front in populations)  # -0.0
+    for reference in references:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the single-point reference is degenerate
+            _, gd, igd = indicators.indicator_series(populations, reference)
+        for generation, population in enumerate(populations):
+            front = pareto.nondominated_filter(population)
+            assert gd[generation] == indicators.gd(front, reference)
+            assert igd[generation] == indicators.igd(front, reference)
+
+
 def test_indicator_series_degenerate_reference_warns_and_nans_hv():
     reference = np.array([(0.5, 0.5)])
     with warnings.catch_warnings(record=True) as caught:
