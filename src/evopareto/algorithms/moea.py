@@ -146,7 +146,11 @@ def smsemoa_removal_index(points: np.ndarray) -> int:
     recomputed for this pool; coordinates with zero range get unit margin so
     remaining coordinates still discriminate.
     """
-    ranks = pareto.fast_nondominated_sort(points)
+    return _removal_index(points, pareto.fast_nondominated_sort(points))
+
+
+def _removal_index(points: np.ndarray, ranks: np.ndarray) -> int:
+    """:func:`smsemoa_removal_index` of ``points`` whose ranks are ``ranks``."""
     worst_front = np.flatnonzero(ranks == ranks.max())
     if worst_front.shape[0] == 1:
         return int(worst_front[0])
@@ -177,12 +181,17 @@ class SMSEMOA(Optimizer):
                          for _ in range(self.config.pop_size)])
 
     def _absorb(self, evaluated):
-        # Rows of the joined pool that are alive, in population order.
+        # Rows of the joined pool that are alive, in population order.  The
+        # dominance matrix of the alive rows is a sub-matrix of the pool's,
+        # so one matrix per generation ranks every insertion.
         pool = self.population.join(evaluated)
+        points = pareto.as_points(pool.returns)
+        dom = pareto._dominance_matrix(points)
         alive = np.arange(len(self.population))
         for child in range(len(self.population), len(pool)):
             alive = np.append(alive, child)
-            alive = np.delete(alive, smsemoa_removal_index(pool.returns[alive]))
+            ranks = pareto._peel_ranks(dom[np.ix_(alive, alive)])
+            alive = np.delete(alive, _removal_index(points[alive], ranks))
         self.population = pool.take(alive)
 
 

@@ -149,9 +149,20 @@ def hypervolume_contributions(front, ref) -> np.ndarray:
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[i, j]``: squared Euclidean distance from point ``a[i]`` to point ``b[j]``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """``[i, j]``: squared Euclidean distance from point ``a[i]`` to point ``b[j]``.
+
+    The k squared coordinate differences are added left to right,
+    ``((d0 + d1) + d2) + ...``, one (n, m) array per coordinate.  For k < 8
+    that is the order of numpy's ``np.sum(diff * diff, axis=2)`` over the
+    (n, m, k) difference tensor, so the bytes are the same without the
+    tensor.  GD, IGD, :func:`indicator_series` and SPEA2 read these bytes.
+    """
+    total = np.zeros((len(a), len(b)))
+    for j in range(a.shape[1]):
+        d = np.subtract.outer(a[:, j], b[:, j])
+        d *= d
+        total += d  # 0.0 + x == x: a square is never -0.0
+    return total
 
 
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

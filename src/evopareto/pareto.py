@@ -11,6 +11,14 @@ Sorting works on plain arrays: :func:`fast_nondominated_sort` returns one
 ``int64`` rank per point, :func:`fronts` splits ranks into index arrays, and
 :func:`crowding_distance` scores one front at a time, computed only by the
 one optimizer that reads it (NSGA-II).
+
+Every kernel here only compares coordinates, so two kernels that find the
+same sets give the same bytes.  :func:`nondominated_mask` for k = 2 is a
+sort-and-sweep (Kung, Luccio & Preparata, 1975) in O(n log n); for k >= 3 it
+reads the (n, n) dominance matrix, which stays the oracle the 2-D sweep is
+tested against.  Ranking peels that matrix front by front, and a caller that
+ranks many subsets of one pool (SMS-EMOA) builds the matrix once and peels
+its sub-matrices.
 """
 
 from __future__ import annotations
@@ -51,7 +59,31 @@ def _dominance_matrix(points: np.ndarray) -> np.ndarray:
 def nondominated_mask(points) -> np.ndarray:
     """Boolean mask of points not dominated by any other input point."""
     arr = as_points(points)
+    if arr.shape[1] == 2:
+        return _nondominated_mask_2d(arr)
     return ~_dominance_matrix(arr).any(axis=0)
+
+
+def _nondominated_mask_2d(points: np.ndarray) -> np.ndarray:
+    """:func:`nondominated_mask` of (n, 2) points by one sort and a sweep.
+
+    In order of descending x (descending y within equal x), a point is
+    dominated iff a point of strictly larger x has y at least its own, or a
+    point of its own x has a larger y.  Equal vectors dominate neither way
+    and -0.0 == 0.0, as in the matrix.
+    """
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    x = points[order, 0]
+    y = points[order, 1]
+    starts = np.concatenate([[True], x[1:] != x[:-1]])
+    group = np.cumsum(starts) - 1
+    group_max = y[starts]
+    # Largest y over the groups of strictly larger x, -inf for the first.
+    larger_x_max = np.maximum.accumulate(np.concatenate([[-np.inf], group_max[:-1]]))
+    dominated = (larger_x_max[group] >= y) | (group_max[group] > y)
+    mask = np.empty(points.shape[0], dtype=bool)
+    mask[order] = ~dominated
+    return mask
 
 
 def nondominated_filter(points) -> np.ndarray:
@@ -70,9 +102,12 @@ def fast_nondominated_sort(points) -> np.ndarray:
     ``ranks[i] == 0`` marks the nondominated subset; every rank ``r > 0``
     point is dominated by at least one rank ``r - 1`` point.
     """
-    arr = as_points(points)
-    dom = _dominance_matrix(arr)
-    ranks = np.full(arr.shape[0], -1, dtype=np.int64)
+    return _peel_ranks(_dominance_matrix(as_points(points)))
+
+
+def _peel_ranks(dom: np.ndarray) -> np.ndarray:
+    """Ranks of the points whose :func:`_dominance_matrix` is ``dom``."""
+    ranks = np.full(dom.shape[0], -1, dtype=np.int64)
     remaining = dom.sum(axis=0).astype(np.int64)
     current = np.flatnonzero(remaining == 0)
     rank = 0

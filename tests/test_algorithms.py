@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from evopareto import pareto
+from evopareto import harness, pareto
 from evopareto.algorithms import (
     AlgorithmConfig,
     DE,
@@ -24,6 +24,7 @@ from evopareto.algorithms import (
     smsemoa_removal_index,
 )
 from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _truncate_by_fronts
+from evopareto.config import parse_config
 from evopareto.evaluation import Population, scalarize
 from evopareto.indicators import hypervolume_exact
 from evopareto.rng import RandomStream
@@ -611,6 +612,70 @@ def test_smsemoa_step_never_loses_hypervolume():
         after = hypervolume_exact(-np.array(survivors), ref)
         assert after >= before - 1e-12
         population = population.join(child).take([i for i in range(len(pool)) if i != drop])
+
+
+def absorb_by_full_sorts(self, evaluated):
+    """Oracle: SMS-EMOA survival with a full nondominated sort per insertion."""
+    pool = self.population.join(evaluated)
+    alive = np.arange(len(self.population))
+    for child in range(len(self.population), len(pool)):
+        alive = np.append(alive, child)
+        alive = np.delete(alive, smsemoa_removal_index(pool.returns[alive]))
+    self.population = pool.take(alive)
+
+
+def smsemoa_generations(monkeypatch, environment, absorb):
+    """Population after each generation of a seeded SMS-EMOA run that
+    survives by ``absorb``, and the number of fronts of each joined pool."""
+    populations, front_counts = [], []
+
+    def recording(self, evaluated):
+        pool = self.population.join(evaluated)
+        front_counts.append(int(pareto.fast_nondominated_sort(pool.returns).max()) + 1)
+        absorb(self, evaluated)
+        populations.append(self.population)
+
+    monkeypatch.setattr(SMSEMOA, "_absorb", recording)
+    config = parse_config(f"environment = {environment}\nalgorithms = SMSEMOA\n"
+                          "pop_size = 12\ngenerations = 6\nn_episodes = 1\n"
+                          "n_runs = 1\nmaster_seed = 5\n")
+    harness.execute_run(config, "SMSEMOA", 0)
+    return populations, front_counts
+
+
+@pytest.mark.parametrize("environment", ["TradeoffBandit", "HopLander"])
+def test_smsemoa_one_matrix_per_generation_matches_full_sorts(monkeypatch, environment):
+    kernel = SMSEMOA._absorb
+    got, fronts = smsemoa_generations(monkeypatch, environment, kernel)
+    expected, _ = smsemoa_generations(monkeypatch, environment, absorb_by_full_sorts)
+    if environment == "TradeoffBandit":
+        assert max(fronts) == 1  # k = 2, one front
+    else:
+        assert got[0].returns.shape[1] == 3 and max(fronts) >= 4
+    assert len(got) == len(expected) == 5
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.genomes, b.genomes)
+        assert np.array_equal(a.returns, b.returns)
+        assert np.array_equal(a.scalars, b.scalars)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_smsemoa_absorb_with_duplicate_returns_matches_full_sorts(k):
+    stream = RandomStream(33 + k)
+    sms = SMSEMOA(AlgorithmConfig(name="SMSEMOA", pop_size=10), 2, RandomStream(4))
+    returns = np.round(stream.uniform_vector(20 * k).reshape(20, k), 1)
+    returns[5:10] = returns[0:5]    # duplicates inside the population
+    returns[10:13] = returns[2:5]   # offspring equal to members
+    returns[13:15] = returns[18]    # offspring equal to each other
+    pool = stack([evaluated(stream.uniform_vector(2), r) for r in returns])
+    sms.population = pool.take(np.arange(10))
+    oracle = copy.deepcopy(sms)
+    sms._absorb(pool.take(np.arange(10, 20)))
+    absorb_by_full_sorts(oracle, pool.take(np.arange(10, 20)))
+    assert pareto.fast_nondominated_sort(returns).max() >= 1
+    assert np.array_equal(sms.population.genomes, oracle.population.genomes)
+    assert np.array_equal(sms.population.returns, oracle.population.returns)
+    assert np.array_equal(sms.population.scalars, oracle.population.scalars)
 
 
 # -- NSGA-III ------------------------------------------------------------------

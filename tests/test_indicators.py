@@ -280,6 +280,44 @@ def test_gd_rejects_empty_or_mismatched():
         indicators.gd([(0.0, 1.0)], [(0.0, 1.0, 2.0)])
 
 
+def squared_distances_by_tensor(a, b):
+    """Oracle: the (n, m, k) difference tensor reduced by ``np.sum``."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_squared_distances_equal_tensor_sum_bit_for_bit(k):
+    stream = RandomStream(70 + k)
+    for n, m in ((1, 1), (7, 30), (50, 120)):
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            a = scale * (stream.uniform_vector(n * k).reshape(n, k) - 0.5)
+            b = scale * (stream.uniform_vector(m * k).reshape(m, k) - 0.5)
+            a[0, 0] = -0.0
+            got = indicators._squared_distances(a, b)
+            assert got.shape == (n, m)
+            assert np.array_equal(got.view(np.uint64),
+                                  squared_distances_by_tensor(a, b).view(np.uint64))
+    # Per-coordinate magnitudes 1e-8 .. 1e8 within one point.
+    magnitudes = 10.0 ** np.arange(-8, 9, 2)
+    a = np.array([magnitudes[[i, -1 - i, i // 2][:k]] for i in range(len(magnitudes))])
+    b = -0.7 * a[::-1]
+    assert np.array_equal(indicators._squared_distances(a, b).view(np.uint64),
+                          squared_distances_by_tensor(a, b).view(np.uint64))
+
+
+def test_squared_distances_sum_coordinates_left_to_right():
+    # Squares 1, 9 * 2**-56, 9 * 2**-56: (1 + s) + s rounds up twice, 1 + (s + s)
+    # once, so a kernel that sums in another order gives other bytes.
+    s = 3 * 2.0**-28
+    a, b = np.array([[1.0, s, s]]), np.zeros((1, 3))
+    left = (1.0 + s * s) + s * s
+    assert left != 1.0 + (s * s + s * s)
+    assert indicators._squared_distances(a, b)[0, 0] == left
+    assert squared_distances_by_tensor(a, b)[0, 0] == left
+    assert indicators._squared_distances(b, a)[0, 0] == left
+
+
 def test_build_reference_front_single_and_union():
     single = indicators.build_reference_front([[(1.0, 2.0), (0.0, 0.0)]])
     assert single.tolist() == [[1.0, 2.0]]

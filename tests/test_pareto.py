@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evopareto import pareto
+from evopareto import indicators, pareto
 from evopareto.rng import RandomStream
 
 
@@ -181,3 +181,69 @@ def test_normalize_endpoints_and_example():
 def test_normalize_rejects_degenerate_axis():
     with pytest.raises(ValueError):
         pareto.normalize([(1, 1)], (0, 3), (2, 3))
+
+
+# -- 2-D sweep against the dominance-matrix oracle -----------------------------
+
+def matrix_mask(points):
+    """Oracle: the (n, n) dominance matrix, as k >= 3 still computes it."""
+    return ~pareto._dominance_matrix(np.asarray(points, dtype=np.float64)).any(axis=0)
+
+
+def sweep_cases():
+    """Seeded 2-D point sets with ties, duplicates, -0.0 and many ranks."""
+    stream = RandomStream(61)
+    yield "single", np.array([[0.3, -0.2]])
+    yield "all-equal", np.full((7, 2), 0.25)
+    yield "signed-zeros", np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+                                    [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0]])
+    for n in (2, 9, 40, 200):
+        raw = stream.uniform_vector(2 * n).reshape(n, 2) - 0.5
+        yield f"n{n}-random", raw
+        simplex = raw + 0.5
+        yield f"n{n}-front", simplex / simplex.sum(axis=1, keepdims=True)
+        rounded = np.round(raw, 1)  # many equal x, equal y and equal rows
+        yield f"n{n}-rounded", rounded
+        yield f"n{n}-duplicated", np.vstack([raw, raw[::-1], raw[: n // 2]])
+        signed = rounded.copy()
+        signed[::3][signed[::3] == 0.0] = -0.0
+        yield f"n{n}-signed", signed
+        # Nested anti-diagonal fronts: about n / 4 ranks.
+        ranks = np.repeat(np.arange(max(1, n // 4)), 4)[:n]
+        t = stream.uniform_vector(len(ranks))
+        yield f"n{n}-many-ranks", np.column_stack([t - ranks, 1.0 - t - ranks])
+
+
+def test_sweep_cases_cover_ties_zeros_and_ranks():
+    cases = dict(sweep_cases())
+    assert np.any(np.signbit(cases["n40-signed"]) & (cases["n40-signed"] == 0.0))
+    assert len(np.unique(cases["n200-rounded"], axis=0)) < 200
+    assert pareto.fast_nondominated_sort(cases["n200-many-ranks"]).max() >= 40
+
+
+def test_nondominated_mask_2d_equals_matrix_oracle():
+    for name, points in sweep_cases():
+        mask = pareto._nondominated_mask_2d(points)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, matrix_mask(points)), name
+        assert np.array_equal(pareto.nondominated_mask(points), mask), name
+
+
+def test_nondominated_filter_and_reference_front_equal_matrix_versions():
+    def filter_by_matrix(points):
+        return points[matrix_mask(points)]
+
+    def reference_front_by_matrix(fronts):
+        front = filter_by_matrix(np.vstack(fronts))
+        _, first = np.unique(front, axis=0, return_index=True)
+        return front[np.sort(first)]
+
+    cases = [points for _, points in sweep_cases()]
+    for points in cases:
+        got = pareto.nondominated_filter(points)
+        assert np.array_equal(got.view(np.uint64), filter_by_matrix(points).view(np.uint64))
+    for start in range(0, len(cases), 5):
+        fronts = cases[start:start + 5]
+        got = indicators.build_reference_front(fronts)
+        expected = reference_front_by_matrix(fronts)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
