@@ -16,9 +16,12 @@ reasons:
 * the stacked matmul in :func:`policy.forward` runs the same matrix-vector
   product for every row as an unbatched call does;
 * each episode's draws are those of its own fresh stream, one uniform and
-  then ``horizon`` normals, with Box-Muller on ``math`` functions
-  (:func:`rng.leading_draws`); elementwise arithmetic does not depend on
-  the batch;
+  then ``horizon`` normals (:func:`rng.leading_draws`).  Episode seeds and
+  the Box-Muller arithmetic run on arrays, and only ``log``/``cos``/``sin``
+  are called per element, on the C library through ``math``: integer
+  arithmetic and correctly rounded IEEE operations give the same bytes on
+  arrays as on scalars, and on every SIMD path, while numpy's own
+  transcendentals would not;
 * episode returns are summed in order 0 to n-1 and then divided, so results
   do not depend on scheduling.
 
@@ -41,7 +44,7 @@ import numpy as np
 from . import policy
 from .environments import Environment
 from .policy import PolicySpec
-from .rng import RandomStream, derive_seed, leading_draws
+from .rng import RandomStream, derive_seeds, leading_draws
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,10 @@ def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes:
                         seed_bases) -> Population:
     """Empirical mean return of each genome (row) over ``n_episodes`` episodes.
 
-    Genome ``i`` draws episode ``e`` from ``derive_seed(seed_bases[i], e)``.
+    Genome ``i`` draws episode ``e`` from ``derive_seed(seed_bases[i], e)``;
+    ``seed_bases`` are ints (masked to 64 bits) or a uint64 array.  All
+    episode keys come from one :func:`rng.derive_seeds` call and all draws
+    from one :func:`rng.leading_draws` call.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -136,8 +142,7 @@ def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes:
     horizon = env.spec.horizon
     n = len(genomes) * n_episodes
     if env.stochastic:
-        keys = [derive_seed(base, episode) for base in seed_bases for episode in range(n_episodes)]
-        u, noise = leading_draws(keys, horizon)
+        u, noise = leading_draws(derive_seeds(seed_bases, count=n_episodes).ravel(), horizon)
     else:
         u, noise = np.zeros(n), np.zeros((n, horizon))
     layers = policy.unflatten(spec, np.repeat(genomes, n_episodes, axis=0))

@@ -36,7 +36,7 @@ from .environments import make_env
 # through this module-level name.
 from .evaluation import Population, evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
-from .rng import RandomStream, derive_seed
+from .rng import RandomStream, derive_seed, derive_seeds
 
 if TYPE_CHECKING:
     from . import stats
@@ -86,8 +86,7 @@ def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> Run
     for generation in range(config.generations):
         genomes = optimizer.ask()
         evaluated = evaluate(env, spec, genomes, config.n_episodes,
-                             [derive_seed(run_seed, "eval", generation, i)
-                              for i in range(len(genomes))])
+                             derive_seeds(run_seed, "eval", generation, count=len(genomes)))
         eval_count += len(evaluated)
         if not np.all(np.isfinite(evaluated.returns)):
             status = "aborted"

@@ -13,21 +13,27 @@ outputs that :func:`raw_outputs` computes ahead of use.  The look-ahead rule:
 the block is only a cache of the outputs after ``_counter``, and ``_counter``
 alone counts what was consumed, so no value depends on the block's size or
 on when it was refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
-consumes; :meth:`~RandomStream.advance` consumes outputs unread.  Per-draw
-:func:`mix64` is left only in :func:`derive_seed`.
+consumes; :meth:`~RandomStream.advance` consumes outputs unread.
 
 Uniform doubles come from the top 53 bits of a raw output; Gaussian draws use
 the Box-Muller transform (pairs are generated together and the second value
 is cached).  Child streams are derived from hashable key paths with
 :func:`derive_seed`, never by splitting generator state, so evaluation order
-and parallel scheduling cannot perturb results.
+and parallel scheduling cannot perturb results.  :func:`derive_seeds` gives
+the seeds of many sibling paths at once; it and :func:`raw_outputs` run the
+finalizer on uint64 arrays (:func:`mix64_array`), which is the same integer
+arithmetic as the scalar :func:`mix64`.
 
 :func:`raw_outputs` computes raw outputs of many streams at once as one
 vectorized SplitMix64 kernel, and :func:`leading_draws` turns them into the
-uniforms and normals that fresh streams would give.  Box-Muller always runs
-on ``math.log/sqrt/cos/sin`` through :func:`box_muller`, because numpy's SIMD
-transcendentals may differ from the C library in the last bit: ``np.log``
-does for about 0.35% of the inputs on an AVX-512 host.
+uniforms and normals that fresh streams would give.  Its Box-Muller calls the
+C library's ``log``, ``cos`` and ``sin`` once per element through ``math``,
+because numpy's SIMD transcendentals may differ from the C library in the
+last bit: ``np.log`` does for about 0.35% of the inputs on an AVX-512 host.
+The rest (``-2 *``, the square root, ``2 pi *`` and the products) runs on
+arrays.  These are correctly rounded IEEE operations, which give the same
+double whatever SIMD path numpy picks, so the normals are byte-identical to
+the scalar :func:`box_muller` that :meth:`RandomStream.normal` uses.
 """
 
 from __future__ import annotations
@@ -56,14 +62,18 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of each element of a uint64 array (at least 1-D)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def raw_outputs(keys, first: int, n: int) -> np.ndarray:
     """Raw outputs ``first`` .. ``first + n - 1`` (counting from 1) of each
     stream key: a ``(len(keys), n)`` uint64 array, or ``(n,)`` for one key."""
     counters = np.arange(first, first + n, dtype=np.uint64)
-    x = np.asarray(keys, dtype=np.uint64)[..., None] + counters * np.uint64(_GAMMA)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    return mix64_array(np.asarray(keys, dtype=np.uint64)[..., None] + counters * np.uint64(_GAMMA))
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -78,6 +88,18 @@ def box_muller(u1: float, u2: float) -> tuple[float, float]:
     return r * math.cos(theta), r * math.sin(theta)
 
 
+def _box_muller_arrays(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """:func:`box_muller` of each pair ``(u1[j], u2[j])``, interleaved as
+    ``[z0, z1]`` per pair; ``log``/``cos``/``sin`` from ``math`` per element."""
+    n = len(u1)
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
+    theta = ((2.0 * math.pi) * u2).tolist()
+    z = np.empty((n, 2))
+    z[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, n)
+    z[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, n)
+    return z.ravel()
+
+
 def leading_draws(keys, n_normal: int) -> tuple[np.ndarray, np.ndarray]:
     """What fresh streams give for one :meth:`RandomStream.uniform` call
     followed by ``n_normal`` :meth:`RandomStream.normal` calls.
@@ -90,13 +112,16 @@ def leading_draws(keys, n_normal: int) -> tuple[np.ndarray, np.ndarray]:
     # Adding 2^-53 is exact: it gives ((x >> 11) + 1) * 2^-53, as normal() does.
     u1 = _unit(raw[:, 1::2]).ravel() + _INV_2_53
     u2 = _unit(raw[:, 2::2]).ravel()
-    normals = np.array(list(map(box_muller, u1.tolist(), u2.tolist())), dtype=np.float64)
-    return _unit(raw[:, 0]), normals.reshape(len(raw), 2 * n_pairs)[:, :n_normal]
+    normals = _box_muller_arrays(u1, u2).reshape(len(raw), 2 * n_pairs)
+    return _unit(raw[:, 0]), normals[:, :n_normal]
 
 
-def _fnv1a64(text: str) -> int:
+def _token(key: int | str) -> int:
+    """A path key as 64 bits: FNV-1a of a string, an integer masked."""
+    if not isinstance(key, str):
+        return key & _MASK
     h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
+    for byte in key.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK
     return h
 
@@ -110,9 +135,22 @@ def derive_seed(root: int, *keys: int | str) -> int:
     """
     s = mix64(root)
     for key in keys:
-        token = _fnv1a64(key) if isinstance(key, str) else key & _MASK
-        s = mix64(s ^ token)
+        s = mix64(s ^ _token(key))
     return s
+
+
+def derive_seeds(root, *keys: int | str, count: int) -> np.ndarray:
+    """``derive_seed(root, *keys, i)`` for ``i`` in ``range(count)``, as a
+    uint64 array of shape ``np.shape(root) + (count,)``.
+
+    ``root`` is an int or an array of them; Python ints are masked to 64
+    bits, as :func:`derive_seed` masks them.  Keys are folded in the same way.
+    """
+    # Masked as Python ints: numpy will not cast a negative int to uint64.
+    s = mix64_array(np.asarray(np.asarray(root, dtype=object) & _MASK, dtype=np.uint64)[..., None])
+    for key in keys:
+        s = mix64_array(s ^ np.uint64(_token(key)))
+    return mix64_array(s ^ np.arange(count, dtype=np.uint64))
 
 
 class RandomStream:

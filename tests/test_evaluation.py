@@ -288,6 +288,26 @@ def test_rollout_draws_one_uniform_and_horizon_normals(horizon):
         assert stream.next_u64() == fresh.next_u64(), name
 
 
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_population_accepts_any_int_seed_bases_and_uint64_arrays(name):
+    # Negative and >= 2**63 bases are masked to 64 bits, as derive_seed masks them.
+    env = make_env(name)
+    spec = policy_for(env)
+    genomes = probe_genomes(spec, n_random=2)
+    bases = [-3, 2**63 + 5, 2**64 - 1, 0, 7, -(2**63), 2**64 + 9]
+    as_array = np.array([base & (2**64 - 1) for base in bases], dtype=np.uint64)
+    from_ints = evaluation.evaluate_population(env, spec, genomes, 3, bases)
+    from_array = evaluation.evaluate_population(env, spec, genomes, 3, as_array)
+    for rows in ("genomes", "returns", "scalars"):
+        assert np.array_equal(getattr(from_ints, rows), getattr(from_array, rows))
+    for genome, base, got in zip(genomes, bases, from_ints.returns):
+        total = np.zeros(env.spec.k)
+        for episode in range(3):
+            total = total + evaluation.rollout(env, spec, genome,
+                                               RandomStream(derive_seed(base, episode)))
+        assert np.array_equal(got, total / 3)
+
+
 def test_population_rejects_bad_arguments():
     env = walker()
     spec = PolicySpec(2, (4, 4, 4), 1)

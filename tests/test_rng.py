@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evopareto.rng import RandomStream, box_muller, derive_seed, leading_draws, mix64, raw_outputs
+import evopareto
+from evopareto.rng import (RandomStream, _box_muller_arrays, box_muller, derive_seed, derive_seeds,
+                           leading_draws, mix64, raw_outputs)
 
 
 def test_same_seed_same_sequence():
@@ -100,6 +106,69 @@ def test_leading_draws_match_scalar_streams():
             stream = RandomStream(key)
             assert u == stream.uniform()
             assert z_row.tolist() == [stream.normal() for _ in range(n_normal)]
+
+
+@pytest.mark.parametrize("root", [0, 1, 2**63, 2**64 - 1, -7])
+@pytest.mark.parametrize("keys", [(), ("eval",), ("eval", 3), (4, -1), ("a", 2**64 + 5, "b")])
+@pytest.mark.parametrize("count", [0, 1, 50])
+def test_derive_seeds_match_scalar_derive_seed(root, keys, count):
+    got = derive_seeds(root, *keys, count=count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [derive_seed(root, *keys, i) for i in range(count)]
+
+
+def test_derive_seeds_array_root_gives_one_row_per_root():
+    roots = [0, 1, 2**63, 2**64 - 1, -7, 2**64 + 3]
+    expected = [[derive_seed(root, "eval", 2, i) for i in range(5)] for root in roots]
+    assert derive_seeds(roots, "eval", 2, count=5).tolist() == expected
+    as_array = np.array([root & (2**64 - 1) for root in roots], dtype=np.uint64)
+    assert derive_seeds(as_array, "eval", 2, count=5).tolist() == expected
+    assert derive_seeds(as_array, count=0).shape == (len(roots), 0)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
+def scalar_box_muller(u1, u2):
+    return [z for pair in map(box_muller, u1.tolist(), u2.tolist()) for z in pair]
+
+
+def test_box_muller_arrays_match_scalar_on_edges():
+    # u1 = 1 gives log = 0 and r = sqrt(-0.0) = -0.0, so signs of zero matter.
+    u1s = [2.0**-53, 1.0, 0.5, 1.0 - 2.0**-53]
+    u2s = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 2.0**-53]
+    u1, u2 = (np.array(v).ravel() for v in np.meshgrid(u1s, u2s))
+    z = _box_muller_arrays(u1, u2)
+    assert same_bytes(z, scalar_box_muller(u1, u2))
+    assert any(str(v) == "-0.0" for v in z.tolist())
+    assert same_bytes(_box_muller_arrays(np.empty(0), np.empty(0)), [])
+
+
+def test_box_muller_arrays_match_scalar_on_dense_grid():
+    stream = RandomStream(derive_seed(31, "box-muller"))
+    u1 = 1.0 - stream.uniform_vector(200_000)
+    u2 = stream.uniform_vector(200_000)
+    assert same_bytes(_box_muller_arrays(u1, u2), scalar_box_muller(u1, u2))
+
+
+LEADING_DRAWS_BYTES = (
+    "import sys\n"
+    "from evopareto.rng import derive_seeds, leading_draws\n"
+    "u, z = leading_draws(derive_seeds(11, 'dispatch', count=400), 20)\n"
+    "sys.stdout.write(u.tobytes().hex() + z.tobytes().hex())\n"
+)
+
+
+def test_leading_draws_do_not_depend_on_simd_dispatch():
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(Path(evopareto.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", LEADING_DRAWS_BYTES], env=env,
+                           capture_output=True, text=True, check=True)
+    u, z = leading_draws(derive_seeds(11, "dispatch", count=400), 20)
+    assert child.stdout == u.tobytes().hex() + z.tobytes().hex()
 
 
 class UnbufferedStream:
