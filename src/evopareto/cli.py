@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run.add_argument("--jobs", type=int, default=1, help="parallel (algorithm, run) jobs")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="parallel lockstep groups of (algorithm, run) jobs")
     run.set_defaults(func=_cmd_run)
 
     metrics = sub.add_parser("metrics", help="compute metrics.csv and fronts.csv from records")

@@ -4,7 +4,10 @@ A rollout simulates one full-horizon episode and returns the discounted
 vector return sum(gamma^i * r_{i+1}).  :func:`evaluate_population` averages
 rollouts over episodes for a whole generation at once; each episode draws
 from a stream derived from ``(seed_base, episode)``, and individuals never
-share random numbers: each gets its own seed base from the caller.
+share random numbers: each gets its own seed base from the caller.  The rows
+of one call may come from different runs: the harness evaluates a generation
+of every run in a lockstep group at once, and each row's result is the same
+as in a call of its own.
 
 All ``B = len(genomes) * n_episodes`` episodes run in lockstep as ``[B, ...]``
 arrays, row ``i * n_episodes + e`` being episode ``e`` of genome ``i``:

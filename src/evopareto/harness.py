@@ -3,9 +3,15 @@
 Seeds flow strictly downward: the run seed derives from
 ``(master_seed, algorithm, run)``, each generation's evaluation streams from
 ``(run_seed, "eval", generation, individual)``, and the optimizer's own
-variation stream from ``(run_seed, "optimizer")``.  Nothing depends on
-wall-clock or scheduling, so a config and seed determine every output byte
-whether (algorithm, run) jobs execute sequentially or in a process pool.
+variation stream from ``(run_seed, "optimizer")``.
+
+The (algorithm, run) jobs of an experiment step in lockstep: per generation,
+one batched :func:`evaluate` call holds the offspring of every live run, and
+each run is told its own rows.  ``--jobs N`` deals the jobs round-robin into
+N such groups in a process pool.  An episode's draws come from its own
+stream and a batch computes each row as it would alone, so nothing depends
+on wall-clock, grouping or ``--jobs``: a config and seed determine every
+output byte.
 
 Every algorithm consumes exactly ``pop_size * generations`` evaluations; the
 counter is recorded per run so budget parity is auditable after the fact.
@@ -23,6 +29,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,8 +39,8 @@ from . import indicators, rng
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
-# One call evaluates a whole generation; benchmarks/tracer.py times it
-# through this module-level name.
+# One call evaluates a generation of every run in a lockstep group;
+# benchmarks/tracer.py times it through this module-level name.
 from .evaluation import Population, evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed, derive_seeds
@@ -51,7 +58,7 @@ class RunRecord:
     seed: int
     status: str  # "ok" or "aborted"
     eval_count: int
-    wall_time: float
+    wall_time: float  # elapsed time of the lockstep group the run stepped in
     rng_scheme: str
     config: ExperimentConfig
     # The optimizer's population after each tell; only the last one keeps
@@ -70,61 +77,79 @@ class MetricRow:
     scalarized_best: float
 
 
-def execute_run(config: ExperimentConfig, algorithm: str, run_index: int) -> RunRecord:
-    """One seeded (algorithm, run) job producing a per-generation record."""
+def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
+    """One record per seeded (algorithm, run) task, the runs stepped in lockstep.
+
+    Each generation, every live run asks, all their genomes go through one
+    :func:`evaluate` call, and each run is told its own rows.  A run whose
+    rows hold non-finite returns is marked aborted and leaves later batches.
+    """
     env = make_env(config.environment, config.sigma)
     spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
                       action_dim=env.spec.action_dim)
     n_genes = genome_length(spec)
-    run_seed = derive_seed(config.master_seed, algorithm, run_index)
-    optimizer = make_optimizer(config.algorithm_config(algorithm, env.spec.k),
-                               n_genes, RandomStream(derive_seed(run_seed, "optimizer")))
-    generations: list[Population] = []
-    eval_count = 0
-    status = "ok"
+    seeds = [derive_seed(config.master_seed, algorithm, run) for algorithm, run in tasks]
+    optimizers = [make_optimizer(config.algorithm_config(algorithm, env.spec.k), n_genes,
+                                 RandomStream(derive_seed(seed, "optimizer")))
+                  for (algorithm, _), seed in zip(tasks, seeds)]
+    histories: list[list[Population]] = [[] for _ in tasks]
+    eval_counts = [0] * len(tasks)
+    statuses = ["ok"] * len(tasks)
+    live = list(range(len(tasks)))
     started = time.perf_counter()
     for generation in range(config.generations):
-        genomes = optimizer.ask()
-        evaluated = evaluate(env, spec, genomes, config.n_episodes,
-                             derive_seeds(run_seed, "eval", generation, count=len(genomes)))
-        eval_count += len(evaluated)
-        if not np.all(np.isfinite(evaluated.returns)):
-            status = "aborted"
+        if not live:
             break
-        optimizer.tell(evaluated)
-        generations.append(optimizer.population)
-    generations[:-1] = [Population(np.empty((len(p), 0)), p.returns, p.scalars)
-                        for p in generations[:-1]]
-    return RunRecord(
-        algorithm=algorithm,
-        run_index=run_index,
-        seed=run_seed,
-        status=status,
-        eval_count=eval_count,
-        wall_time=time.perf_counter() - started,
-        rng_scheme=rng.SCHEME,
-        config=config,
-        generations=generations,
-    )
-
-
-def _job(args) -> RunRecord:
-    return execute_run(*args)
+        batches = [optimizers[j].ask() for j in live]
+        seed_bases = [derive_seeds(seeds[j], "eval", generation, count=len(genomes))
+                      for j, genomes in zip(live, batches)]
+        evaluated = evaluate(env, spec, np.concatenate(batches), config.n_episodes,
+                             np.concatenate(seed_bases))
+        row = 0
+        for j, genomes in zip(live, batches):
+            # Index rows rather than slice them, so that no run's arrays
+            # keep the whole batch alive.
+            own = evaluated.take(np.arange(row, row + len(genomes)))
+            row += len(genomes)
+            eval_counts[j] += len(own)
+            if not np.all(np.isfinite(own.returns)):
+                statuses[j] = "aborted"
+                continue
+            optimizers[j].tell(own)
+            # Genomes are kept for the last generation only (set below), so a
+            # group holds one genome matrix per run, not one per generation.
+            told = optimizers[j].population
+            histories[j].append(Population(np.empty((len(told), 0)), told.returns, told.scalars))
+        live = [j for j in live if statuses[j] == "ok"]
+    wall_time = time.perf_counter() - started
+    for optimizer, generations in zip(optimizers, histories):
+        if generations:
+            generations[-1] = optimizer.population
+    return [RunRecord(algorithm=algorithm, run_index=run, seed=seed, status=status,
+                      eval_count=eval_count, wall_time=wall_time, rng_scheme=rng.SCHEME,
+                      config=config, generations=generations)
+            for (algorithm, run), seed, status, eval_count, generations
+            in zip(tasks, seeds, statuses, eval_counts, histories)]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """All (algorithm, run) jobs of an experiment, in deterministic order.
 
-    A run whose evaluation produces non-finite values is marked aborted and
-    the remaining jobs continue.
+    With ``jobs > 1`` the jobs are dealt round-robin into ``jobs`` lockstep
+    groups that run in a process pool.  A run whose evaluation produces
+    non-finite values is marked aborted and the remaining jobs continue.
     """
-    tasks = [(config, algorithm, run)
-             for algorithm in config.algorithms
+    tasks = [(algorithm, run) for algorithm in config.algorithms
              for run in range(config.n_runs)]
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        return [_job(task) for task in tasks]
+        return execute_runs(config, tasks)
+    records: list[RunRecord] = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_job, tasks))
+        groups = pool.map(partial(execute_runs, config), [tasks[i::jobs] for i in range(jobs)])
+        for i, group in enumerate(groups):
+            records[i::jobs] = group
+    return records
 
 
 # -- persistence --------------------------------------------------------------

@@ -45,6 +45,9 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+# mix64_array's shifts and multipliers, built once rather than per call.
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 #: Identifier persisted in run records so stored results name their generator.
 SCHEME = "splitmix64-boxmuller-v1"
@@ -64,9 +67,9 @@ def mix64(x: int) -> int:
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """:func:`mix64` of each element of a uint64 array (at least 1-D)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = (x ^ (x >> _U30)) * _MUL1
+    x = (x ^ (x >> _U27)) * _MUL2
+    return x ^ (x >> _U31)
 
 
 def raw_outputs(keys, first: int, n: int) -> np.ndarray:

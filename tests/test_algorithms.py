@@ -639,7 +639,7 @@ def smsemoa_generations(monkeypatch, environment, absorb):
     config = parse_config(f"environment = {environment}\nalgorithms = SMSEMOA\n"
                           "pop_size = 12\ngenerations = 6\nn_episodes = 1\n"
                           "n_runs = 1\nmaster_seed = 5\n")
-    harness.execute_run(config, "SMSEMOA", 0)
+    harness.execute_runs(config, [("SMSEMOA", 0)])
     return populations, front_counts
 
 

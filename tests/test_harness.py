@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from evopareto import cli, harness
+from evopareto.algorithms import ALGORITHM_NAMES, make_optimizer
 from evopareto.config import ExperimentConfig, parse_config
-from evopareto.evaluation import Population
+from evopareto.environments import make_env
+from evopareto.evaluation import Population, evaluate_population
+from evopareto.policy import PolicySpec, genome_length
+from evopareto.rng import RandomStream, derive_seed, derive_seeds
 
 SMALL = ExperimentConfig(
     environment="TradeoffBandit",
@@ -111,24 +115,142 @@ def test_failed_record_write_keeps_the_earlier_record(tmp_path):
     assert [p.name for p in (tmp_path / "records").iterdir()] == [path.name]
 
 
-def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
+def poison_rows(monkeypatch, call, rows):
+    """Make the ``call``-th evaluate call (from 1) return NaN returns at ``rows``."""
     real_evaluate = harness.evaluate
-    config = ExperimentConfig(environment="TradeoffBandit", algorithms=("GA", "DE"),
-                              pop_size=4, generations=3, n_episodes=1, n_runs=1)
     calls = {"n": 0}
 
     def sometimes_nan(env, spec, genomes, n_episodes, seed_bases):
         out = real_evaluate(env, spec, genomes, n_episodes, seed_bases)
         calls["n"] += 1
-        if calls["n"] == 1:  # poison only the first generation of the first run
-            return Population(out.genomes, np.full_like(out.returns, np.nan), out.scalars)
-        return out
+        if calls["n"] != call:
+            return out
+        returns = out.returns.copy()
+        returns[rows] = np.nan
+        return Population(out.genomes, returns, out.scalars)
 
     monkeypatch.setattr(harness, "evaluate", sometimes_nan)
+
+
+def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
+    config = ExperimentConfig(environment="TradeoffBandit", algorithms=("GA", "DE"),
+                              pop_size=4, generations=3, n_episodes=1, n_runs=1)
+    # Both runs share each generation's call; poison only the first run's
+    # rows of the first generation.
+    poison_rows(monkeypatch, call=1, rows=slice(0, config.pop_size))
     records = harness.run_experiment(config)
     assert [r.status for r in records] == ["aborted", "ok"]
     assert records[0].generations == []
     assert records[1].eval_count == 12
+
+
+def test_run_aborting_mid_experiment_leaves_its_batch_mates_unchanged(monkeypatch):
+    config = ExperimentConfig(environment="TradeoffBandit", algorithms=("GA", "NSGA2", "DE"),
+                              pop_size=4, generations=4, n_episodes=1, n_runs=1)
+    clean = harness.run_experiment(config)
+    # Generation 2 of the NSGA2 run, the middle rows of the third call; later
+    # calls hold only the GA and DE rows.
+    poison_rows(monkeypatch, call=3, rows=slice(config.pop_size, 2 * config.pop_size))
+    records = harness.run_experiment(config)
+    assert [r.status for r in records] == ["ok", "aborted", "ok"]
+    aborted = records[1]
+    assert aborted.eval_count == 3 * config.pop_size
+    assert len(aborted.generations) == 2
+    for a, b in zip(aborted.generations, clean[1].generations):
+        assert np.array_equal(a.returns, b.returns)
+        assert np.array_equal(a.scalars, b.scalars)
+    for a, b in zip(records[::2], clean[::2]):
+        assert len(a.generations) == config.generations
+        assert_records_identical(a, b)
+
+
+def one_job_at_a_time(config, algorithm, run_index):
+    """Oracle: one (algorithm, run) job alone, one evaluate call per generation.
+
+    Returns the run seed, evaluation count, status and the population after
+    each tell.
+    """
+    env = make_env(config.environment, config.sigma)
+    spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
+                      action_dim=env.spec.action_dim)
+    run_seed = derive_seed(config.master_seed, algorithm, run_index)
+    optimizer = make_optimizer(config.algorithm_config(algorithm, env.spec.k),
+                               genome_length(spec),
+                               RandomStream(derive_seed(run_seed, "optimizer")))
+    generations = []
+    eval_count = 0
+    status = "ok"
+    for generation in range(config.generations):
+        genomes = optimizer.ask()
+        evaluated = evaluate_population(env, spec, genomes, config.n_episodes,
+                                        derive_seeds(run_seed, "eval", generation,
+                                                     count=len(genomes)))
+        eval_count += len(evaluated)
+        if not np.all(np.isfinite(evaluated.returns)):
+            status = "aborted"
+            break
+        optimizer.tell(evaluated)
+        generations.append(optimizer.population)
+    return run_seed, eval_count, status, generations
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_records_identical(a, b):
+    assert (a.algorithm, a.run_index, a.seed, a.status, a.eval_count) == \
+        (b.algorithm, b.run_index, b.seed, b.status, b.eval_count)
+    assert len(a.generations) == len(b.generations)
+    for ga, gb in zip(a.generations, b.generations):
+        assert same_bits(ga.genomes, gb.genomes)
+        assert same_bits(ga.returns, gb.returns)
+        assert same_bits(ga.scalars, gb.scalars)
+
+
+LOCKSTEP_CASES = {
+    "bandit_all": ExperimentConfig(environment="TradeoffBandit", algorithms=ALGORITHM_NAMES,
+                                   pop_size=8, generations=3, n_episodes=1, n_runs=2,
+                                   master_seed=11),
+    "walker_3_episodes": ExperimentConfig(environment="NoisyPointWalker",
+                                          algorithms=("NSGA2", "GA", "DE"), pop_size=8,
+                                          generations=3, n_episodes=3, n_runs=2,
+                                          master_seed=12),
+    "hop_moeas": ExperimentConfig(environment="HopLander",
+                                  algorithms=("NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"),
+                                  pop_size=8, generations=3, n_episodes=1, n_runs=2,
+                                  master_seed=13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_experiment_matches_one_job_at_a_time(case):
+    config = LOCKSTEP_CASES[case]
+    records = harness.run_experiment(config)
+    assert [(r.algorithm, r.run_index) for r in records] == \
+        [(a, run) for a in config.algorithms for run in range(config.n_runs)]
+    for record in records:
+        seed, eval_count, status, generations = one_job_at_a_time(
+            config, record.algorithm, record.run_index)
+        assert (record.seed, record.eval_count, record.status) == (seed, eval_count, status)
+        assert status == "ok" and len(record.generations) == len(generations)
+        for got, expected in zip(record.generations, generations):
+            assert same_bits(got.returns, expected.returns)
+            assert same_bits(got.scalars, expected.scalars)
+        assert same_bits(record.generations[-1].genomes, generations[-1].genomes)
+
+
+def test_uneven_lockstep_groups_match_one_group():
+    config = ExperimentConfig(environment="NoisyPointWalker",
+                              algorithms=("GA", "DE", "PSO", "NSGA2", "SPEA2"),
+                              pop_size=6, generations=3, n_episodes=2, n_runs=1,
+                              master_seed=14)
+    one_group = harness.run_experiment(config, jobs=1)
+    three_groups = harness.run_experiment(config, jobs=3)  # groups of 2, 2 and 1 runs
+    assert len(one_group) == len(three_groups) == 5
+    for a, b in zip(one_group, three_groups):
+        assert_records_identical(a, b)
 
 
 def test_compute_metrics_counts_and_reference_membership():
