@@ -5,7 +5,10 @@ episode, master seed 3; pop 8 on NoisyPointWalker) and pins the SHA-256 of
 ``metrics.csv`` followed by ``fronts.csv``.  The multi-episode cases run the
 same configs at 3 episodes, so they also pin the ordered episode sum.  The
 noisy case runs HopLander at sigma 0.5, where the Gaussian noise is large
-enough that a last-bit change of a normal draw reaches the CSVs.  A refactor
+enough that a last-bit change of a normal draw reaches the CSVs.  The
+workload-scale case runs the truncating MOEAs together on TradeoffBandit at
+pop 50, where every point is nondominated, so each generation's selection
+drops 50 of 100 pool members at once.  A refactor
 that keeps every draw in the same order leaves these unchanged; a deliberate
 change of the output bytes must bump ``rng.SCHEME`` and re-pin the digests.
 """
@@ -73,6 +76,9 @@ MULTI_EPISODE = {
         "4b928b70a34a0de25aabffe3bd0f0c2c3331ed0592d7677aade15902e1edeab4",
 }
 
+WORKLOAD_SCALE = (("SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"),
+                  "94c53a20e73164a2ca5c12d9a99d17824dc8d8ed3255c26bf2bf692ebf1b00c6")
+
 NOISY = ("HopLander", "NSGA2", 0.5,
          "b5f37829beeaf8db5bc4a05fb35d36160be79ac40c387a1c624389e031079603")
 
@@ -121,3 +127,11 @@ def test_noisy_output_digest_is_pinned(tmp_path):
     config = dataclasses.replace(golden_config(environment, algorithm, n_episodes=3), sigma=sigma)
     assert output_digest(config, tmp_path) == expected, (
         f"{algorithm} on {environment} at sigma {sigma}: output digest changed")
+
+
+def test_workload_scale_output_digest_is_pinned(tmp_path):
+    algorithms, expected = WORKLOAD_SCALE
+    config = ExperimentConfig(environment="TradeoffBandit", algorithms=algorithms, pop_size=50,
+                              generations=3, n_episodes=1, n_runs=2, master_seed=3)
+    assert output_digest(config, tmp_path) == expected, (
+        "TradeoffBandit at pop 50: output digest changed")
