@@ -70,6 +70,17 @@ class NSGA2(Optimizer):
         self._crowding = crowding[survivors]
 
 
+def _first_least_row(rows: np.ndarray) -> int:
+    """Index of the lexicographically least row, the first of fully tied rows."""
+    ties = np.arange(rows.shape[0])
+    for column in rows.T:
+        values = column[ties]
+        ties = ties[values == values.min()]
+        if ties.size == 1:
+            break
+    return int(ties[0])
+
+
 class SPEA2(Optimizer):
     """Strength Pareto EA with a fixed-size archive (archive size = pop_size).
 
@@ -121,14 +132,28 @@ class SPEA2(Optimizer):
         """Iteratively drop the member with lexicographically closest neighbours.
 
         ``dist`` is :meth:`_distances` of all points.  Each member's row of
-        sorted distances to the other alive members is its key; the stable
-        lexsort lets the first member in ``alive`` order win ties.  The
-        infinite self-distance sorts last in every row.
+        sorted distances to the other alive members is its key, and the
+        first member in ``alive`` order wins ties.  The infinite
+        self-distance sorts last in every row.
+
+        The candidates' rows are sorted once.  A removal deletes the
+        victim's row and, from every other row, one copy of its distance to
+        the victim, at the first position holding that value; what remains
+        is exactly the sorted row over the members still alive.  The victim
+        is found by keeping, column by column, the rows that hold the least
+        value, so it is the row a stable lexsort of the rows would put first.
         """
-        alive = np.array(candidates)
+        alive = np.asarray(candidates, dtype=np.int64)
+        rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
         while len(alive) > keep:
-            rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
-            alive = np.delete(alive, np.lexsort(rows.T[::-1])[0])
+            victim = _first_least_row(rows)
+            m = len(alive)
+            gone = dist[alive, alive[victim]]
+            kept = np.ones((m, m), dtype=bool)
+            kept[np.arange(m), np.argmax(rows >= gone[:, None], axis=1)] = False
+            kept[victim] = False
+            rows = rows[kept].reshape(m - 1, m - 1)
+            alive = np.delete(alive, victim)
         return alive.tolist()
 
     def _key(self, i):
@@ -319,8 +344,14 @@ def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
 
     Each member's rank is its best position in any per-reference-point
     ordering by normalized Euclidean distance; epsilon-clearing then walks
-    members best-first and demotes any unprocessed member closer than
-    epsilon (normalized) to a kept one.
+    members best-first (index order on ties) and demotes any unprocessed
+    member closer than epsilon (normalized) to a kept one.
+
+    The clearing reads one boolean ``near`` matrix built before the walk.
+    Its row for a member holds the same ``< epsilon`` tests as that
+    member's own distance row: a squared coordinate difference does not
+    depend on which point is subtracted, and the k squares are added left
+    to right either way.
     """
     span = pool_max - pool_min
     safe = np.where(span > 0.0, span, 1.0)
@@ -333,17 +364,16 @@ def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
         position = np.empty(m)
         position[order] = np.arange(1, m + 1)
         best_position = np.minimum(best_position, position)
+    near = euclidean_distances(normalized, normalized) < epsilon
     adjusted = best_position.copy()
     processed = np.zeros(m, dtype=bool)
-    for idx in sorted(range(m), key=lambda i: (best_position[i], i)):
+    for idx in np.argsort(best_position, kind="stable"):
         if processed[idx]:
             continue
         processed[idx] = True
-        near = np.linalg.norm(normalized - normalized[idx], axis=1) < epsilon
-        for other in np.flatnonzero(near):
-            if not processed[other]:
-                processed[other] = True
-                adjusted[other] = best_position[other] + m
+        demoted = near[idx] & ~processed
+        processed |= demoted
+        adjusted[demoted] += m
     return adjusted
 
 

@@ -6,12 +6,12 @@ Seeds flow strictly downward: the run seed derives from
 variation stream from ``(run_seed, "optimizer")``.
 
 The (algorithm, run) jobs of an experiment step in lockstep: per generation,
-one batched :func:`evaluate` call holds the offspring of every live run, and
-each run is told its own rows.  ``--jobs N`` deals the jobs round-robin into
-N such groups in a process pool.  An episode's draws come from its own
-stream and a batch computes each row as it would alone, so nothing depends
-on wall-clock, grouping or ``--jobs``: a config and seed determine every
-output byte.
+batched :func:`evaluate` calls of at most ``EVAL_CHUNK_ROWS`` episode rows
+hold the offspring of every live run, and each run is told its own rows.
+``--jobs N`` deals the jobs round-robin into N such groups in a process pool.
+An episode's draws come from its own stream and a batch computes each row as
+it would alone, so nothing depends on wall-clock, grouping, chunking or
+``--jobs``: a config and seed determine every output byte.
 
 Every algorithm consumes exactly ``pop_size * generations`` evaluations; the
 counter is recorded per run so budget parity is auditable after the fact.
@@ -24,6 +24,7 @@ and on disk alike.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -39,7 +40,7 @@ from . import indicators, rng
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
-# One call evaluates a generation of every run in a lockstep group;
+# Each call evaluates a chunk of a generation of every run in a lockstep group;
 # benchmarks/tracer.py times it through this module-level name.
 from .evaluation import Population, evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
@@ -49,6 +50,11 @@ if TYPE_CHECKING:
     from . import stats
 
 METRICS_HEADER = "algorithm,run,generation,hv,gd,igd,scalarized_best"
+
+# Most episode rows per evaluate call: a lockstep group's generation is
+# evaluated in chunks of whole genomes, so memory stays bounded however many
+# runs step together.  Rows are independent, so chunking changes no byte.
+EVAL_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,10 @@ class MetricRow:
 def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
     """One record per seeded (algorithm, run) task, the runs stepped in lockstep.
 
-    Each generation, every live run asks, all their genomes go through one
-    :func:`evaluate` call, and each run is told its own rows.  A run whose
-    rows hold non-finite returns is marked aborted and leaves later batches.
+    Each generation, every live run asks, all their genomes go through
+    :func:`evaluate` in chunks of at most ``EVAL_CHUNK_ROWS`` episode rows,
+    and each run is told its own rows.  A run whose rows hold non-finite
+    returns is marked aborted and leaves later batches.
     """
     env = make_env(config.environment, config.sigma)
     spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
@@ -96,21 +103,24 @@ def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
     eval_counts = [0] * len(tasks)
     statuses = ["ok"] * len(tasks)
     live = list(range(len(tasks)))
+    chunk = max(1, EVAL_CHUNK_ROWS // config.n_episodes)  # whole genomes per call
     started = time.perf_counter()
     for generation in range(config.generations):
         if not live:
             break
         batches = [optimizers[j].ask() for j in live]
-        seed_bases = [derive_seeds(seeds[j], "eval", generation, count=len(genomes))
-                      for j, genomes in zip(live, batches)]
-        evaluated = evaluate(env, spec, np.concatenate(batches), config.n_episodes,
-                             np.concatenate(seed_bases))
+        genomes = np.concatenate(batches)
+        seed_bases = np.concatenate([derive_seeds(seeds[j], "eval", generation, count=len(batch))
+                                     for j, batch in zip(live, batches)])
+        evaluated = functools.reduce(Population.join, [
+            evaluate(env, spec, genomes[i:i + chunk], config.n_episodes, seed_bases[i:i + chunk])
+            for i in range(0, len(genomes), chunk)])
         row = 0
-        for j, genomes in zip(live, batches):
+        for j, batch in zip(live, batches):
             # Index rows rather than slice them, so that no run's arrays
             # keep the whole batch alive.
-            own = evaluated.take(np.arange(row, row + len(genomes)))
-            row += len(genomes)
+            own = evaluated.take(np.arange(row, row + len(batch)))
+            row += len(batch)
             eval_counts[j] += len(own)
             if not np.all(np.isfinite(own.returns)):
                 statuses[j] = "aborted"
@@ -139,6 +149,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     groups that run in a process pool.  A run whose evaluation produces
     non-finite values is marked aborted and the remaining jobs continue.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(algorithm, run) for algorithm in config.algorithms
              for run in range(config.n_runs)]
     jobs = min(jobs, len(tasks))
@@ -328,22 +340,18 @@ _METRIC_DIRECTION = {"hv": "higher", "gd": "lower", "igd": "lower",
                      "scalarized_best": "higher"}
 
 
-def build_score_table(rows, metric: str, mode: str = "per-run") -> stats.ScoreTable:
+def build_score_table(rows, metric: str) -> stats.ScoreTable:
     """Final-generation scores arranged for the Friedman test.
 
     ``rows`` is either one experiment's metric rows or a mapping from problem
     name to rows, pooling several experiments with a shared algorithm roster.
-    ``per-run`` makes every (problem, run) cell a dataset; ``problem-mean``
-    collapses each problem's runs into one averaged dataset (which needs at
-    least two problems to satisfy the n >= 2 floor of the test).
+    Every (problem, run) cell is a dataset.
     """
     # Imported here so that importing the package does not load scipy.stats.
     from . import stats
 
     if metric not in _METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
-    if mode not in ("per-run", "problem-mean"):
-        raise ValueError("mode must be 'per-run' or 'problem-mean'")
     by_problem = rows if isinstance(rows, dict) else {"problem": rows}
     algorithms = None
     datasets: list[str] = []
@@ -368,12 +376,8 @@ def build_score_table(rows, metric: str, mode: str = "per-run") -> stats.ScoreTa
                              "(missing or aborted runs)")
         block = np.array([[getattr(last_gen[(algorithm, run)], metric)
                            for algorithm in algorithms] for run in runs])
-        if mode == "problem-mean":
-            score_rows.append(block.mean(axis=0).tolist())
-            datasets.append(problem)
-        else:
-            score_rows.extend(block.tolist())
-            datasets.extend(f"{problem}/run{run}" for run in runs)
+        score_rows.extend(block.tolist())
+        datasets.extend(f"{problem}/run{run}" for run in runs)
     return stats.ScoreTable(algorithms=tuple(algorithms), datasets=tuple(datasets),
                             scores=np.array(score_rows), better=_METRIC_DIRECTION[metric])
 

@@ -16,9 +16,11 @@ Every kernel here only compares coordinates, so two kernels that find the
 same sets give the same bytes.  :func:`nondominated_mask` for k = 2 is a
 sort-and-sweep (Kung, Luccio & Preparata, 1975) in O(n log n); for k >= 3 it
 reads the (n, n) dominance matrix, which stays the oracle the 2-D sweep is
-tested against.  Ranking peels that matrix front by front, and a caller that
-ranks many subsets of one pool (SMS-EMOA) builds the matrix once and peels
-its sub-matrices.
+tested against.  The matrix is accumulated from k column comparisons into two
+(n, n) boolean arrays, never an (n, n, k) tensor; ``all``/``any`` over the
+same booleans give the same matrix in either order.  Ranking peels that
+matrix front by front, and a caller that ranks many subsets of one pool
+(SMS-EMOA) builds the matrix once and peels its sub-matrices.
 """
 
 from __future__ import annotations
@@ -50,9 +52,19 @@ def dominates(u, v) -> bool:
 
 
 def _dominance_matrix(points: np.ndarray) -> np.ndarray:
-    """Boolean (n, n) matrix with [i, j] True iff point i dominates point j."""
-    ge = np.all(points[:, None, :] >= points[None, :, :], axis=2)
-    gt = np.any(points[:, None, :] > points[None, :, :], axis=2)
+    """Boolean (n, n) matrix with [i, j] True iff point i dominates point j.
+
+    One column at a time: ``>=`` is and-ed and ``>`` or-ed over the k
+    objectives into two (n, n) arrays, the same booleans as ``all``/``any``
+    over an (n, n, k) comparison tensor without building it.
+    """
+    col = points[:, 0]
+    ge = col[:, None] >= col[None, :]
+    gt = col[:, None] > col[None, :]
+    for j in range(1, points.shape[1]):
+        col = points[:, j]
+        ge &= col[:, None] >= col[None, :]
+        gt |= col[:, None] > col[None, :]
     return ge & gt
 
 

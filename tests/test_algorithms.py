@@ -483,9 +483,9 @@ def truncate_by_sorted_neighbours(points, candidates, keep):
     lexicographically least, one Python ``min`` per removal."""
     alive = list(candidates)
     diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.sqrt(np.sum(diff * diff, axis=2)).tolist()
     while len(alive) > keep:
-        victim = min(alive, key=lambda i: sorted(dist[i, j] for j in alive if j != i))
+        victim = min(alive, key=lambda i: sorted(dist[i][j] for j in alive if j != i))
         alive.remove(victim)
     return alive
 
@@ -504,6 +504,20 @@ def test_spea2_truncation_matches_oracle():
         expected = truncate_by_sorted_neighbours(points, candidates, keep)
         assert SPEA2._truncate(SPEA2._distances(points), candidates, keep) == expected, \
             f"trial {trial}"
+    # Pools the size of a pop-50 generation: up to 100 candidates, keep 50,
+    # in 3-D as well, with rounded coordinates and duplicated rows.
+    for trial in range(8):
+        k = 2 + trial % 2
+        half = stream.uniform_vector(50 * k).reshape(50, k)
+        if trial % 4 >= 2:
+            half = np.round(half, 1)
+        points = np.vstack([half, half[: 50 - 5 * trial]])  # duplicated rows
+        candidates = list(range(len(points)))
+        if trial % 3 == 0:
+            candidates.reverse()
+        expected = truncate_by_sorted_neighbours(points, candidates, 50)
+        assert SPEA2._truncate(SPEA2._distances(points), candidates, 50) == expected, \
+            f"pool trial {trial}"
 
 
 def test_spea2_truncation_breaks_ties_by_candidate_order():
@@ -766,6 +780,66 @@ def test_reference_ranks_epsilon_clearing_demotes_near_twins():
     assert ranks[1] == 1.0
     assert ranks[0] > 3.0
     assert ranks[2] == 3.0
+
+
+def reference_ranks_by_member_loop(front_points, pool_min, pool_max, reference_points,
+                                   epsilon):
+    """Oracle: epsilon-clearing with one distance row per kept member and a
+    Python loop over its neighbours."""
+    span = pool_max - pool_min
+    safe = np.where(span > 0.0, span, 1.0)
+    normalized = np.where(span > 0.0, (front_points - pool_min) / safe, 0.0)
+    m = front_points.shape[0]
+    best_position = np.full(m, np.inf)
+    for ref in reference_points:
+        d = np.linalg.norm(normalized - ref, axis=1)
+        order = np.argsort(d, kind="stable")
+        position = np.empty(m)
+        position[order] = np.arange(1, m + 1)
+        best_position = np.minimum(best_position, position)
+    adjusted = best_position.copy()
+    processed = np.zeros(m, dtype=bool)
+    for idx in sorted(range(m), key=lambda i: (best_position[i], i)):
+        if processed[idx]:
+            continue
+        processed[idx] = True
+        near = np.linalg.norm(normalized - normalized[idx], axis=1) < epsilon
+        for other in np.flatnonzero(near):
+            if not processed[other]:
+                processed[other] = True
+                adjusted[other] = best_position[other] + m
+    return adjusted
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.2])
+def test_reference_ranks_match_member_loop_oracle(epsilon):
+    stream = RandomStream(31)
+    cleared = 0
+    for trial in range(90):
+        k = 2 + trial % 2
+        m = 1 + stream.below(60)
+        front = stream.uniform_vector(m * k).reshape(m, k)
+        if trial % 3 == 1:
+            front = np.round(front, 2)
+        if trial % 3 == 2:
+            front = np.vstack([front, front[: m // 2 + 1]])  # duplicated rows
+        pool_min = front.min(axis=0) - 0.1 * stream.uniform_vector(k)
+        pool_max = front.max(axis=0)
+        if trial % 2:
+            refs = np.round(stream.uniform_vector(2 * k).reshape(2, k) * 1.4 - 0.2, 2)
+        else:
+            refs = np.eye(k)
+        got = reference_point_ranks(front, pool_min, pool_max, refs, epsilon)
+        expected = reference_ranks_by_member_loop(front, pool_min, pool_max, refs, epsilon)
+        assert np.array_equal(got, expected), f"trial {trial}"
+        cleared += int(np.sum(got > len(front)))
+    assert cleared > 0
+    # Exactly epsilon apart (sqrt(x * x) == x): not cleared, the test is strict.
+    front = np.array([(0.0, 0.0), (epsilon, 0.0), (1.0, 1.0)])
+    got = reference_point_ranks(front, np.zeros(2), np.ones(2), np.eye(2), epsilon)
+    assert np.array_equal(got, reference_ranks_by_member_loop(
+        front, np.zeros(2), np.ones(2), np.eye(2), epsilon))
+    assert got.max() <= len(front)
 
 
 def test_rnsga2_single_survivor_survives():

@@ -241,6 +241,23 @@ def test_lockstep_experiment_matches_one_job_at_a_time(case):
         assert same_bits(record.generations[-1].genomes, generations[-1].genomes)
 
 
+def test_chunked_evaluation_matches_one_unsplit_call(monkeypatch):
+    config = LOCKSTEP_CASES["walker_3_episodes"]  # 6 runs x 8 genomes x 3 episodes
+    unsplit = harness.run_experiment(config)
+    calls = []
+
+    def counted(env, spec, genomes, n_episodes, seed_bases):
+        calls.append(len(genomes) * n_episodes)
+        return evaluate_population(env, spec, genomes, n_episodes, seed_bases)
+
+    monkeypatch.setattr(harness, "evaluate", counted)
+    monkeypatch.setattr(harness, "EVAL_CHUNK_ROWS", 7)  # two whole genomes per call
+    chunked = harness.run_experiment(config)
+    assert max(calls) == 6 and len(calls) == 24 * config.generations
+    for a, b in zip(chunked, unsplit):
+        assert_records_identical(a, b)
+
+
 def test_uneven_lockstep_groups_match_one_group():
     config = ExperimentConfig(environment="NoisyPointWalker",
                               algorithms=("GA", "DE", "PSO", "NSGA2", "SPEA2"),
@@ -340,7 +357,7 @@ def test_export_is_byte_stable(tmp_path):
     assert (first / "fronts.csv").read_bytes() == (second / "fronts.csv").read_bytes()
 
 
-def test_build_score_table_modes():
+def test_build_score_table_pools_final_generations_per_run():
     def problem_rows(offset):
         rows = []
         for algorithm, base in (("GA", 0.1), ("NSGA2", 0.5), ("SPEA2", 0.3)):
@@ -358,13 +375,11 @@ def test_build_score_table_modes():
     # Only the final generation feeds the table.
     assert table.scores[0].tolist() == [0.1, 0.5, 0.3]
     pooled = harness.build_score_table(
-        {"walker": problem_rows(0.0), "lander": problem_rows(0.2)}, "igd",
-        mode="problem-mean")
-    assert pooled.scores.shape == (2, 3)
+        {"walker": problem_rows(0.0), "lander": problem_rows(0.2)}, "igd")
+    assert pooled.scores.shape == (8, 3)
+    assert pooled.datasets[:2] == ("walker/run0", "walker/run1")
+    assert pooled.datasets[4] == "lander/run0"
     assert pooled.better == "lower"
-    with pytest.raises(ValueError):
-        # One problem collapses to a single dataset, below the n >= 2 floor.
-        harness.build_score_table(problem_rows(0.0), "hv", mode="problem-mean")
     with pytest.raises(ValueError):
         harness.build_score_table(problem_rows(0.0), "speed")
 
@@ -424,6 +439,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli.main(["export-plots", str(out3)]) == 0
     assert (out3 / "curves.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("environment = TradeoffBandit\nalgorithms = NSGA2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config_path), "--out", str(out_dir), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "jobs" in captured.err
+    assert not out_dir.exists()
+    with pytest.raises(ValueError):
+        harness.run_experiment(SMALL, jobs=int(jobs))
 
 
 def test_cli_stats_names_missing_runs(tmp_path, capsys):

@@ -183,11 +183,47 @@ def test_normalize_rejects_degenerate_axis():
         pareto.normalize([(1, 1)], (0, 3), (2, 3))
 
 
+# -- column-wise dominance matrix against the broadcast oracle -----------------
+
+def broadcast_dominance_matrix(points):
+    """Oracle: ``all``/``any`` over the (n, n, k) comparison tensors."""
+    ge = np.all(points[:, None, :] >= points[None, :, :], axis=2)
+    gt = np.any(points[:, None, :] > points[None, :, :], axis=2)
+    return ge & gt
+
+
+def dominance_cases(k, seed):
+    """Seeded k-D point sets: random, rounded, duplicated and signed zeros."""
+    stream = RandomStream(seed)
+    yield "single", np.full((1, k), -0.0)
+    for n in (2, 9, 40, 120):
+        raw = stream.uniform_vector(k * n).reshape(n, k) - 0.5
+        yield f"n{n}-random", raw
+        rounded = np.round(raw, 1)  # many tied coordinates and equal rows
+        yield f"n{n}-rounded", rounded
+        yield f"n{n}-duplicated", np.vstack([raw, raw[::-1], raw[: n // 2]])
+        signed = rounded.copy()
+        signed[::2][signed[::2] == 0.0] = -0.0
+        yield f"n{n}-signed", np.vstack([signed, np.abs(signed)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dominance_matrix_equals_broadcast_oracle(k):
+    cases = dict(dominance_cases(k, 70 + k))
+    signed = cases["n120-signed"]
+    assert np.any(np.signbit(signed) & (signed == 0.0))
+    assert np.any((signed == 0.0) & ~np.signbit(signed))
+    for name, points in cases.items():
+        dom = pareto._dominance_matrix(points)
+        assert dom.dtype == bool and dom.shape == (len(points), len(points))
+        assert np.array_equal(dom, broadcast_dominance_matrix(points)), f"k={k} {name}"
+
+
 # -- 2-D sweep against the dominance-matrix oracle -----------------------------
 
 def matrix_mask(points):
     """Oracle: the (n, n) dominance matrix, as k >= 3 still computes it."""
-    return ~pareto._dominance_matrix(np.asarray(points, dtype=np.float64)).any(axis=0)
+    return ~broadcast_dominance_matrix(np.asarray(points, dtype=np.float64)).any(axis=0)
 
 
 def sweep_cases():
