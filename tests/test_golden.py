@@ -8,7 +8,9 @@ noisy case runs HopLander at sigma 0.5, where the Gaussian noise is large
 enough that a last-bit change of a normal draw reaches the CSVs.  The
 workload-scale case runs the truncating MOEAs together on TradeoffBandit at
 pop 50, where every point is nondominated, so each generation's selection
-drops 50 of 100 pool members at once.  A refactor
+drops 50 of 100 pool members at once.  The custom-reference case runs
+R-NSGA-II on HopLander with two reference points given in raw objective
+space, which each pool normalizes before ranking.  A refactor
 that keeps every draw in the same order leaves these unchanged; a deliberate
 change of the output bytes must bump ``rng.SCHEME`` and re-pin the digests.
 """
@@ -79,6 +81,9 @@ MULTI_EPISODE = {
 WORKLOAD_SCALE = (("SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"),
                   "94c53a20e73164a2ca5c12d9a99d17824dc8d8ed3255c26bf2bf692ebf1b00c6")
 
+CUSTOM_REFERENCE = ("HopLander", (10.0, 20.0, -5.0, -5.0, 15.0, -20.0),
+                    "a942d6ef70928894bcb1852cd5793855c2dc59dca33c9e092dfed501eb7ab12f")
+
 NOISY = ("HopLander", "NSGA2", 0.5,
          "b5f37829beeaf8db5bc4a05fb35d36160be79ac40c387a1c624389e031079603")
 
@@ -127,6 +132,14 @@ def test_noisy_output_digest_is_pinned(tmp_path):
     config = dataclasses.replace(golden_config(environment, algorithm, n_episodes=3), sigma=sigma)
     assert output_digest(config, tmp_path) == expected, (
         f"{algorithm} on {environment} at sigma {sigma}: output digest changed")
+
+
+def test_custom_reference_output_digest_is_pinned(tmp_path):
+    environment, points, expected = CUSTOM_REFERENCE
+    config = dataclasses.replace(golden_config(environment, "RNSGA2"),
+                                 rnsga2_reference_points=points)
+    assert output_digest(config, tmp_path) == expected, (
+        f"RNSGA2 on {environment} with custom reference points: output digest changed")
 
 
 def test_workload_scale_output_digest_is_pinned(tmp_path):
