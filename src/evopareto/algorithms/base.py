@@ -33,7 +33,7 @@ library's ``pow`` in the last bit for some inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,8 @@ ALGORITHM_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNS
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """Operator settings shared by the whole roster; canonical defaults."""
+    """Operator settings shared by the whole roster; canonical defaults.
+    Every operator rule is checked here, when a config is built."""
 
     name: str
     pop_size: int = 50
@@ -65,13 +66,27 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.name not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {self.name!r}; choose from {ALGORITHM_NAMES}")
+            raise ValueError(f"unknown algorithm {self.name!r}; choose from {list(ALGORITHM_NAMES)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "name" and value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.pop_size < 2 or self.pop_size % 2 != 0:
-            raise ValueError("pop_size must be an even integer >= 2 (pairwise crossover)")
+            raise ValueError("pop_size must be a positive even number (pairwise crossover)")
+        if self.name == "DE" and self.pop_size < 4:
+            raise ValueError("DE rand/1 needs pop_size >= 4 for distinct donors")
         if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.bounds[0] >= self.bounds[1]:
-            raise ValueError("lower bound must be below upper bound")
+            raise ValueError("generations must be positive")
+        if len(self.bounds) != 2 or self.bounds[0] >= self.bounds[1]:
+            raise ValueError("bounds must be two values, low < high")
+        if self.eta_c <= 0.0:
+            raise ValueError("eta_c must be positive")
+        if self.eta_m < 0.0:
+            raise ValueError("eta_m must be nonnegative")
+        if self.p_m is not None and not 0.0 <= self.p_m <= 1.0:
+            raise ValueError("p_m must lie in [0, 1]")
+        if self.rnsga2_epsilon <= 0.0:
+            raise ValueError("rnsga2_epsilon must be positive")
 
 
 def _walk(draws: list[float], n: int, p: float) -> tuple[list[int], list[float], int]:

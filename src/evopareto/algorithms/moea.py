@@ -3,7 +3,8 @@
 All five maximize the mean-return vector.  Dominance, sorting and crowding
 come from :mod:`evopareto.pareto` (maximization sense); SMS-EMOA and the
 NSGA-III normalization negate to minimization internally where the standard
-formulations require it.
+formulations require it.  R-NSGA-II is NSGA-II with a preference key: it
+subclasses :class:`NSGA2` and overrides only the secondary key.
 """
 
 from __future__ import annotations
@@ -49,25 +50,33 @@ def _crowding(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 class NSGA2(Optimizer):
-    """Elitist nondominated sorting GA with crowded tournament selection."""
+    """Elitist nondominated sorting GA: tournaments compare (rank, secondary
+    key) and survival orders the overflowing front by the secondary key."""
+
+    def _secondary(self, points: np.ndarray, ranks: np.ndarray,
+                   inherited: np.ndarray | None = None) -> np.ndarray:
+        """Secondary key (lower wins) of ``points``, whose fronts are ``ranks``:
+        negated crowding.  Survivors keep ``inherited``, their pool crowding."""
+        return -_crowding(points, ranks) if inherited is None else inherited
 
     def _install_initial(self, evaluated):
         self.population = evaluated
         self._ranks = pareto.fast_nondominated_sort(evaluated.returns)
-        self._crowding = _crowding(evaluated.returns, self._ranks)
+        self._secondaries = self._secondary(evaluated.returns, self._ranks)
 
     def _key(self, i):
-        return (self._ranks[i], -self._crowding[i])
+        return (self._ranks[i], self._secondaries[i])
 
     def _absorb(self, evaluated):
         pool = self.population.join(evaluated)
         ranks = pareto.fast_nondominated_sort(pool.returns)
-        crowding = _crowding(pool.returns, ranks)
-        # Descending crowding within the overflowing front.
-        survivors = _truncate_by_fronts(ranks, self.config.pop_size, -crowding)
+        secondaries = self._secondary(pool.returns, ranks)
+        survivors = _truncate_by_fronts(ranks, self.config.pop_size, secondaries)
+        # Survivors are whole fronts plus part of the next: pool ranks hold.
         self.population = pool.take(survivors)
         self._ranks = ranks[survivors]
-        self._crowding = crowding[survivors]
+        self._secondaries = self._secondary(self.population.returns, self._ranks,
+                                            secondaries[survivors])
 
 
 def _first_least_row(rows: np.ndarray) -> int:
@@ -377,55 +386,28 @@ def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
     return adjusted
 
 
-class RNSGA2(Optimizer):
-    """NSGA-II variant whose diversity pressure comes from reference points.
+class RNSGA2(NSGA2):
+    """NSGA-II with crowding replaced by the reference-point rank (plus
+    epsilon-clearing) within each front (Deb & Sundar, GECCO 2006).
 
-    Crowding is replaced by the reference-point rank (plus epsilon-clearing).
     Default reference points are the unit-objective ideal corners of the
-    normalized space; user-supplied points are given in raw objective space
-    and normalized per pool.
+    normalized space; user-supplied points are given in raw objective space.
+    Both are normalized by the range of the points ranked, so survivors are
+    ranked again among themselves rather than inheriting pool preferences.
     """
 
-    def _install_initial(self, evaluated):
-        if self.config.rnsga2_epsilon <= 0:
-            raise ValueError("rnsga2_epsilon must be positive")
-        self._hold(evaluated, pareto.fast_nondominated_sort(evaluated.returns))
-
-    def _hold(self, population, ranks: np.ndarray) -> None:
-        """Keep ``population``, whose fronts are ``ranks``, with preferences
-        computed within its own fronts."""
-        self.population = population
-        self._ranks = ranks
-        self._pref = self._frontwise_preference(population.returns, ranks)
-
-    def _reference_points(self, k: int, pool_min: np.ndarray, pool_max: np.ndarray) -> np.ndarray:
-        raw = self.config.rnsga2_reference_points
-        if raw is None:
-            return np.eye(k)
-        refs = np.array(raw, dtype=np.float64)
-        span = pool_max - pool_min
-        safe = np.where(span > 0.0, span, 1.0)
-        return np.where(span > 0.0, (refs - pool_min) / safe, 0.0)
-
-    def _frontwise_preference(self, points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    def _secondary(self, points, ranks, inherited=None):
         pool_min = points.min(axis=0)
         pool_max = points.max(axis=0)
-        refs = self._reference_points(points.shape[1], pool_min, pool_max)
+        refs = self.config.rnsga2_reference_points
+        if refs is None:
+            refs = np.eye(points.shape[1])
+        else:
+            span = pool_max - pool_min
+            safe = np.where(span > 0.0, span, 1.0)
+            refs = np.where(span > 0.0, (np.array(refs, dtype=np.float64) - pool_min) / safe, 0.0)
         pref = np.empty(points.shape[0])
         for front in pareto.fronts(ranks):
             pref[front] = reference_point_ranks(points[front], pool_min, pool_max,
                                                 refs, self.config.rnsga2_epsilon)
         return pref
-
-    def _key(self, i):
-        return (self._ranks[i], self._pref[i])
-
-    def _absorb(self, evaluated):
-        pool = self.population.join(evaluated)
-        points = pool.returns
-        ranks = pareto.fast_nondominated_sort(points)
-        pref = self._frontwise_preference(points, ranks)
-        survivors = _truncate_by_fronts(ranks, self.config.pop_size, pref)
-        # Survivors are whole fronts plus part of the next, so each keeps its
-        # pool rank; only the preferences are recomputed on the survivors.
-        self._hold(pool.take(survivors), ranks[survivors])

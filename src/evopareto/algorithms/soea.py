@@ -38,11 +38,6 @@ def _keep_or_replace(current, challengers, replace):
 class DE(Optimizer):
     """Differential evolution, rand/1/bin with greedy per-slot selection."""
 
-    def __init__(self, config, genome_length, rng):
-        if config.pop_size < 4:
-            raise ValueError("DE rand/1 needs pop_size >= 4 for distinct donors")
-        super().__init__(config, genome_length, rng)
-
     def _distinct_donors(self, target: int) -> tuple[int, int, int]:
         picked: list[int] = []
         while len(picked) < 3:

@@ -39,8 +39,11 @@ def _cmd_run(args) -> int:
 
 
 def _check_out_dir(out_dir: Path, config) -> None:
-    """Refuse a results directory that holds another config's results; the
-    same config may run into it again, since it gives the same results."""
+    """Refuse a results directory that cannot be made or that holds another
+    config's results; the same config may run into it again."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot write results to {out_dir}: {existing} is not a directory")
     echoed = out_dir / "config.txt"
     records = out_dir / "records"
     if echoed.exists():

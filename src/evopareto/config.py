@@ -6,6 +6,10 @@ lines allowed, lists comma-separated.  Unknown keys are rejected with their
 line number.  Defaults mirror the baseline benchmark setup (population 50,
 25 generations, 5 episodes, 10 runs, hidden widths 4/4/4).
 
+A config is checked when built, parsed or not: each rule lives once, in
+:class:`ExperimentConfig` (experiment keys), ``make_env`` (environment and
+noise) or ``AlgorithmConfig`` (operators), and fails as a :class:`ConfigError`.
+
 ``parse_config(serialize_config(cfg))`` always returns an identical config.
 """
 
@@ -13,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .algorithms import ALGORITHM_NAMES, AlgorithmConfig
-from .environments import environment_names, make_env
+from .algorithms import AlgorithmConfig
+from .environments import make_env
 
 
 class ConfigError(ValueError):
@@ -47,6 +51,22 @@ class ExperimentConfig:
     pso_c2: float = 1.49618
     rnsga2_epsilon: float = 0.01
     rnsga2_reference_points: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if not self.algorithms:
+            raise ConfigError("algorithms must name at least one algorithm")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError("algorithms lists a name twice")
+        for key in ("n_layer1", "n_layer2", "n_layer3", "n_episodes", "n_runs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive")
+        # The environment and operator rules, the latter against its k.
+        try:
+            k = make_env(self.environment, self.sigma).spec.k
+            for name in self.algorithms:
+                self.algorithm_config(name, k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def algorithm_config(self, name: str, k: int) -> AlgorithmConfig:
         refs = None
@@ -81,7 +101,7 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _STR_LIST_KEYS | _FLOAT_LIST_K
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config document."""
+    """Parse a config document into a validated :class:`ExperimentConfig`."""
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,9 +126,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for required in ("environment", "algorithms"):
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
-    config = ExperimentConfig(**values)  # type: ignore[arg-type]
-    _validate(config)
-    return config
+    return ExperimentConfig(**values)  # type: ignore[arg-type]
 
 
 def _parse_value(key: str, value: str):
@@ -133,46 +151,6 @@ def _parse_value(key: str, value: str):
         return tuple(float(item) for item in items)
     except ValueError:
         raise ValueError(f"{key!r} expects comma-separated numbers, got {value!r}") from None
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.environment not in environment_names():
-        raise ConfigError(
-            f"unknown environment {config.environment!r}; choose from {environment_names()}")
-    if not config.algorithms:
-        raise ConfigError("algorithms must name at least one algorithm")
-    for name in config.algorithms:
-        if name not in ALGORITHM_NAMES:
-            raise ConfigError(f"unknown algorithm {name!r}; choose from {list(ALGORITHM_NAMES)}")
-    if len(set(config.algorithms)) != len(config.algorithms):
-        raise ConfigError("algorithms lists a name twice")
-    for key in ("n_layer1", "n_layer2", "n_layer3", "pop_size", "generations",
-                "n_episodes", "n_runs"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"{key} must be positive")
-    if config.pop_size % 2 != 0:
-        raise ConfigError("pop_size must be even (pairwise crossover)")
-    if "DE" in config.algorithms and config.pop_size < 4:
-        raise ConfigError("DE rand/1 needs pop_size >= 4 for distinct donors")
-    if len(config.bounds) != 2 or config.bounds[0] >= config.bounds[1]:
-        raise ConfigError("bounds must be two values, low < high")
-    if config.eta_c <= 0.0:
-        raise ConfigError("eta_c must be positive")
-    if config.eta_m < 0.0:
-        raise ConfigError("eta_m must be nonnegative")
-    if config.p_m is not None and not 0.0 <= config.p_m <= 1.0:
-        raise ConfigError("p_m must lie in [0, 1]")
-    if config.rnsga2_epsilon <= 0.0:
-        raise ConfigError("rnsga2_epsilon must be positive")
-    if config.sigma is not None and config.sigma < 0.0:
-        raise ConfigError("sigma must be nonnegative")
-    # Rules that depend on the environment: its noise and its k.
-    try:
-        k = make_env(config.environment, config.sigma).spec.k
-        for name in config.algorithms:
-            config.algorithm_config(name, k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def serialize_config(config: ExperimentConfig) -> str:

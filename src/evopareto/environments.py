@@ -218,13 +218,16 @@ def environment_names() -> list[str]:
 
 
 def make_env(name: str, sigma: float | None = None) -> Environment:
-    """Instantiate an environment by name, optionally overriding noise scale."""
+    """Instantiate an environment by name, optionally overriding noise scale;
+    every environment rule (name, finite ``sigma >= 0``, noiseless bandit) is here."""
     try:
         cls = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown environment {name!r}; choose from {environment_names()}") from None
     if sigma is None:
         return cls()
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     if name == "TradeoffBandit" and sigma != 0.0:
         raise ValueError("TradeoffBandit has no noise to scale")
     return cls(sigma=sigma)

@@ -66,22 +66,47 @@ def test_missing_required_keys():
         parse_config("environment = TradeoffBandit\n")
 
 
-def test_unknown_names_rejected():
-    with pytest.raises(ConfigError, match="environment"):
-        parse_config("environment = mo-hopper-v4\nalgorithms = GA\n")
-    with pytest.raises(ConfigError, match="algorithm"):
-        parse_config("environment = TradeoffBandit\nalgorithms = CMAES\n")
+# Invalid settings, each as ExperimentConfig keyword arguments over a valid
+# bandit GA experiment, with the ConfigError text that both paths must give.
+INVALID = {
+    "pop_size-odd": ({"pop_size": 7},
+                     "pop_size must be a positive even number (pairwise crossover)"),
+    "DE-pop_size": ({"algorithms": ("GA", "DE"), "pop_size": 2},
+                    "DE rand/1 needs pop_size >= 4 for distinct donors"),
+    "generations-zero": ({"generations": 0}, "generations must be positive"),
+    "eta_c-zero": ({"eta_c": 0.0}, "eta_c must be positive"),
+    "eta_c-negative": ({"eta_c": -1.0}, "eta_c must be positive"),
+    "eta_m-negative": ({"eta_m": -0.5}, "eta_m must be nonnegative"),
+    "p_m-above-one": ({"p_m": 1.5}, "p_m must lie in [0, 1]"),
+    "rnsga2_epsilon-zero": ({"algorithms": ("RNSGA2",), "rnsga2_epsilon": 0.0},
+                            "rnsga2_epsilon must be positive"),
+    "bounds-reversed": ({"bounds": (5.0, -5.0)}, "bounds must be two values, low < high"),
+    "bounds-three": ({"bounds": (-5.0, 0.0, 5.0)}, "bounds must be two values, low < high"),
+    "bounds-nan": ({"bounds": (float("nan"), 1.0)}, "bounds must be finite, got (nan, 1.0)"),
+    "environment-unknown": ({"environment": "mo-hopper-v4"},
+                            "unknown environment 'mo-hopper-v4'; choose from "
+                            "['HopLander', 'NoisyPointWalker', 'TradeoffBandit']"),
+    "algorithm-unknown": ({"algorithms": ("GA", "CMAES")},
+                          "unknown algorithm 'CMAES'; choose from ['GA', 'DE', 'PSO', "
+                          "'NSGA2', 'SPEA2', 'SMSEMOA', 'NSGA3', 'RNSGA2']"),
+    "algorithm-repeated": ({"algorithms": ("GA", "GA")}, "algorithms lists a name twice"),
+    "n_runs-zero": ({"n_runs": 0}, "n_runs must be positive"),
+    "sigma-negative": ({"environment": "NoisyPointWalker", "sigma": -0.1},
+                       "sigma must be finite and nonnegative, got -0.1"),
+    "sigma-on-bandit": ({"sigma": 0.5}, "TradeoffBandit has no noise to scale"),
+}
 
 
-def test_structural_validation():
-    with pytest.raises(ConfigError, match="even"):
-        parse_config(MINIMAL + "pop_size = 7\n")
-    with pytest.raises(ConfigError, match="bounds"):
-        parse_config(MINIMAL + "bounds = 5, -5\n")
-    with pytest.raises(ConfigError, match="positive"):
-        parse_config(MINIMAL + "generations = 0\n")
-    with pytest.raises(ConfigError, match="twice"):
-        parse_config("environment = TradeoffBandit\nalgorithms = GA, GA\n")
+@pytest.mark.parametrize("settings, message", list(INVALID.values()), ids=list(INVALID))
+def test_invalid_settings_fail_alike_parsed_or_built(settings, message):
+    values = {"environment": "TradeoffBandit", "algorithms": ("GA",), **settings}
+    text = "".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for key, v in values.items())
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**values)
+    assert str(parsed.value) == str(built.value) == message
 
 
 def test_comments_and_blank_lines_ignored():
@@ -154,18 +179,51 @@ def test_shipped_configs_parse_and_round_trip():
 ], ids=["eta_m", "eta_c", "DE-pop_size"])
 def test_cli_run_rejects_operator_settings_before_any_run(
         tmp_path, capsys, monkeypatch, algorithms, setting, key):
+    text = f"environment = TradeoffBandit\nalgorithms = {algorithms}\n{setting}\n"
+    err = rejected_run(tmp_path, capsys, monkeypatch, text)
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def rejected_run(tmp_path, capsys, monkeypatch, text, out=None) -> str:
+    """The one error line of ``run`` on a small config with ``text`` on top,
+    which must exit 2 without starting a run."""
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the config was rejected")
 
     monkeypatch.setattr(harness, "run_experiment", no_run)
     config_path = tmp_path / "exp.cfg"
-    config_path.write_text(
-        f"environment = TradeoffBandit\nalgorithms = {algorithms}\n{setting}\n"
-        "generations = 2\nn_episodes = 1\nn_runs = 1\n")
-    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    config_path.write_text(text + "generations = 2\nn_episodes = 1\nn_runs = 1\n")
+    out = tmp_path / "out" if out is None else out
+    assert cli.main(["run", str(config_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+@pytest.mark.parametrize("setting", [
+    "eta_c = nan", "rnsga2_epsilon = nan", "bounds = nan, 1", "de_f = nan",
+    "pso_w = inf", "eta_m = inf", "p_m = nan", "p_crossover = -inf",
+    "rnsga2_reference_points = 0, nan", "sigma = nan", "sigma = inf",
+], ids=lambda setting: setting.replace(" ", ""))
+def test_cli_run_rejects_non_finite_settings_before_any_run(
+        tmp_path, capsys, monkeypatch, setting):
+    key = setting.partition(" = ")[0]
+    err = rejected_run(tmp_path, capsys, monkeypatch,
+                       f"environment = NoisyPointWalker\nalgorithms = GA, RNSGA2\n{setting}\n")
+    assert err.startswith(f"error: {key} must be finite")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_cli_run_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a results directory\n")
+    out = blocker / "results" if under else blocker
+    err = rejected_run(tmp_path, capsys, monkeypatch,
+                       "environment = TradeoffBandit\nalgorithms = GA\n", out=out)
+    assert err == f"error: cannot write results to {out}: {blocker} is not a directory"
+    assert blocker.read_text() == "not a results directory\n"
 
 
 def test_operator_settings_validated():
