@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import warnings
@@ -23,6 +24,13 @@ SMALL = ExperimentConfig(
     n_runs=2,
     master_seed=5,
 )
+
+# configs/bandit_smoke.cfg through run, metrics and stats: the analysis bytes.
+BANDIT_SMOKE_DIGESTS = {
+    "metrics.csv": "79b52f7292a3a1fd1a5d7ff1786cc479aa14c7fff1021a81448a9e8f20740b3a",
+    "fronts.csv": "a52ccbbbddf663cd62b0f930eba820a12fe3a4059325d2d92297e9ceaeacdffe",
+    "cd.csv": "4da6dfeb6133d229618dbe2705b39e3fb2c88c9f8318cde9266a99d8cb5d77f0",
+}
 
 
 def fabricate_record(algorithm, run, returns_per_gen, config=SMALL):
@@ -594,7 +602,11 @@ def test_cli_bandit_smoke_config_end_to_end(tmp_path, capsys):
     out_dir = tmp_path / "smoke"
     assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 0
     assert cli.main(["metrics", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
     assert cli.main(["stats", str(out_dir), "--metric", "hv"]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.splitlines()[0] == "Friedman chi-square = 6.0000, p = 0.04979, CD = 1.9131"
     assert cli.main(["export-plots", str(out_dir)]) == 0
     config = parse_config(config_path.read_text(encoding="utf-8"))
     rows = harness.read_metrics_csv(out_dir / "metrics.csv")
@@ -603,6 +615,8 @@ def test_cli_bandit_smoke_config_end_to_end(tmp_path, capsys):
     assert len(cd_lines) == 1 + len(config.algorithms)
     assert (out_dir / "curves.csv").exists()
     assert capsys.readouterr().err == ""
+    for name, digest in BANDIT_SMOKE_DIGESTS.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_seed_override_recorded(tmp_path):
