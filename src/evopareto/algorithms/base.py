@@ -83,8 +83,12 @@ class AlgorithmConfig:
             raise ValueError("eta_c must be positive")
         if self.eta_m < 0.0:
             raise ValueError("eta_m must be nonnegative")
-        if self.p_m is not None and not 0.0 <= self.p_m <= 1.0:
-            raise ValueError("p_m must lie in [0, 1]")
+        for name in ("p_crossover", "p_m", "de_cr"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.de_f < 0.0:
+            raise ValueError("de_f must be nonnegative")
         if self.rnsga2_epsilon <= 0.0:
             raise ValueError("rnsga2_epsilon must be positive")
 

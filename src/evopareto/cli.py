@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import harness
 from .config import parse_config, serialize_config
+from .stats import friedman_nemenyi
 
 
 def _cmd_run(args) -> int:
@@ -67,8 +68,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .stats import friedman_nemenyi
-
     rows = harness.read_metrics_csv(Path(args.dir) / "metrics.csv")
     table = harness.build_score_table(rows, args.metric)
     result = friedman_nemenyi(table, alpha=args.alpha)

@@ -32,11 +32,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import indicators, rng
+from . import indicators, rng, stats
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
@@ -45,9 +44,6 @@ from .environments import make_env
 from .evaluation import Population, evaluate_population as evaluate
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed, derive_seeds
-
-if TYPE_CHECKING:
-    from . import stats
 
 METRICS_HEADER = "algorithm,run,generation,hv,gd,igd,scalarized_best"
 
@@ -340,46 +336,30 @@ _METRIC_DIRECTION = {"hv": "higher", "gd": "lower", "igd": "lower",
                      "scalarized_best": "higher"}
 
 
-def build_score_table(rows, metric: str) -> stats.ScoreTable:
-    """Final-generation scores arranged for the Friedman test.
+def build_score_table(rows: list[MetricRow], metric: str) -> stats.ScoreTable:
+    """One experiment's final-generation scores arranged for the Friedman test.
 
-    ``rows`` is either one experiment's metric rows or a mapping from problem
-    name to rows, pooling several experiments with a shared algorithm roster.
-    Every (problem, run) cell is a dataset.
+    Each run is a dataset: its row holds every algorithm's ``metric`` at that
+    run's last generation, in the order the algorithms first appear in ``rows``.
     """
-    # Imported here so that importing the package does not load scipy.stats.
-    from . import stats
-
     if metric not in _METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
-    by_problem = rows if isinstance(rows, dict) else {"problem": rows}
-    algorithms = None
-    datasets: list[str] = []
-    score_rows: list[list[float]] = []
-    for problem, problem_rows in by_problem.items():
-        names = list(dict.fromkeys(row.algorithm for row in problem_rows))
-        if algorithms is None:
-            algorithms = names
-        elif set(names) != set(algorithms):
-            raise ValueError("all problems must share the same algorithm roster")
-        last_gen = {}
-        for row in problem_rows:
-            key = (row.algorithm, row.run)
-            if key not in last_gen or row.generation > last_gen[key].generation:
-                last_gen[key] = row
-        runs = sorted({run for (_, run) in last_gen})
-        missing = [f"{algorithm} run {run}" for run in runs for algorithm in algorithms
-                   if (algorithm, run) not in last_gen]
-        if missing:
-            where = f" of problem {problem!r}" if isinstance(rows, dict) else ""
-            raise ValueError(f"no metric rows{where} for {', '.join(missing)} "
-                             "(missing or aborted runs)")
-        block = np.array([[getattr(last_gen[(algorithm, run)], metric)
-                           for algorithm in algorithms] for run in runs])
-        score_rows.extend(block.tolist())
-        datasets.extend(f"{problem}/run{run}" for run in runs)
-    return stats.ScoreTable(algorithms=tuple(algorithms), datasets=tuple(datasets),
-                            scores=np.array(score_rows), better=_METRIC_DIRECTION[metric])
+    algorithms = list(dict.fromkeys(row.algorithm for row in rows))
+    last_gen = {}
+    for row in rows:
+        key = (row.algorithm, row.run)
+        if key not in last_gen or row.generation > last_gen[key].generation:
+            last_gen[key] = row
+    runs = sorted({run for (_, run) in last_gen})
+    missing = [f"{algorithm} run {run}" for run in runs for algorithm in algorithms
+               if (algorithm, run) not in last_gen]
+    if missing:
+        raise ValueError(f"no metric rows for {', '.join(missing)} (missing or aborted runs)")
+    scores = [[getattr(last_gen[(algorithm, run)], metric) for algorithm in algorithms]
+              for run in runs]
+    return stats.ScoreTable(algorithms=tuple(algorithms),
+                            datasets=tuple(f"run{run}" for run in runs),
+                            scores=np.array(scores), better=_METRIC_DIRECTION[metric])
 
 
 def write_cd_csv(cd_results: dict[str, stats.CDResult], path) -> None:
@@ -410,10 +390,3 @@ def write_curves_csv(rows: list[MetricRow], path) -> None:
                              f"{float(values.mean())!r},{float(values.std())!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def audit_budget(records: list[RunRecord]) -> dict[str, list[int]]:
-    """Evaluation counters per algorithm, for budget-parity checks."""
-    counters: dict[str, list[int]] = {}
-    for record in records:
-        counters.setdefault(record.algorithm, []).append(record.eval_count)
-    return counters

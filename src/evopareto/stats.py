@@ -1,19 +1,21 @@
 """Friedman test with Nemenyi post-hoc and critical-difference grouping.
 
 Scores arrive as an (n datasets x m algorithms) table plus a direction flag;
-datasets are typically (problem, run) cells.  Ranking is 1 = best with
-average ranks on ties.  The Friedman statistic is the plain chi-square form
-(no Iman-Davenport correction); the Nemenyi critical difference uses an
-embedded table of studentized-range-derived q values at alpha = 0.05.
+datasets are the runs of one experiment.  Ranking is 1 = best with average
+ranks on ties, counted over the whole table at once.  The Friedman statistic
+is the plain chi-square form (no Iman-Davenport correction) and its p-value
+the closed-form chi-square tail at integer df; the Nemenyi critical
+difference uses an embedded table of studentized-range-derived q values at
+alpha = 0.05.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 # q_0.05 for 2..10 compared algorithms (studentized range / sqrt(2)).
 _Q_ALPHA_005 = {
@@ -56,7 +58,27 @@ class CDResult:
 def rank_rows(table: ScoreTable) -> np.ndarray:
     """Per-dataset ranks, 1 = best under the table's direction, ties averaged."""
     oriented = -table.scores if table.better == "higher" else table.scores
-    return np.vstack([rankdata(row, method="average") for row in oriented])
+    # A score that b scores beat and e tie (itself included) would take the
+    # sorted positions b + 1 .. b + e, whose mean is (b + (b + e) + 1) / 2.
+    beaten = (oriented[:, None, :] < oriented[:, :, None]).sum(axis=2)
+    at_most = (oriented[:, None, :] <= oriented[:, :, None]).sum(axis=2)
+    return (beaten + at_most + 1) / 2.0
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function P(X > x) at an integer ``df >= 1``.
+
+    With h = x / 2 it is exp(-h) * sum of h**a / Gamma(a + 1) over
+    a = 0, 1, ..., df/2 - 1 for even df, and erfc(sqrt(h)) plus that sum over
+    a = 1/2, 3/2, ..., df/2 - 1 for odd df.  Each term is exp of its logarithm,
+    so exp(-h) does not underflow before the p-value does.
+    """
+    if x <= 0.0:
+        return 1.0
+    half = x / 2.0
+    head = math.erfc(math.sqrt(half)) if df % 2 else 0.0
+    return head + math.fsum(math.exp(a * math.log(half) - math.lgamma(a + 1.0) - half)
+                            for a in (i + df % 2 / 2.0 for i in range(df // 2)))
 
 
 def friedman(table: ScoreTable) -> tuple[float, float]:
@@ -66,7 +88,7 @@ def friedman(table: ScoreTable) -> tuple[float, float]:
         raise ValueError("the chi-square approximation needs at least 3 algorithms")
     mean_ranks = rank_rows(table).mean(axis=0)
     statistic = 12.0 * n / (m * (m + 1)) * (np.sum(mean_ranks ** 2) - m * (m + 1) ** 2 / 4.0)
-    return float(statistic), float(chi2.sf(statistic, m - 1))
+    return float(statistic), chi2_sf(float(statistic), m - 1)
 
 
 def nemenyi_cd(m: int, n: int, alpha: float = 0.05) -> float:

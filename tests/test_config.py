@@ -78,6 +78,9 @@ INVALID = {
     "eta_c-negative": ({"eta_c": -1.0}, "eta_c must be positive"),
     "eta_m-negative": ({"eta_m": -0.5}, "eta_m must be nonnegative"),
     "p_m-above-one": ({"p_m": 1.5}, "p_m must lie in [0, 1]"),
+    "p_crossover-above-one": ({"p_crossover": 7.0}, "p_crossover must lie in [0, 1]"),
+    "de_cr-negative": ({"algorithms": ("DE",), "de_cr": -3.0}, "de_cr must lie in [0, 1]"),
+    "de_f-negative": ({"algorithms": ("DE",), "de_f": -0.5}, "de_f must be nonnegative"),
     "rnsga2_epsilon-zero": ({"algorithms": ("RNSGA2",), "rnsga2_epsilon": 0.0},
                             "rnsga2_epsilon must be positive"),
     "bounds-reversed": ({"bounds": (5.0, -5.0)}, "bounds must be two values, low < high"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare
+from scipy.stats import chi2, friedmanchisquare, rankdata
 
 from evopareto import stats
 from evopareto.rng import RandomStream
@@ -50,6 +50,28 @@ def test_rank_rows_sum_identity_and_direction_flip():
     m = 5
     assert np.allclose(high.sum(axis=1), m * (m + 1) / 2)
     assert np.allclose(high + low, m + 1)
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_rank_rows_match_both_oracles_on_tie_heavy_tables(better):
+    stream = RandomStream(43)
+    for n, m, levels in ((40, 3, 2), (40, 5, 3), (30, 8, 4), (20, 10, 2), (10, 10, 10)):
+        scores = np.floor(stream.uniform_vector(n * m, 0.0, levels)).reshape(n, m)
+        ranks = stats.rank_rows(make_table(scores, better))
+        assert np.array_equal(ranks, [oracle_ranks(row, better) for row in scores.tolist()])
+        oriented = -scores if better == "higher" else scores
+        assert np.array_equal(ranks, rankdata(oriented, method="average", axis=1))
+
+
+def test_chi2_tail_matches_scipy():
+    x = np.concatenate([[0.0, 1e-9, 1e-3], np.linspace(0.0, 1400.0, 2801)])
+    for df in range(2, 10):
+        expected = chi2.sf(x, df)
+        got = np.array([stats.chi2_sf(float(v), df) for v in x])
+        assert got[0] == 1.0
+        kept = expected >= 1e-300
+        assert kept.sum() > 2700
+        assert np.all(np.abs(got[kept] - expected[kept]) <= 1e-12 * expected[kept]), df
 
 
 def test_score_table_validation():
