@@ -639,6 +639,24 @@ def test_cli_bandit_smoke_runs_without_scipy(tmp_path):
     assert digest == BANDIT_SMOKE_DIGESTS["cd.csv"]
 
 
+# Records written before the record format dropped scalars and zero-width
+# genome rows (tests/data/legacy_records: TradeoffBandit, GA and NSGA2, pop 4,
+# 3 generations, 2 runs); they must keep giving the same analysis bytes.
+LEGACY_RECORDS_DIGESTS = {
+    "metrics.csv": "86dc57afac3d3bc207e35727aa80d4b5c250c0f1d478bc883b2520d1e4d961ef",
+    "fronts.csv": "1628eb87d677f48f26594989ed4ca6599df6df221f43e5e737502542acb19d41",
+}
+
+
+def test_cli_metrics_reads_legacy_records(tmp_path, capsys):
+    out_dir = tmp_path / "legacy"
+    shutil.copytree(Path(__file__).resolve().parent / "data" / "legacy_records", out_dir)
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    for name, digest in LEGACY_RECORDS_DIGESTS.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_cli_seed_override_recorded(tmp_path):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(
