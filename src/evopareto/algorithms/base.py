@@ -50,7 +50,6 @@ class AlgorithmConfig:
 
     name: str
     pop_size: int = 50
-    generations: int = 25
     bounds: tuple[float, float] = (-5.0, 5.0)
     eta_c: float = 15.0
     p_crossover: float = 0.9
@@ -75,8 +74,6 @@ class AlgorithmConfig:
             raise ValueError("pop_size must be a positive even number (pairwise crossover)")
         if self.name == "DE" and self.pop_size < 4:
             raise ValueError("DE rand/1 needs pop_size >= 4 for distinct donors")
-        if self.generations < 1:
-            raise ValueError("generations must be positive")
         if len(self.bounds) != 2 or self.bounds[0] >= self.bounds[1]:
             raise ValueError("bounds must be two values, low < high")
         if self.eta_c <= 0.0:

@@ -57,7 +57,7 @@ class ExperimentConfig:
             raise ConfigError("algorithms must name at least one algorithm")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("algorithms lists a name twice")
-        for key in ("n_layer1", "n_layer2", "n_layer3", "n_episodes", "n_runs"):
+        for key in ("n_layer1", "n_layer2", "n_layer3", "generations", "n_episodes", "n_runs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
         # The environment and operator rules, the latter against its k.

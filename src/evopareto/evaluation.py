@@ -28,11 +28,10 @@ reasons:
 * episode returns are summed in order 0 to n-1 and then divided, so results
   do not depend on scheduling.
 
-An evaluated generation is one :class:`Population`: row ``i`` of its
-``genomes[n, g]``, ``returns[n, k]`` and ``scalars[n]`` arrays is individual
-``i``.  Optimizers select from it with ``take(rows)`` and ``join(other)``,
-and the harness records its arrays without copying them, so they are
-read-only.
+Evaluation takes genomes and gives mean returns ``[n, k]``.  An optimizer is
+told one :class:`Population`, whose ``genomes[n, g]`` and ``returns[n, k]``
+rows are individuals; it selects with ``take(rows)`` and ``join(other)``.
+The harness records the returns uncopied, so the arrays are read-only.
 
 :func:`rollout` and :func:`evaluate` run the same kernel for one episode and
 one genome.
@@ -41,6 +40,7 @@ one genome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,29 +52,33 @@ from .rng import RandomStream, derive_seeds, leading_draws
 
 @dataclass(frozen=True)
 class Population:
-    """Evaluated individuals as rows: ``genomes[n, g]``, mean ``returns[n, k]``
-    and ``scalars[n]`` (:func:`scalarize` of each return row)."""
+    """Evaluated individuals as rows: ``genomes[n, g]`` and mean ``returns[n, k]``."""
 
     genomes: np.ndarray
     returns: np.ndarray
-    scalars: np.ndarray
 
     def __post_init__(self):
-        for rows in (self.genomes, self.returns, self.scalars):
+        for rows in (self.genomes, self.returns):
             rows.flags.writeable = False
 
+    @cached_property
+    def scalars(self) -> np.ndarray:
+        """:func:`scalarize` of each return row; computed once, when first read."""
+        scalars = scalarize(self.returns)
+        scalars.flags.writeable = False
+        return scalars
+
     def __len__(self) -> int:
-        return len(self.scalars)
+        return len(self.returns)
 
     def take(self, rows) -> Population:
         """The individuals at ``rows``, in that order."""
-        return Population(self.genomes[rows], self.returns[rows], self.scalars[rows])
+        return Population(self.genomes[rows], self.returns[rows])
 
     def join(self, other: Population) -> Population:
         """This population's rows followed by ``other``'s."""
         return Population(np.concatenate([self.genomes, other.genomes]),
-                          np.concatenate([self.returns, other.returns]),
-                          np.concatenate([self.scalars, other.scalars]))
+                          np.concatenate([self.returns, other.returns]))
 
 
 def scalarize(v):
@@ -128,8 +132,8 @@ def rollout(env: Environment, spec: PolicySpec, genome, rng: RandomStream) -> np
 
 
 def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes: int,
-                        seed_bases) -> Population:
-    """Empirical mean return of each genome (row) over ``n_episodes`` episodes.
+                        seed_bases) -> np.ndarray:
+    """Empirical mean returns ``[n, k]`` of the genomes (rows) over ``n_episodes`` episodes.
 
     Genome ``i`` draws episode ``e`` from ``derive_seed(seed_bases[i], e)``;
     ``seed_bases`` are ints (masked to 64 bits) or a uint64 array.  All
@@ -139,7 +143,7 @@ def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes:
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     _check_shapes(env, spec)
-    genomes = np.array(genomes, dtype=np.float64)
+    genomes = np.asarray(genomes, dtype=np.float64)
     if len(seed_bases) != len(genomes):
         raise ValueError("expected one seed base per genome")
     horizon = env.spec.horizon
@@ -153,12 +157,10 @@ def evaluate_population(env: Environment, spec: PolicySpec, genomes, n_episodes:
     total = np.zeros((len(genomes), env.spec.k))
     for episode in range(n_episodes):
         total = total + returns[:, episode]
-    means = total / n_episodes
-    return Population(genomes, means, scalarize(means))
+    return total / n_episodes
 
 
 def evaluate(env: Environment, spec: PolicySpec, genome, n_episodes: int,
-             seed_base: int) -> Population:
-    """Empirical mean return over ``n_episodes`` independent episodes, as a
-    one-row population."""
-    return evaluate_population(env, spec, [genome], n_episodes, [seed_base])
+             seed_base: int) -> np.ndarray:
+    """Empirical mean return ``[k]`` over ``n_episodes`` independent episodes."""
+    return evaluate_population(env, spec, [genome], n_episodes, [seed_base])[0]

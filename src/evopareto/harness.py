@@ -16,20 +16,18 @@ it would alone, so nothing depends on wall-clock, grouping, chunking or
 Every algorithm consumes exactly ``pop_size * generations`` evaluations; the
 counter is recorded per run so budget parity is auditable after the fact.
 
-A run record keeps what the analysis reads: every generation's returns and
-scalars, and the genomes of the final generation only.  Earlier generations
-keep zero-width ``(n, 0)`` genome rows, in memory, across the process pool
-and on disk alike.
+A run record keeps what the analysis reads: every generation's returns
+and the genomes of the final generation.  Scalarized values are derived from
+the returns where they are read, and never stored.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -41,7 +39,7 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .environments import make_env
 # Each call evaluates a chunk of a generation of every run in a lockstep group;
 # benchmarks/tracer.py times it through this module-level name.
-from .evaluation import Population, evaluate_population as evaluate
+from .evaluation import Population, evaluate_population as evaluate, scalarize
 from .policy import PolicySpec, genome_length
 from .rng import RandomStream, derive_seed, derive_seeds
 
@@ -63,9 +61,10 @@ class RunRecord:
     wall_time: float  # elapsed time of the lockstep group the run stepped in
     rng_scheme: str
     config: ExperimentConfig
-    # The optimizer's population after each tell; only the last one keeps
-    # its genomes, earlier ones have (n, 0) genome rows.
-    generations: list[Population]
+    # The returns of the optimizer's population after each tell, and its
+    # genomes after the last one (None if the run aborted in generation 0).
+    returns: list[np.ndarray]
+    genomes: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
     optimizers = [make_optimizer(config.algorithm_config(algorithm, env.spec.k), n_genes,
                                  RandomStream(derive_seed(seed, "optimizer")))
                   for (algorithm, _), seed in zip(tasks, seeds)]
-    histories: list[list[Population]] = [[] for _ in tasks]
+    histories: list[list[np.ndarray]] = [[] for _ in tasks]
     eval_counts = [0] * len(tasks)
     statuses = ["ok"] * len(tasks)
     live = list(range(len(tasks)))
@@ -106,36 +105,26 @@ def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
             break
         batches = [optimizers[j].ask() for j in live]
         genomes = np.concatenate(batches)
-        seed_bases = np.concatenate([derive_seeds(seeds[j], "eval", generation, count=len(batch))
-                                     for j, batch in zip(live, batches)])
-        evaluated = functools.reduce(Population.join, [
+        seed_bases = derive_seeds([seeds[j] for j in live], "eval", generation,
+                                  count=config.pop_size).ravel()
+        returns = np.concatenate([
             evaluate(env, spec, genomes[i:i + chunk], config.n_episodes, seed_bases[i:i + chunk])
             for i in range(0, len(genomes), chunk)])
-        row = 0
-        for j, batch in zip(live, batches):
-            # Index rows rather than slice them, so that no run's arrays
-            # keep the whole batch alive.
-            own = evaluated.take(np.arange(row, row + len(batch)))
-            row += len(batch)
+        for j, batch, own in zip(live, batches, np.split(returns, len(live))):
             eval_counts[j] += len(own)
-            if not np.all(np.isfinite(own.returns)):
+            if not np.all(np.isfinite(own)):
                 statuses[j] = "aborted"
                 continue
-            optimizers[j].tell(own)
-            # Genomes are kept for the last generation only (set below), so a
-            # group holds one genome matrix per run, not one per generation.
-            told = optimizers[j].population
-            histories[j].append(Population(np.empty((len(told), 0)), told.returns, told.scalars))
+            optimizers[j].tell(Population(batch, own))
+            histories[j].append(optimizers[j].population.returns)
         live = [j for j in live if statuses[j] == "ok"]
     wall_time = time.perf_counter() - started
-    for optimizer, generations in zip(optimizers, histories):
-        if generations:
-            generations[-1] = optimizer.population
     return [RunRecord(algorithm=algorithm, run_index=run, seed=seed, status=status,
                       eval_count=eval_count, wall_time=wall_time, rng_scheme=rng.SCHEME,
-                      config=config, generations=generations)
-            for (algorithm, run), seed, status, eval_count, generations
-            in zip(tasks, seeds, statuses, eval_counts, histories)]
+                      config=config, returns=history,
+                      genomes=optimizer.population.genomes if history else None)
+            for (algorithm, run), seed, status, eval_count, history, optimizer
+            in zip(tasks, seeds, statuses, eval_counts, histories, optimizers)]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
@@ -188,12 +177,12 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
                     "config": serialize_config(record.config),
                 }
                 handle.write(json.dumps(header) + "\n")
-                for g, population in enumerate(record.generations):
+                last = len(record.returns) - 1
+                for g, returns in enumerate(record.returns):
                     line = {
                         "generation": g,
-                        "genomes": population.genomes.tolist(),
-                        "returns": population.returns.tolist(),
-                        "scalars": population.scalars.tolist(),
+                        "genomes": record.genomes.tolist() if g == last else [],
+                        "returns": returns.tolist(),
                     }
                     handle.write(json.dumps(line) + "\n")
             os.replace(partial, path)
@@ -206,7 +195,7 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
 
 def load_records(directory) -> list[RunRecord]:
     """All run records under ``directory``; they must share one config and
-    cover every (algorithm, run) of it."""
+    cover every (algorithm, run) of it, each completed run within budget."""
     directory = Path(directory)
     paths = sorted((directory / "records").glob("*.jsonl"))
     if not paths:
@@ -214,6 +203,10 @@ def load_records(directory) -> list[RunRecord]:
     records = []
     for path in paths:
         record = _read_record(path)
+        budget = (record.config.pop_size * record.config.generations, record.config.generations)
+        if record.status == "ok" and (record.eval_count, len(record.returns)) != budget:
+            raise ValueError(f"{path}: completed run holds {record.eval_count} evaluations in "
+                             f"{len(record.returns)} generations, not {budget[0]} in {budget[1]}")
         if records and record.config != records[0].config:
             raise ValueError(
                 f"run records under {directory}/records come from different configs: "
@@ -233,7 +226,8 @@ def load_records(directory) -> list[RunRecord]:
 
 
 def _read_record(path: Path) -> RunRecord:
-    """One record file; ``ValueError`` names the file and the line that does not parse."""
+    """One record file; ``ValueError`` names the file and the line that does not parse.
+    Older records' ``scalars`` and empty genome rows are not read."""
     lineno = 1
     with open(path, encoding="utf-8") as handle:
         try:
@@ -247,13 +241,15 @@ def _read_record(path: Path) -> RunRecord:
                 wall_time=header["wall_time"],
                 rng_scheme=header["rng"],
                 config=parse_config(header["config"]),
-                generations=[],
+                returns=[],
+                genomes=None,
             )
             for lineno, line in enumerate(handle, start=2):
                 payload = json.loads(line)
-                record.generations.append(Population(np.array(payload["genomes"]),
-                                                     np.array(payload["returns"]),
-                                                     np.array(payload["scalars"])))
+                record.returns.append(np.array(payload["returns"]))
+                genomes = payload["genomes"]
+            if record.returns:
+                record = replace(record, genomes=np.array(genomes))
         except KeyError as exc:
             raise ValueError(f"{path} line {lineno}: run record lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -270,22 +266,20 @@ def compute_metrics(records: list[RunRecord]):
     non-aborted runs' final populations; per-algorithm fronts aggregate each
     algorithm's own runs the same way.
     """
-    usable = [r for r in records if r.status == "ok" and r.generations]
+    usable = [r for r in records if r.status == "ok"]
     if not usable:
         raise ValueError("no completed runs to compute metrics from")
-    reference = indicators.build_reference_front(
-        [r.generations[-1].returns for r in usable])
+    reference = indicators.build_reference_front([r.returns[-1] for r in usable])
     algorithm_order = list(dict.fromkeys(r.algorithm for r in usable))
     algorithm_fronts = {
         algorithm: indicators.build_reference_front(
-            [r.generations[-1].returns for r in usable if r.algorithm == algorithm])
+            [r.returns[-1] for r in usable if r.algorithm == algorithm])
         for algorithm in algorithm_order
     }
     rows: list[MetricRow] = []
     for record in usable:
-        hv, gd, igd = indicators.indicator_series(
-            [population.returns for population in record.generations], reference)
-        for generation, population in enumerate(record.generations):
+        hv, gd, igd = indicators.indicator_series(record.returns, reference)
+        for generation, returns in enumerate(record.returns):
             rows.append(MetricRow(
                 algorithm=record.algorithm,
                 run=record.run_index,
@@ -293,7 +287,7 @@ def compute_metrics(records: list[RunRecord]):
                 hv=float(hv[generation]),
                 gd=float(gd[generation]),
                 igd=float(igd[generation]),
-                scalarized_best=float(population.scalars.max()),
+                scalarized_best=float(scalarize(returns).max()),
             ))
     return rows, reference, algorithm_fronts
 

@@ -111,18 +111,15 @@ def cd_groups(mean_ranks: Sequence[float], critical_difference: float) -> list[t
     ranks = np.asarray(mean_ranks, dtype=np.float64)
     order = np.argsort(ranks, kind="stable")
     sorted_ranks = ranks[order]
-    windows: list[tuple[int, ...]] = []
+    maximal: list[tuple[int, ...]] = []
+    previous_end = -1  # ends never decrease, so a window is maximal iff it ends later
     for start in range(len(order)):
         end = start
         while end + 1 < len(order) and sorted_ranks[end + 1] - sorted_ranks[start] <= critical_difference:
             end += 1
-        windows.append(tuple(sorted(order[start : end + 1].tolist())))
-    maximal = []
-    for w in windows:
-        members = set(w)
-        if not any(members < set(other) for other in windows):
-            if w not in maximal:
-                maximal.append(w)
+        if end > previous_end:
+            maximal.append(tuple(sorted(order[start : end + 1].tolist())))
+        previous_end = end
     return maximal
 
 

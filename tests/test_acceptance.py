@@ -100,7 +100,7 @@ def test_criterion_4_end_to_end_solve():
     successes = 0
     for record in records:
         assert record.wall_time < 60.0
-        final = record.generations[-1].returns
+        final = record.returns[-1]
         igd = indicators.igd(final, front)
         hv = indicators.normalized_hypervolume(final, ideal, nadir)
         if igd < 0.05 and hv >= 0.45:

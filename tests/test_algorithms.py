@@ -25,7 +25,7 @@ from evopareto.algorithms import (
 )
 from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _truncate_by_fronts
 from evopareto.config import parse_config
-from evopareto.evaluation import Population, scalarize
+from evopareto.evaluation import Population
 from evopareto.indicators import hypervolume_exact
 from evopareto.rng import RandomStream
 
@@ -34,8 +34,8 @@ ALL_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
 
 def evaluated(genome, returns):
     """One individual as a one-row population."""
-    ret = np.asarray(returns, dtype=np.float64)[None, :]
-    return Population(np.asarray(genome, dtype=np.float64)[None, :], ret, scalarize(ret))
+    return Population(np.asarray(genome, dtype=np.float64)[None, :],
+                      np.asarray(returns, dtype=np.float64)[None, :])
 
 
 def stack(individuals):
@@ -99,14 +99,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AlgorithmConfig(name="GA", pop_size=7)
     with pytest.raises(ValueError):
-        AlgorithmConfig(name="GA", generations=0)
-    with pytest.raises(ValueError):
         AlgorithmConfig(name="GA", bounds=(2.0, -2.0))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_population_size_and_bounds_preserved(name):
-    config = AlgorithmConfig(name=name, pop_size=8, generations=4)
+    config = AlgorithmConfig(name=name, pop_size=8)
     optimizer = make_optimizer(config, 2, RandomStream(5))
     objective = tri3 if name == "NSGA3" else line2
     for population in drive(optimizer, objective, 4):
@@ -121,7 +119,7 @@ def test_fixed_seed_reproduces_populations(name):
     objective = tri3 if name == "NSGA3" else line2
 
     def genome_history(seed):
-        config = AlgorithmConfig(name=name, pop_size=8, generations=3)
+        config = AlgorithmConfig(name=name, pop_size=8)
         optimizer = make_optimizer(config, 3, RandomStream(seed))
         return [pop.genomes for pop in drive(optimizer, objective, 3)]
 

@@ -47,8 +47,10 @@ def test_scalarize_rows_match_one_vector_at_a_time():
 def test_population_take_join_and_read_only_rows():
     genomes = np.arange(6.0).reshape(3, 2)
     returns = np.array([(1.0, 3.0), (2.0, 2.0), (0.0, 1.0)])
-    pop = evaluation.Population(genomes, returns, evaluation.scalarize(returns))
+    pop = evaluation.Population(genomes, returns)
     assert len(pop) == 3
+    assert pop.scalars.tolist() == [2.0, 2.0, 0.5]
+    assert pop.scalars is pop.scalars  # derived once, when first read
     picked = pop.take([2, 0])
     assert picked.genomes.tolist() == [[4.0, 5.0], [0.0, 1.0]]
     assert picked.scalars.tolist() == [0.5, 2.0]
@@ -127,7 +129,7 @@ def test_evaluate_on_deterministic_env_ignores_episode_count():
     genome = policy.init_genome(spec, RandomStream(2))
     one = evaluation.evaluate(env, spec, genome, 1, seed_base=17)
     many = evaluation.evaluate(env, spec, genome, 7, seed_base=17)
-    assert np.allclose(one.returns, many.returns, atol=1e-12)
+    assert np.allclose(one, many, atol=1e-12)
 
 
 def test_evaluate_single_episode_equals_rollout_stream_zero():
@@ -136,8 +138,7 @@ def test_evaluate_single_episode_equals_rollout_stream_zero():
     genome = policy.init_genome(spec, RandomStream(4))
     got = evaluation.evaluate(env, spec, genome, 1, seed_base=123)
     expected = evaluation.rollout(env, spec, genome, RandomStream(derive_seed(123, 0)))
-    assert np.array_equal(got.returns[0], expected)
-    assert got.scalars[0] == evaluation.scalarize(expected)
+    assert np.array_equal(got, expected)
 
 
 def test_evaluate_equals_hand_averaged_replays():
@@ -149,7 +150,7 @@ def test_evaluate_equals_hand_averaged_replays():
     for episode in range(5):
         replayed = replayed + evaluation.rollout(
             env, spec, genome, RandomStream(derive_seed(99, episode)))
-    assert np.array_equal(got.returns[0], replayed / 5)
+    assert np.array_equal(got, replayed / 5)
 
 
 def test_evaluate_rejects_nonpositive_episodes():
@@ -163,7 +164,7 @@ def test_batched_mean_matches_single_pass():
     env = walker(sigma=0.01)
     spec = PolicySpec(2, (4, 4, 4), 1)
     genome = policy.init_genome(spec, RandomStream(8))
-    single = evaluation.evaluate(env, spec, genome, 6, seed_base=5).returns[0]
+    single = evaluation.evaluate(env, spec, genome, 6, seed_base=5)
     episodes = [evaluation.rollout(env, spec, genome, RandomStream(derive_seed(5, e)))
                 for e in range(6)]
     batched = (sum(episodes[:3]) / 3 + sum(episodes[3:]) / 3) / 2
@@ -174,9 +175,9 @@ def test_variance_shrinks_with_more_episodes():
     env = walker(sigma=0.05)
     spec = PolicySpec(2, (4, 4, 4), 1)
     genome = policy.init_genome(spec, RandomStream(10))
-    speed_1 = [evaluation.evaluate(env, spec, genome, 1, seed_base=s).returns[0, 0]
+    speed_1 = [evaluation.evaluate(env, spec, genome, 1, seed_base=s)[0]
                for s in range(40)]
-    speed_10 = [evaluation.evaluate(env, spec, genome, 10, seed_base=1000 + s).returns[0, 0]
+    speed_10 = [evaluation.evaluate(env, spec, genome, 10, seed_base=1000 + s)[0]
                 for s in range(40)]
     assert np.var(speed_10) < np.var(speed_1)
 
@@ -186,8 +187,9 @@ def test_scalar_value_is_mean_of_components():
     spec = PolicySpec(3, (4, 4, 4), 2)
     genome = policy.init_genome(spec, RandomStream(11))
     out = evaluation.evaluate(env, spec, genome, 2, seed_base=3)
-    assert out.scalars[0] == pytest.approx(out.returns[0].mean(), abs=1e-15)
-    assert math.isfinite(out.scalars[0])
+    scalars = evaluation.Population(genome[None, :], out[None, :]).scalars
+    assert scalars[0] == pytest.approx(out.mean(), abs=1e-15)
+    assert math.isfinite(scalars[0])
 
 
 # -- lockstep population evaluation ---------------------------------------------
@@ -219,13 +221,10 @@ def test_population_equals_per_genome_evaluate(name, n_episodes, noisy):
     genomes = probe_genomes(spec)
     bases = [derive_seed(7, "eval", i) for i in range(len(genomes))]
     batched = evaluation.evaluate_population(env, spec, genomes, n_episodes, bases)
-    assert len(batched) == len(genomes)
-    assert batched.returns.shape == (len(genomes), env.spec.k)
+    assert batched.shape == (len(genomes), env.spec.k)
     for i, (genome, base) in enumerate(zip(genomes, bases)):
         alone = evaluation.evaluate(env, spec, genome, n_episodes, base)
-        assert np.array_equal(batched.genomes[i], genome)
-        assert np.array_equal(batched.returns[i], alone.returns[0])
-        assert batched.scalars[i] == alone.scalars[0]
+        assert np.array_equal(batched[i], alone)
 
 
 def replay(env, spec, genome, rng):
@@ -251,7 +250,7 @@ def test_population_equals_stepwise_replays(name):
     genomes = probe_genomes(spec, n_random=4)
     bases = [derive_seed(8, i) for i in range(len(genomes))]
     batched = evaluation.evaluate_population(env, spec, genomes, 3, bases)
-    for genome, base, got in zip(genomes, bases, batched.returns):
+    for genome, base, got in zip(genomes, bases, batched):
         total = np.zeros(env.spec.k)
         for episode in range(3):
             total = total + replay(env, spec, genome, RandomStream(derive_seed(base, episode)))[0]
@@ -298,9 +297,8 @@ def test_population_accepts_any_int_seed_bases_and_uint64_arrays(name):
     as_array = np.array([base & (2**64 - 1) for base in bases], dtype=np.uint64)
     from_ints = evaluation.evaluate_population(env, spec, genomes, 3, bases)
     from_array = evaluation.evaluate_population(env, spec, genomes, 3, as_array)
-    for rows in ("genomes", "returns", "scalars"):
-        assert np.array_equal(getattr(from_ints, rows), getattr(from_array, rows))
-    for genome, base, got in zip(genomes, bases, from_ints.returns):
+    assert np.array_equal(from_ints, from_array)
+    for genome, base, got in zip(genomes, bases, from_ints):
         total = np.zeros(env.spec.k)
         for episode in range(3):
             total = total + evaluation.rollout(env, spec, genome,

@@ -37,14 +37,11 @@ BANDIT_SMOKE_DIGESTS = {
 
 
 def fabricate_record(algorithm, run, returns_per_gen, config=SMALL):
-    gens = []
-    for returns in returns_per_gen:
-        returns = np.asarray(returns, dtype=np.float64)
-        n = returns.shape[0]
-        gens.append(Population(np.zeros((n, 3)), returns, returns.mean(axis=1)))
+    returns = [np.asarray(r, dtype=np.float64) for r in returns_per_gen]
     return harness.RunRecord(
         algorithm=algorithm, run_index=run, seed=1, status="ok", eval_count=0,
-        wall_time=0.0, rng_scheme="test", config=config, generations=gens,
+        wall_time=0.0, rng_scheme="test", config=config, returns=returns,
+        genomes=np.zeros((len(returns[-1]), 3)),
     )
 
 
@@ -54,37 +51,27 @@ def test_expected_record_count_and_budget():
     for record in records:
         assert record.status == "ok"
         assert record.eval_count == SMALL.pop_size * SMALL.generations
-        assert len(record.generations) == SMALL.generations
-        for snapshot in record.generations:
-            assert snapshot.genomes.shape[0] == SMALL.pop_size
+        assert len(record.returns) == SMALL.generations
+        for returns in record.returns:
+            assert returns.shape == (SMALL.pop_size, 2)
+        assert record.genomes.shape[0] == SMALL.pop_size
 
 
 def test_runs_are_reproducible_and_seed_sensitive():
     first = harness.run_experiment(SMALL)
     second = harness.run_experiment(SMALL)
     for a, b in zip(first, second):
-        for ga, gb in zip(a.generations, b.generations):
-            assert np.array_equal(ga.genomes, gb.genomes)
-            assert np.array_equal(ga.returns, gb.returns)
+        assert_records_identical(a, b)
     shifted = harness.run_experiment(SMALL.with_seed(6))
-    assert any(
-        not np.array_equal(a.generations[-1].genomes, b.generations[-1].genomes)
-        for a, b in zip(first, shifted)
-    )
+    assert any(not np.array_equal(a.genomes, b.genomes) for a, b in zip(first, shifted))
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
     sequential = harness.run_experiment(SMALL, jobs=1)
     parallel = harness.run_experiment(SMALL, jobs=4)
     for a, b in zip(sequential, parallel):
-        assert a.algorithm == b.algorithm and a.run_index == b.run_index
-        final = a.generations[-1].genomes
-        assert final.shape[0] == SMALL.pop_size and final.shape[1] > 0
-        assert np.array_equal(final, b.generations[-1].genomes)
-        for ga, gb in zip(a.generations, b.generations):
-            assert np.array_equal(ga.genomes, gb.genomes)
-            assert np.array_equal(ga.returns, gb.returns)
-            assert np.array_equal(ga.scalars, gb.scalars)
+        assert a.genomes.shape[0] == SMALL.pop_size and a.genomes.shape[1] > 0
+        assert_records_identical(a, b)
 
 
 def test_records_round_trip_through_disk(tmp_path):
@@ -93,18 +80,20 @@ def test_records_round_trip_through_disk(tmp_path):
     loaded = harness.load_records(tmp_path)
     assert [r.algorithm for r in loaded] == [r.algorithm for r in records]
     for a, b in zip(records, loaded):
-        assert a.seed == b.seed and a.eval_count == b.eval_count
         assert a.config == b.config
-        # Only the final generation keeps its genomes.
-        assert len(a.generations) == len(b.generations) == SMALL.generations == 4
-        final = b.generations[-1].genomes
-        assert final.shape[0] == SMALL.pop_size and final.shape[1] > 0
-        for ga, gb in zip(a.generations[:-1], b.generations[:-1]):
-            assert ga.genomes.shape == gb.genomes.shape == (SMALL.pop_size, 0)
-        for ga, gb in zip(a.generations, b.generations):
-            assert np.array_equal(ga.genomes, gb.genomes)
-            assert np.array_equal(ga.returns, gb.returns)
-            assert np.array_equal(ga.scalars, gb.scalars)
+        assert len(b.returns) == SMALL.generations == 4
+        assert_records_identical(a, b)
+
+
+def test_record_lines_hold_returns_and_only_the_last_holds_genomes(tmp_path):
+    record = harness.run_experiment(SMALL)[0]
+    path, = harness.save_records([record], tmp_path)
+    header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header["status"] == "ok"
+    assert [sorted(line) for line in lines] == [["generation", "genomes", "returns"]] * 4
+    assert [line["genomes"] for line in lines[:-1]] == [[]] * 3
+    assert lines[-1]["genomes"] == record.genomes.tolist()
+    assert [line["returns"] for line in lines] == [r.tolist() for r in record.returns]
 
 
 def test_failed_record_write_keeps_the_earlier_record(tmp_path):
@@ -113,11 +102,10 @@ def test_failed_record_write_keeps_the_earlier_record(tmp_path):
     earlier = path.read_bytes()
     # The second generation does not serialize: the write fails after the
     # header and the first generation line.
-    unwritable = Population(np.zeros((1, 3)), np.array([[0.5, 0.5]]),
-                            np.array([{0.5}], dtype=object))
+    unwritable = np.array([[{0.5}, 0.5]], dtype=object)
     bad = harness.RunRecord(algorithm="GA", run_index=0, seed=2, status="ok",
                             eval_count=2, wall_time=0.0, rng_scheme="test", config=SMALL,
-                            generations=[good.generations[0], unwritable])
+                            returns=[good.returns[0], unwritable], genomes=good.genomes)
     with pytest.raises(TypeError):
         harness.save_records([bad], tmp_path)
     assert path.read_bytes() == earlier
@@ -130,13 +118,11 @@ def poison_rows(monkeypatch, call, rows):
     calls = {"n": 0}
 
     def sometimes_nan(env, spec, genomes, n_episodes, seed_bases):
-        out = real_evaluate(env, spec, genomes, n_episodes, seed_bases)
+        returns = real_evaluate(env, spec, genomes, n_episodes, seed_bases)
         calls["n"] += 1
-        if calls["n"] != call:
-            return out
-        returns = out.returns.copy()
-        returns[rows] = np.nan
-        return Population(out.genomes, returns, out.scalars)
+        if calls["n"] == call:
+            returns[rows] = np.nan
+        return returns
 
     monkeypatch.setattr(harness, "evaluate", sometimes_nan)
 
@@ -149,7 +135,7 @@ def test_non_finite_evaluation_aborts_run_but_not_experiment(monkeypatch):
     poison_rows(monkeypatch, call=1, rows=slice(0, config.pop_size))
     records = harness.run_experiment(config)
     assert [r.status for r in records] == ["aborted", "ok"]
-    assert records[0].generations == []
+    assert records[0].returns == [] and records[0].genomes is None
     assert records[1].eval_count == 12
 
 
@@ -164,12 +150,11 @@ def test_run_aborting_mid_experiment_leaves_its_batch_mates_unchanged(monkeypatc
     assert [r.status for r in records] == ["ok", "aborted", "ok"]
     aborted = records[1]
     assert aborted.eval_count == 3 * config.pop_size
-    assert len(aborted.generations) == 2
-    for a, b in zip(aborted.generations, clean[1].generations):
-        assert np.array_equal(a.returns, b.returns)
-        assert np.array_equal(a.scalars, b.scalars)
+    assert len(aborted.returns) == 2 and aborted.genomes.shape[0] == config.pop_size
+    for a, b in zip(aborted.returns, clean[1].returns):
+        assert np.array_equal(a, b)
     for a, b in zip(records[::2], clean[::2]):
-        assert len(a.generations) == config.generations
+        assert len(a.returns) == config.generations
         assert_records_identical(a, b)
 
 
@@ -191,14 +176,14 @@ def one_job_at_a_time(config, algorithm, run_index):
     status = "ok"
     for generation in range(config.generations):
         genomes = optimizer.ask()
-        evaluated = evaluate_population(env, spec, genomes, config.n_episodes,
-                                        derive_seeds(run_seed, "eval", generation,
-                                                     count=len(genomes)))
-        eval_count += len(evaluated)
-        if not np.all(np.isfinite(evaluated.returns)):
+        returns = evaluate_population(env, spec, genomes, config.n_episodes,
+                                      derive_seeds(run_seed, "eval", generation,
+                                                   count=len(genomes)))
+        eval_count += len(returns)
+        if not np.all(np.isfinite(returns)):
             status = "aborted"
             break
-        optimizer.tell(evaluated)
+        optimizer.tell(Population(genomes, returns))
         generations.append(optimizer.population)
     return run_seed, eval_count, status, generations
 
@@ -211,11 +196,10 @@ def same_bits(a, b):
 def assert_records_identical(a, b):
     assert (a.algorithm, a.run_index, a.seed, a.status, a.eval_count) == \
         (b.algorithm, b.run_index, b.seed, b.status, b.eval_count)
-    assert len(a.generations) == len(b.generations)
-    for ga, gb in zip(a.generations, b.generations):
-        assert same_bits(ga.genomes, gb.genomes)
-        assert same_bits(ga.returns, gb.returns)
-        assert same_bits(ga.scalars, gb.scalars)
+    assert len(a.returns) == len(b.returns)
+    for ra, rb in zip(a.returns, b.returns):
+        assert same_bits(ra, rb)
+    assert (a.genomes is None and b.genomes is None) or same_bits(a.genomes, b.genomes)
 
 
 LOCKSTEP_CASES = {
@@ -243,11 +227,10 @@ def test_lockstep_experiment_matches_one_job_at_a_time(case):
         seed, eval_count, status, generations = one_job_at_a_time(
             config, record.algorithm, record.run_index)
         assert (record.seed, record.eval_count, record.status) == (seed, eval_count, status)
-        assert status == "ok" and len(record.generations) == len(generations)
-        for got, expected in zip(record.generations, generations):
-            assert same_bits(got.returns, expected.returns)
-            assert same_bits(got.scalars, expected.scalars)
-        assert same_bits(record.generations[-1].genomes, generations[-1].genomes)
+        assert status == "ok" and len(record.returns) == len(generations)
+        for got, expected in zip(record.returns, generations):
+            assert same_bits(got, expected.returns)
+        assert same_bits(record.genomes, generations[-1].genomes)
 
 
 def test_chunked_evaluation_matches_one_unsplit_call(monkeypatch):
@@ -297,7 +280,7 @@ def test_per_algorithm_front_is_filtered_union_of_final_populations():
     records = harness.run_experiment(SMALL)
     _, _, fronts = harness.compute_metrics(records)
     for algorithm in SMALL.algorithms:
-        union = np.vstack([r.generations[-1].returns for r in records
+        union = np.vstack([r.returns[-1] for r in records
                            if r.algorithm == algorithm])
         survivors = union[pareto.nondominated_mask(union)]
         expected = sorted(set(map(tuple, survivors)))
@@ -320,7 +303,7 @@ def test_compute_metrics_skips_aborted_runs():
     good = fabricate_record("GA", 0, [[(0.2, 0.8), (0.8, 0.2)]])
     bad = harness.RunRecord(algorithm="DE", run_index=0, seed=2, status="aborted",
                             eval_count=4, wall_time=0.0, rng_scheme="test",
-                            config=SMALL, generations=[])
+                            config=SMALL, returns=[], genomes=None)
     rows, reference, fronts = harness.compute_metrics([good, bad])
     assert {row.algorithm for row in rows} == {"GA"}
     assert set(fronts) == {"GA"}
@@ -589,6 +572,57 @@ def test_cli_metrics_names_unreadable_record(tmp_path, capsys, damage):
     assert f"{path} line {bad_line}:" in err[0]
     assert not (out_dir / "metrics.csv").exists()
 
+
+
+def _edit_eval_count(lines):
+    header = json.loads(lines[0])
+    header["eval_count"] += 1
+    return [json.dumps(header) + "\n"] + lines[1:]
+
+
+def _drop_middle_generation(lines):
+    return lines[:2] + lines[3:]
+
+
+def _drop_every_generation(lines):
+    return lines[:1]
+
+
+@pytest.mark.parametrize("damage", [_edit_eval_count, _drop_middle_generation,
+                                    _drop_every_generation])
+def test_cli_metrics_rejects_a_record_off_its_budget(tmp_path, capsys, damage):
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        "environment = TradeoffBandit\nalgorithms = GA, NSGA2\n"
+        "pop_size = 4\ngenerations = 3\nn_episodes = 1\nn_runs = 1\n"
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 0
+    path = out_dir / "records" / "NSGA2_run000.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(damage(lines)), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert "12 in 3" in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_aborted_records_load_and_are_left_out_of_metrics(tmp_path, monkeypatch):
+    config = ExperimentConfig(environment="TradeoffBandit", algorithms=("GA", "DE"),
+                              pop_size=4, generations=3, n_episodes=1, n_runs=1)
+    # The GA run aborts in its second generation, short of its budget.
+    poison_rows(monkeypatch, call=2, rows=slice(0, config.pop_size))
+    records = harness.run_experiment(config)
+    harness.save_records(records, tmp_path)
+    loaded = harness.load_records(tmp_path)
+    assert [(r.status, r.eval_count, len(r.returns)) for r in loaded] == \
+        [("aborted", 8, 1), ("ok", 12, 3)]
+    for a, b in zip(records, loaded):
+        assert_records_identical(a, b)
+    rows, _, _ = harness.compute_metrics(loaded)
+    assert {row.algorithm for row in rows} == {"DE"}
 
 def test_cli_bandit_smoke_config_end_to_end(tmp_path, capsys):
     config_path = Path(__file__).resolve().parent.parent / "configs" / "bandit_smoke.cfg"

@@ -170,6 +170,36 @@ def test_cd_groups_cover_and_maximality():
             assert not any(set(g) < set(h) for h in groups if h != g)
 
 
+
+def subset_filter_groups(mean_ranks, critical_difference):
+    """Oracle: every window in rank order, keeping each one that no other
+    window strictly contains, once."""
+    ranks = np.asarray(mean_ranks, dtype=np.float64)
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks = ranks[order]
+    windows = []
+    for start in range(len(order)):
+        end = start
+        while end + 1 < len(order) and sorted_ranks[end + 1] - sorted_ranks[start] <= critical_difference:
+            end += 1
+        windows.append(tuple(sorted(order[start : end + 1].tolist())))
+    maximal = []
+    for w in windows:
+        if not any(set(w) < set(other) for other in windows) and w not in maximal:
+            maximal.append(w)
+    return maximal
+
+
+def test_cd_groups_match_the_subset_filter_on_half_integer_ties():
+    stream = RandomStream(47)
+    for case in range(3000):
+        m = 2 + stream.below(9)
+        ranks = [1.0 + 0.5 * stream.below(2 * m - 1) for _ in range(m)]
+        # Half the cases put the CD on the half-integer grid, so rank gaps
+        # equal to it are common.
+        cd = 0.5 * stream.below(2 * m) if case % 2 else stream.uniform(0.0, m)
+        assert stats.cd_groups(ranks, cd) == subset_filter_groups(ranks, cd), (ranks, cd)
+
 def test_friedman_nemenyi_pipeline():
     stream = RandomStream(41)
     scores = stream.uniform_vector(10 * 4).reshape(10, 4)

@@ -45,4 +45,4 @@ def test_tracer_spans_ask_tell_and_evaluate_of_a_run():
     assert tracer.busy["evaluation.evaluate"] > 0.0
     assert tracer.counts["rng.draws"] > 0
     for a, b in zip(untraced, traced):
-        assert np.array_equal(a.generations[-1].returns, b.generations[-1].returns)
+        assert np.array_equal(a.returns[-1], b.returns[-1])
