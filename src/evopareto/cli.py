@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .config import parse_config, serialize_config
+from .config import parse_config
 from .stats import friedman_nemenyi
 
 
@@ -25,10 +25,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path(config.output_dir or "results")
-    _check_out_dir(out_dir, config)
+    harness.check_out_dir(out_dir, config)
     records = harness.run_experiment(config, jobs=args.jobs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(serialize_config(config), encoding="utf-8")
     harness.save_records(records, out_dir)
     aborted = [r for r in records if r.status != "ok"]
     print(f"completed {len(records) - len(aborted)}/{len(records)} runs "
@@ -37,23 +35,6 @@ def _cmd_run(args) -> int:
         print(f"  aborted: {record.algorithm} run {record.run_index} "
               f"(non-finite evaluation)")
     return 0
-
-
-def _check_out_dir(out_dir: Path, config) -> None:
-    """Refuse a results directory that cannot be made or that holds another
-    config's results; the same config may run into it again."""
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ValueError(f"cannot write results to {out_dir}: {existing} is not a directory")
-    echoed = out_dir / "config.txt"
-    records = out_dir / "records"
-    if echoed.exists():
-        if echoed.read_text(encoding="utf-8") != serialize_config(config):
-            raise ValueError(f"{out_dir} holds the results of a different config "
-                             f"(see {echoed}); use a fresh --out")
-    elif records.is_dir() and any(records.iterdir()):
-        raise ValueError(f"{records} holds run records but {out_dir} has no config.txt; "
-                         f"use a fresh --out")
 
 
 def _cmd_metrics(args) -> int:

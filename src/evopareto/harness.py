@@ -16,9 +16,9 @@ it would alone, so nothing depends on wall-clock, grouping, chunking or
 Every algorithm consumes exactly ``pop_size * generations`` evaluations; the
 counter is recorded per run so budget parity is auditable after the fact.
 
-A run record keeps what the analysis reads: every generation's returns
-and the genomes of the final generation.  Scalarized values are derived from
-the returns where they are read, and never stored.
+A results directory holds ``config.txt`` and, under ``records/``, the record of
+each (algorithm, run) of that config; only this module reads and writes it.  A
+record keeps each generation's returns and the final genomes, never scalars.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +136,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(algorithm, run) for algorithm in config.algorithms
-             for run in range(config.n_runs)]
+    tasks = list(product(config.algorithms, range(config.n_runs)))
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return execute_runs(config, tasks)
+    # Imported here: the pool's modules cost import time that jobs=1 never uses.
+    from concurrent.futures import ProcessPoolExecutor
     records: list[RunRecord] = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         groups = pool.map(partial(execute_runs, config), [tasks[i::jobs] for i in range(jobs)])
@@ -155,11 +156,29 @@ def record_path(directory: Path, algorithm: str, run_index: int) -> Path:
     return Path(directory) / "records" / f"{algorithm}_run{run_index:03d}.jsonl"
 
 
+def check_out_dir(out_dir: Path, config: ExperimentConfig) -> None:
+    """Refuse a results directory that cannot be made or that holds another
+    config's results; the same config may run into it again."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot write results to {out_dir}: {existing} is not a directory")
+    echoed = out_dir / "config.txt"
+    records = out_dir / "records"
+    if echoed.exists():
+        if echoed.read_text(encoding="utf-8") != serialize_config(config):
+            raise ValueError(f"{out_dir} holds the results of a different config "
+                             f"(see {echoed}); use a fresh --out")
+    elif records.is_dir() and any(records.iterdir()):
+        raise ValueError(f"{records} holds run records but {out_dir} has no config.txt; "
+                         f"use a fresh --out")
+
+
 def save_records(records: list[RunRecord], directory) -> list[Path]:
-    """Write each record to a temporary name, then rename it into place, so a
-    failed write leaves no partial ``.jsonl`` and keeps any earlier record."""
+    """Write ``config.txt``, then each record to a temporary name renamed into
+    place, so a failed write leaves no partial ``.jsonl`` and keeps any earlier record."""
     directory = Path(directory)
     (directory / "records").mkdir(parents=True, exist_ok=True)
+    (directory / "config.txt").write_text(serialize_config(records[0].config), encoding="utf-8")
     paths = []
     for record in records:
         path = record_path(directory, record.algorithm, record.run_index)
@@ -194,44 +213,38 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
 
 
 def load_records(directory) -> list[RunRecord]:
-    """All run records under ``directory``; they must share one config and
-    cover every (algorithm, run) of it, each completed run within budget."""
+    """The record of each (algorithm, run) of ``directory/config.txt``, in config
+    order, each completed run within budget; other files under ``records/`` are not read."""
     directory = Path(directory)
-    paths = sorted((directory / "records").glob("*.jsonl"))
-    if not paths:
-        raise FileNotFoundError(f"no run records under {directory}/records")
+    text = (directory / "config.txt").read_text(encoding="utf-8")
+    config = parse_config(text)
+    shape = (config.pop_size, make_env(config.environment, config.sigma).spec.k)
+    budget = (config.pop_size * config.generations, config.generations)
     records = []
-    for path in paths:
-        record = _read_record(path)
-        budget = (record.config.pop_size * record.config.generations, record.config.generations)
+    for algorithm, run in product(config.algorithms, range(config.n_runs)):
+        path = record_path(directory, algorithm, run)
+        if not path.is_file():
+            raise ValueError(f"run records under {directory}/records are incomplete: "
+                             f"{path.name} is missing")
+        record = _read_record(path, config, text, shape)
+        if (record.algorithm, record.run_index) != (algorithm, run):
+            raise ValueError(f"{path} holds {record.algorithm} run {record.run_index}")
         if record.status == "ok" and (record.eval_count, len(record.returns)) != budget:
             raise ValueError(f"{path}: completed run holds {record.eval_count} evaluations in "
                              f"{len(record.returns)} generations, not {budget[0]} in {budget[1]}")
-        if records and record.config != records[0].config:
-            raise ValueError(
-                f"run records under {directory}/records come from different configs: "
-                f"{paths[0].name} and {path.name} (clear stale records or use a fresh --out)")
         records.append(record)
-    config = records[0].config
-    found = {(r.algorithm, r.run_index) for r in records}
-    for algorithm in config.algorithms:
-        for run in range(config.n_runs):
-            if (algorithm, run) not in found:
-                raise ValueError(
-                    f"run records under {directory}/records are incomplete: "
-                    f"{record_path(directory, algorithm, run).name} is missing")
-    order = config.algorithms
-    records.sort(key=lambda r: (order.index(r.algorithm), r.run_index))
     return records
 
 
-def _read_record(path: Path) -> RunRecord:
-    """One record file; ``ValueError`` names the file and the line that does not parse.
-    Older records' ``scalars`` and empty genome rows are not read."""
+def _read_record(path: Path, config: ExperimentConfig, text: str, shape) -> RunRecord:
+    """One record file of the config ``text``, each line's returns of ``shape``; ``ValueError``
+    names the file and the line that does not parse.  Older records' ``scalars`` and empty
+    genome rows are not read, nor is any line's ``generation``, which its position gives."""
     lineno = 1
     with open(path, encoding="utf-8") as handle:
         try:
             header = json.loads(handle.readline())
+            own_config = header["config"] == text
             record = RunRecord(
                 algorithm=header["algorithm"],
                 run_index=header["run"],
@@ -240,13 +253,16 @@ def _read_record(path: Path) -> RunRecord:
                 eval_count=header["eval_count"],
                 wall_time=header["wall_time"],
                 rng_scheme=header["rng"],
-                config=parse_config(header["config"]),
+                config=config,
                 returns=[],
                 genomes=None,
             )
-            for lineno, line in enumerate(handle, start=2):
+            for lineno, line in enumerate(handle if own_config else (), start=2):
                 payload = json.loads(line)
-                record.returns.append(np.array(payload["returns"]))
+                returns = np.array(payload["returns"])
+                if returns.shape != shape:
+                    raise ValueError(f"returns of shape {returns.shape}, not {shape}")
+                record.returns.append(returns)
                 genomes = payload["genomes"]
             if record.returns:
                 record = replace(record, genomes=np.array(genomes))
@@ -254,6 +270,9 @@ def _read_record(path: Path) -> RunRecord:
             raise ValueError(f"{path} line {lineno}: run record lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} line {lineno}: unreadable run record: {exc}") from None
+    if not own_config:
+        raise ValueError(f"{path} was run with another config than {path.parents[1]}/config.txt "
+                         f"(clear stale records or use a fresh --out)")
     return record
 
 

@@ -473,7 +473,8 @@ def test_cli_metrics_rejects_records_of_two_configs(tmp_path, capsys):
     assert cli.main(["metrics", str(out_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "DE_run000.jsonl" in err[0] and "GA_run000.jsonl" in err[0]
+    assert f"{out_dir / 'records' / 'GA_run000.jsonl'} was run with another config" in err[0]
+    assert str(out_dir / "config.txt") in err[0]
     assert not (out_dir / "metrics.csv").exists()
 
 
@@ -682,13 +683,78 @@ LEGACY_RECORDS_DIGESTS = {
 }
 
 
-def test_cli_metrics_reads_legacy_records(tmp_path, capsys):
+def legacy_copy(tmp_path):
     out_dir = tmp_path / "legacy"
     shutil.copytree(Path(__file__).resolve().parent / "data" / "legacy_records", out_dir)
+    return out_dir
+
+
+def test_cli_metrics_reads_legacy_records(tmp_path, capsys):
+    out_dir = legacy_copy(tmp_path)
     assert cli.main(["metrics", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
     for name, digest in LEGACY_RECORDS_DIGESTS.items():
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_cli_metrics_reads_only_the_records_its_config_names(tmp_path, capsys):
+    out_dir = legacy_copy(tmp_path)
+    records = out_dir / "records"
+    shutil.copyfile(records / "GA_run000.jsonl", records / "GA_run000 copy.jsonl")
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    for name, digest in LEGACY_RECORDS_DIGESTS.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_cli_metrics_rejects_a_record_of_another_run(tmp_path, capsys):
+    out_dir = legacy_copy(tmp_path)
+    path = out_dir / "records" / "GA_run000.jsonl"
+    shutil.copyfile(out_dir / "records" / "GA_run001.jsonl", path)
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path} holds GA run 1"]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_metrics_rejects_records_without_config_txt(tmp_path, capsys):
+    out_dir = legacy_copy(tmp_path)
+    (out_dir / "config.txt").unlink()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out_dir / "config.txt") in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_metrics_rejects_a_generation_of_the_wrong_shape(tmp_path, capsys):
+    # Generation 0 holds 1 of its 4 rows; the next line's number is off too,
+    # but a line's position, not its "generation" field, is its generation.
+    out_dir = legacy_copy(tmp_path)
+    path = out_dir / "records" / "GA_run000.jsonl"
+    header, first, second, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = json.loads(first), json.loads(second)
+    first["returns"] = first["returns"][:1]
+    second["generation"] = 7
+    path.write_text("".join([header, json.dumps(first) + "\n", json.dumps(second) + "\n", *rest]),
+                    encoding="utf-8")
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path} line 2: ")
+    assert "(1, 2), not (4, 2)" in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_import_leaves_the_process_pool_out():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evopareto; print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
 
 
 def test_cli_seed_override_recorded(tmp_path):
