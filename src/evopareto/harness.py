@@ -19,10 +19,20 @@ counter is recorded per run so budget parity is auditable after the fact.
 A results directory holds ``config.txt`` and, under ``records/``, the record of
 each (algorithm, run) of that config; only this module reads and writes it.  A
 record keeps each generation's returns and the final genomes, never scalars.
+Its first line is a JSON header; each further line is one generation,
+``{"generation", "genomes", "returns"}``, whose arrays are ASCII strings: the
+base64 of their little-endian float64 bytes, ``(pop_size, k)`` for returns
+and ``(pop_size, n_genes)`` for the genomes, which only the last line holds
+(``""`` before it).  One line of numpy decodes either::
+
+    np.frombuffer(base64.b64decode(line["returns"]), "<f8").reshape(pop_size, k)
+
+Records written before that hold nested JSON lists instead, and still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import time
@@ -176,9 +186,13 @@ def check_out_dir(out_dir: Path, config: ExperimentConfig) -> None:
 def save_records(records: list[RunRecord], directory) -> list[Path]:
     """Write ``config.txt``, then each record to a temporary name renamed into
     place, so a failed write leaves no partial ``.jsonl`` and keeps any earlier record."""
+    config = records[0].config
+    if any(record.config != config for record in records):
+        raise ValueError("records of different configs cannot share a results directory")
+    text = serialize_config(config)
     directory = Path(directory)
     (directory / "records").mkdir(parents=True, exist_ok=True)
-    (directory / "config.txt").write_text(serialize_config(records[0].config), encoding="utf-8")
+    (directory / "config.txt").write_text(text, encoding="utf-8")
     paths = []
     for record in records:
         path = record_path(directory, record.algorithm, record.run_index)
@@ -193,15 +207,15 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
                     "eval_count": record.eval_count,
                     "wall_time": record.wall_time,
                     "rng": record.rng_scheme,
-                    "config": serialize_config(record.config),
+                    "config": text,
                 }
                 handle.write(json.dumps(header) + "\n")
                 last = len(record.returns) - 1
                 for g, returns in enumerate(record.returns):
                     line = {
                         "generation": g,
-                        "genomes": record.genomes.tolist() if g == last else [],
-                        "returns": returns.tolist(),
+                        "genomes": _encode(record.genomes) if g == last else "",
+                        "returns": _encode(returns),
                     }
                     handle.write(json.dumps(line) + "\n")
             os.replace(partial, path)
@@ -212,12 +226,29 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
     return paths
 
 
+def _encode(array) -> str:
+    """The base64 of ``array``'s little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(array).astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode(value, shape) -> np.ndarray:
+    """The array a record line holds, of ``shape`` if it is a string; records
+    written before arrays were strings hold a nested list, read as it is."""
+    if isinstance(value, list):
+        return np.array(value)
+    return np.frombuffer(base64.b64decode(value, validate=True), "<f8").reshape(shape)
+
+
 def load_records(directory) -> list[RunRecord]:
     """The record of each (algorithm, run) of ``directory/config.txt``, in config
     order, each completed run within budget; other files under ``records/`` are not read."""
     directory = Path(directory)
-    text = (directory / "config.txt").read_text(encoding="utf-8")
-    config = parse_config(text)
+    config_path = directory / "config.txt"
+    text = config_path.read_text(encoding="utf-8")
+    try:
+        config = parse_config(text)
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
     shape = (config.pop_size, make_env(config.environment, config.sigma).spec.k)
     budget = (config.pop_size * config.generations, config.generations)
     records = []
@@ -259,13 +290,13 @@ def _read_record(path: Path, config: ExperimentConfig, text: str, shape) -> RunR
             )
             for lineno, line in enumerate(handle if own_config else (), start=2):
                 payload = json.loads(line)
-                returns = np.array(payload["returns"])
+                returns = _decode(payload["returns"], shape)
                 if returns.shape != shape:
                     raise ValueError(f"returns of shape {returns.shape}, not {shape}")
                 record.returns.append(returns)
                 genomes = payload["genomes"]
             if record.returns:
-                record = replace(record, genomes=np.array(genomes))
+                record = replace(record, genomes=_decode(genomes, (config.pop_size, -1)))
         except KeyError as exc:
             raise ValueError(f"{path} line {lineno}: run record lacks key {exc}") from None
         except (TypeError, ValueError) as exc:

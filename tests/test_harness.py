@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +93,35 @@ def test_record_lines_hold_returns_and_only_the_last_holds_genomes(tmp_path):
     header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert header["status"] == "ok"
     assert [sorted(line) for line in lines] == [["generation", "genomes", "returns"]] * 4
-    assert [line["genomes"] for line in lines[:-1]] == [[]] * 3
-    assert lines[-1]["genomes"] == record.genomes.tolist()
-    assert [line["returns"] for line in lines] == [r.tolist() for r in record.returns]
+    assert [line["genomes"] for line in lines[:-1]] == [""] * 3
+    # Each array is the base64 of its little-endian float64 bytes.
+    assert base64.b64decode(lines[-1]["genomes"]) == record.genomes.astype("<f8").tobytes()
+    assert [base64.b64decode(line["returns"]) for line in lines] == \
+        [r.astype("<f8").tobytes() for r in record.returns]
+
+
+def test_record_round_trip_is_bit_exact(tmp_path):
+    # Signed zero, subnormals, the largest doubles and 17-digit values.
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                       0.1, 1 / 3, 2.718281828459045, -1.2345678901234567e-300])
+    config = replace(SMALL, algorithms=("GA",), pop_size=4, generations=2, n_runs=1)
+    record = harness.RunRecord(algorithm="GA", run_index=0, seed=1, status="ok", eval_count=8,
+                               wall_time=0.0, rng_scheme="test", config=config,
+                               returns=[values.reshape(4, 2), values[::-1].reshape(4, 2)],
+                               genomes=np.resize(values, (4, 6)))
+    harness.save_records([record], tmp_path)
+    loaded, = harness.load_records(tmp_path)
+    assert [r.tobytes() for r in loaded.returns] == [r.tobytes() for r in record.returns]
+    assert loaded.genomes.shape == (4, 6)
+    assert loaded.genomes.tobytes() == record.genomes.tobytes()
+
+
+def test_save_records_rejects_records_of_two_configs(tmp_path):
+    records = [fabricate_record("GA", 0, [[(0.2, 0.8)]]),
+               fabricate_record("GA", 1, [[(0.3, 0.7)]], config=SMALL.with_seed(6))]
+    with pytest.raises(ValueError, match="different configs"):
+        harness.save_records(records, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_record_write_keeps_the_earlier_record(tmp_path):
@@ -554,7 +582,33 @@ def _drop_config_key(text):
     return "".join([json.dumps(fields) + "\n"] + rest), 1
 
 
-@pytest.mark.parametrize("damage", [_truncate_last_line, _empty, _drop_config_key])
+def _edit_array(text, lineno, key, edit):
+    lines = text.splitlines(keepends=True)
+    payload = json.loads(lines[lineno - 1])
+    payload[key] = edit(payload[key])
+    lines[lineno - 1] = json.dumps(payload) + "\n"
+    return "".join(lines), lineno
+
+
+def _one_float_short(encoded):
+    return base64.b64encode(base64.b64decode(encoded)[:-8]).decode("ascii")
+
+
+def _returns_not_base64(text):
+    return _edit_array(text, 2, "returns", lambda encoded: "*" + encoded[1:])
+
+
+def _returns_one_float_short(text):
+    return _edit_array(text, 2, "returns", _one_float_short)
+
+
+def _genomes_one_float_short(text):
+    return _edit_array(text, 3, "genomes", _one_float_short)
+
+
+@pytest.mark.parametrize("damage", [_truncate_last_line, _empty, _drop_config_key,
+                                    _returns_not_base64, _returns_one_float_short,
+                                    _genomes_one_float_short])
 def test_cli_metrics_names_unreadable_record(tmp_path, capsys, damage):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(
@@ -724,6 +778,16 @@ def test_cli_metrics_rejects_records_without_config_txt(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(out_dir / "config.txt") in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+def test_cli_metrics_names_a_config_txt_that_does_not_parse(tmp_path, capsys):
+    out_dir = legacy_copy(tmp_path)
+    with open(out_dir / "config.txt", "a", encoding="utf-8") as handle:
+        handle.write("bogus = 1\n")
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out_dir / 'config.txt'}: line 21: unknown key 'bogus'"]
     assert not (out_dir / "metrics.csv").exists()
 
 

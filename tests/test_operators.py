@@ -137,6 +137,23 @@ def test_pm_respects_bounds_and_rate_validation():
         polynomial_mutation(genome, 20.0, 1.5, rng, BOUNDS)
 
 
+@pytest.mark.parametrize("n", [13, 57, 70])
+@pytest.mark.parametrize("bounds", [BOUNDS, (0.0, 1.0), (-1.0, -0.0), (-0.0, 0.0)])
+def test_operators_clamp_to_the_bits_of_np_clip(bounds, n):
+    lo, hi = bounds
+    # Where a clamp could differ from np.clip: signed zeros, the bounds and the
+    # next doubles past them, NaN of either sign, infinities, subnormals.
+    parent_a = np.resize([-0.0, 0.0, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                          np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.2345678901234567], n)
+    parent_b = parent_a[::-1].copy()
+    # Draws of 0.9 apply no gene, so each output is its input clamped.
+    child_a, child_b = sbx_crossover(parent_a, parent_b, 15.0, ScriptedStream([0.9] * n), bounds)
+    mutant = polynomial_mutation(parent_a, 20.0, 0.5, ScriptedStream([0.9] * n), bounds)
+    assert child_a.tobytes() == np.clip(parent_a, lo, hi).tobytes()
+    assert child_b.tobytes() == np.clip(parent_b, lo, hi).tobytes()
+    assert mutant.tobytes() == np.clip(parent_a, lo, hi).tobytes()
+
+
 # The per-gene loops the operators replaced, kept as the oracle: one
 # application draw per gene, then a spread draw for an applied gene.
 
