@@ -30,11 +30,12 @@ SMALL = ExperimentConfig(
     master_seed=5,
 )
 
-# configs/bandit_smoke.cfg through run, metrics and stats: the analysis bytes.
+# configs/bandit_smoke.cfg through run, metrics, stats and export-plots: the analysis bytes.
 BANDIT_SMOKE_DIGESTS = {
     "metrics.csv": "79b52f7292a3a1fd1a5d7ff1786cc479aa14c7fff1021a81448a9e8f20740b3a",
     "fronts.csv": "a52ccbbbddf663cd62b0f930eba820a12fe3a4059325d2d92297e9ceaeacdffe",
     "cd.csv": "4da6dfeb6133d229618dbe2705b39e3fb2c88c9f8318cde9266a99d8cb5d77f0",
+    "curves.csv": "eb8152e80097a49b7cf0097dff3b36d910afa75496c88e5f170f0878075391f9",
 }
 
 
