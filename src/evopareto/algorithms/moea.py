@@ -346,15 +346,14 @@ class NSGA3(Optimizer):
         self.population = pool.take(selected + last_front[chosen].tolist())
 
 
-def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
-                          pool_max: np.ndarray, reference_points: np.ndarray,
+def reference_point_ranks(normalized: np.ndarray, reference_points: np.ndarray,
                           epsilon: float) -> np.ndarray:
-    """R-NSGA-II preference ranks for one front (lower is better).
+    """R-NSGA-II preference ranks for one front of normalized points (lower is better).
 
     Each member's rank is its best position in any per-reference-point
-    ordering by normalized Euclidean distance; epsilon-clearing then walks
-    members best-first (index order on ties) and demotes any unprocessed
-    member closer than epsilon (normalized) to a kept one.
+    ordering by Euclidean distance; epsilon-clearing then walks members
+    best-first (index order on ties) and demotes any unprocessed member
+    closer than epsilon to a kept one.
 
     The clearing reads one boolean ``near`` matrix built before the walk.
     Its row for a member holds the same ``< epsilon`` tests as that
@@ -362,17 +361,11 @@ def reference_point_ranks(front_points: np.ndarray, pool_min: np.ndarray,
     depend on which point is subtracted, and the k squares are added left
     to right either way.
     """
-    span = pool_max - pool_min
-    safe = np.where(span > 0.0, span, 1.0)
-    normalized = np.where(span > 0.0, (front_points - pool_min) / safe, 0.0)
-    m = front_points.shape[0]
-    best_position = np.full(m, np.inf)
-    for ref in reference_points:
-        d = np.linalg.norm(normalized - ref, axis=1)
-        order = np.argsort(d, kind="stable")
-        position = np.empty(m)
-        position[order] = np.arange(1, m + 1)
-        best_position = np.minimum(best_position, position)
+    m = normalized.shape[0]
+    distances = euclidean_distances(normalized, reference_points)
+    order = np.argsort(distances, axis=0, kind="stable")
+    # Sorting a column's order inverts it: each member's position (from 0) in it.
+    best_position = np.argsort(order, axis=0).min(axis=1) + 1.0
     near = euclidean_distances(normalized, normalized) < epsilon
     adjusted = best_position.copy()
     processed = np.zeros(m, dtype=bool)
@@ -392,22 +385,24 @@ class RNSGA2(NSGA2):
 
     Default reference points are the unit-objective ideal corners of the
     normalized space; user-supplied points are given in raw objective space.
-    Both are normalized by the range of the points ranked, so survivors are
-    ranked again among themselves rather than inheriting pool preferences.
+    The points ranked and user-supplied reference points are normalized once,
+    by the range of the points ranked, so survivors are ranked again among
+    themselves rather than inheriting pool preferences.
     """
 
     def _secondary(self, points, ranks, inherited=None):
-        pool_min = points.min(axis=0)
-        pool_max = points.max(axis=0)
+        low = points.min(axis=0)
+        span = points.max(axis=0) - low
+        safe = np.where(span > 0.0, span, 1.0)
+
+        def normalize(x):
+            return np.where(span > 0.0, (x - low) / safe, 0.0)
+
         refs = self.config.rnsga2_reference_points
-        if refs is None:
-            refs = np.eye(points.shape[1])
-        else:
-            span = pool_max - pool_min
-            safe = np.where(span > 0.0, span, 1.0)
-            refs = np.where(span > 0.0, (np.array(refs, dtype=np.float64) - pool_min) / safe, 0.0)
+        refs = np.eye(points.shape[1]) if refs is None else normalize(np.array(refs))
+        normalized = normalize(points)
+        epsilon = self.config.rnsga2_epsilon
         pref = np.empty(points.shape[0])
         for front in pareto.fronts(ranks):
-            pref[front] = reference_point_ranks(points[front], pool_min, pool_max,
-                                                refs, self.config.rnsga2_epsilon)
+            pref[front] = reference_point_ranks(normalized[front], refs, epsilon)
         return pref

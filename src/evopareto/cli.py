@@ -3,8 +3,8 @@
 Subcommands:
   run <config> --out <dir> [--seed N] [--jobs N]   execute an experiment
   metrics <dir>                                    metrics.csv + fronts.csv
-  stats <dir> --metric {hv,gd,igd} [--alpha 0.05]  Friedman/Nemenyi -> cd.csv
-                                                   (one dataset per run)
+  stats <dir> --metric {hv,gd,igd}                 Friedman/Nemenyi -> cd.csv
+                                                   (one dataset per run, alpha = 0.05)
   export-plots <dir>                               per-generation curve data
 """
 
@@ -51,7 +51,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_stats(args) -> int:
     rows = harness.read_metrics_csv(Path(args.dir) / "metrics.csv")
     table = harness.build_score_table(rows, args.metric)
-    result = friedman_nemenyi(table, alpha=args.alpha)
+    result = friedman_nemenyi(table)
     harness.write_cd_csv({args.metric: result}, Path(args.dir) / "cd.csv")
     print(f"Friedman chi-square = {result.statistic:.4f}, p = {result.p_value:.4g}, "
           f"CD = {result.critical_difference:.4f}")
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd = sub.add_parser("stats", help="Friedman/Nemenyi comparison from metrics.csv")
     stats_cmd.add_argument("dir")
     stats_cmd.add_argument("--metric", choices=("hv", "gd", "igd"), required=True)
-    stats_cmd.add_argument("--alpha", type=float, default=0.05)
     stats_cmd.set_defaults(func=_cmd_stats)
 
     plots = sub.add_parser("export-plots", help="export per-generation curve data")

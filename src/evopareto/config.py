@@ -62,16 +62,19 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be positive")
         # The environment and operator rules, the latter against its k.
         try:
-            k = make_env(self.environment, self.sigma).spec.k
             for name in self.algorithms:
-                self.algorithm_config(name, k)
+                self.algorithm_config(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def algorithm_config(self, name: str, k: int) -> AlgorithmConfig:
+    def algorithm_config(self, name: str) -> AlgorithmConfig:
+        """``name``'s operator settings, reference points grouped by the environment's k."""
+        k = make_env(self.environment, self.sigma).spec.k
         refs = None
         if self.rnsga2_reference_points is not None:
             flat = self.rnsga2_reference_points
+            if not flat:
+                raise ConfigError("rnsga2_reference_points must hold at least one point")
             if len(flat) % k != 0:
                 raise ConfigError(
                     f"rnsga2_reference_points has {len(flat)} values, "

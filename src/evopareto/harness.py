@@ -46,7 +46,7 @@ import numpy as np
 from . import indicators, rng, stats
 from .algorithms import make_optimizer
 from .config import ExperimentConfig, parse_config, serialize_config
-from .environments import make_env
+from .environments import Environment, make_env
 # Each call evaluates a chunk of a generation of every run in a lockstep group;
 # benchmarks/tracer.py times it through this module-level name.
 from .evaluation import Population, evaluate_population as evaluate, scalarize
@@ -88,6 +88,13 @@ class MetricRow:
     scalarized_best: float
 
 
+def _environment_and_policy(config: ExperimentConfig) -> tuple[Environment, PolicySpec]:
+    """The config's environment and the policy whose weights a genome holds."""
+    env = make_env(config.environment, config.sigma)
+    return env, PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
+                           action_dim=env.spec.action_dim)
+
+
 def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
     """One record per seeded (algorithm, run) task, the runs stepped in lockstep.
 
@@ -96,12 +103,10 @@ def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
     and each run is told its own rows.  A run whose rows hold non-finite
     returns is marked aborted and leaves later batches.
     """
-    env = make_env(config.environment, config.sigma)
-    spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
-                      action_dim=env.spec.action_dim)
+    env, spec = _environment_and_policy(config)
     n_genes = genome_length(spec)
     seeds = [derive_seed(config.master_seed, algorithm, run) for algorithm, run in tasks]
-    optimizers = [make_optimizer(config.algorithm_config(algorithm, env.spec.k), n_genes,
+    optimizers = [make_optimizer(config.algorithm_config(algorithm), n_genes,
                                  RandomStream(derive_seed(seed, "optimizer")))
                   for (algorithm, _), seed in zip(tasks, seeds)]
     histories: list[list[np.ndarray]] = [[] for _ in tasks]
@@ -231,12 +236,17 @@ def _encode(array) -> str:
     return base64.b64encode(np.asarray(array).astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode(value, shape) -> np.ndarray:
-    """The array a record line holds, of ``shape`` if it is a string; records
-    written before arrays were strings hold a nested list, read as it is."""
+def _decode(payload: dict, key: str, shape) -> np.ndarray:
+    """The array of ``shape`` a record line holds under ``key``; records written
+    before arrays were strings hold a nested list."""
+    value = payload[key]
     if isinstance(value, list):
-        return np.array(value)
-    return np.frombuffer(base64.b64decode(value, validate=True), "<f8").reshape(shape)
+        array = np.array(value)
+    else:
+        array = np.frombuffer(base64.b64decode(value, validate=True), "<f8").reshape(shape)
+    if array.shape != shape:
+        raise ValueError(f"{key} of shape {array.shape}, not {shape}")
+    return array
 
 
 def load_records(directory) -> list[RunRecord]:
@@ -249,7 +259,9 @@ def load_records(directory) -> list[RunRecord]:
         config = parse_config(text)
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
-    shape = (config.pop_size, make_env(config.environment, config.sigma).spec.k)
+    env, spec = _environment_and_policy(config)
+    shapes = {"returns": (config.pop_size, env.spec.k),
+              "genomes": (config.pop_size, genome_length(spec))}
     budget = (config.pop_size * config.generations, config.generations)
     records = []
     for algorithm, run in product(config.algorithms, range(config.n_runs)):
@@ -257,7 +269,7 @@ def load_records(directory) -> list[RunRecord]:
         if not path.is_file():
             raise ValueError(f"run records under {directory}/records are incomplete: "
                              f"{path.name} is missing")
-        record = _read_record(path, config, text, shape)
+        record = _read_record(path, config, text, shapes)
         if (record.algorithm, record.run_index) != (algorithm, run):
             raise ValueError(f"{path} holds {record.algorithm} run {record.run_index}")
         if record.status == "ok" and (record.eval_count, len(record.returns)) != budget:
@@ -267,8 +279,8 @@ def load_records(directory) -> list[RunRecord]:
     return records
 
 
-def _read_record(path: Path, config: ExperimentConfig, text: str, shape) -> RunRecord:
-    """One record file of the config ``text``, each line's returns of ``shape``; ``ValueError``
+def _read_record(path: Path, config: ExperimentConfig, text: str, shapes) -> RunRecord:
+    """One record file of the config ``text``, its arrays of ``shapes[key]``; ``ValueError``
     names the file and the line that does not parse.  Older records' ``scalars`` and empty
     genome rows are not read, nor is any line's ``generation``, which its position gives."""
     lineno = 1
@@ -290,13 +302,9 @@ def _read_record(path: Path, config: ExperimentConfig, text: str, shape) -> RunR
             )
             for lineno, line in enumerate(handle if own_config else (), start=2):
                 payload = json.loads(line)
-                returns = _decode(payload["returns"], shape)
-                if returns.shape != shape:
-                    raise ValueError(f"returns of shape {returns.shape}, not {shape}")
-                record.returns.append(returns)
-                genomes = payload["genomes"]
+                record.returns.append(_decode(payload, "returns", shapes["returns"]))
             if record.returns:
-                record = replace(record, genomes=_decode(genomes, (config.pop_size, -1)))
+                record = replace(record, genomes=_decode(payload, "genomes", shapes["genomes"]))
         except KeyError as exc:
             raise ValueError(f"{path} line {lineno}: run record lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -401,9 +409,8 @@ def build_score_table(rows: list[MetricRow], metric: str) -> stats.ScoreTable:
         raise ValueError(f"no metric rows for {', '.join(missing)} (missing or aborted runs)")
     scores = [[getattr(last_gen[(algorithm, run)], metric) for algorithm in algorithms]
               for run in runs]
-    return stats.ScoreTable(algorithms=tuple(algorithms),
-                            datasets=tuple(f"run{run}" for run in runs),
-                            scores=np.array(scores), better=_METRIC_DIRECTION[metric])
+    return stats.ScoreTable(algorithms=tuple(algorithms), scores=np.array(scores),
+                            better=_METRIC_DIRECTION[metric])
 
 
 def write_cd_csv(cd_results: dict[str, stats.CDResult], path) -> None:
@@ -420,17 +427,16 @@ def write_cd_csv(cd_results: dict[str, stats.CDResult], path) -> None:
 
 def write_curves_csv(rows: list[MetricRow], path) -> None:
     """Plot-ready per-generation mean/std curves for every metric."""
-    lines = ["metric,algorithm,generation,mean,std"]
+    groups: dict[tuple[str, int], list[MetricRow]] = {}
+    for row in rows:
+        groups.setdefault((row.algorithm, row.generation), []).append(row)
     algorithms = list(dict.fromkeys(row.algorithm for row in rows))
-    generations = sorted({row.generation for row in rows})
+    keys = sorted(groups, key=lambda key: (algorithms.index(key[0]), key[1]))
+    lines = ["metric,algorithm,generation,mean,std"]
     for metric in ("hv", "gd", "igd", "scalarized_best"):
-        for algorithm in algorithms:
-            for generation in generations:
-                values = np.array([getattr(r, metric) for r in rows
-                                   if r.algorithm == algorithm and r.generation == generation])
-                if values.size == 0:
-                    continue
-                lines.append(f"{metric},{algorithm},{generation},"
-                             f"{float(values.mean())!r},{float(values.std())!r}")
+        for algorithm, generation in keys:
+            values = np.array([getattr(r, metric) for r in groups[algorithm, generation]])
+            lines.append(f"{metric},{algorithm},{generation},"
+                         f"{float(values.mean())!r},{float(values.std())!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

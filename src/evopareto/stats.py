@@ -1,12 +1,13 @@
 """Friedman test with Nemenyi post-hoc and critical-difference grouping.
 
-Scores arrive as an (n datasets x m algorithms) table plus a direction flag;
-datasets are the runs of one experiment.  Ranking is 1 = best with average
-ranks on ties, counted over the whole table at once.  The Friedman statistic
+Scores arrive as an (n datasets x m algorithms) table, its columns named by
+algorithm, plus a direction flag; each row (dataset) is one run of an
+experiment.  Ranking is 1 = best with average ranks on ties, counted over the
+whole table at once.  The Friedman statistic
 is the plain chi-square form (no Iman-Davenport correction) and its p-value
 the closed-form chi-square tail at integer df; the Nemenyi critical
 difference uses an embedded table of studentized-range-derived q values at
-alpha = 0.05.
+alpha = 0.05, the one level it offers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ _Q_ALPHA_005 = {
 @dataclass(frozen=True)
 class ScoreTable:
     algorithms: tuple[str, ...]
-    datasets: tuple[str, ...]
     scores: np.ndarray  # (n datasets, m algorithms)
     better: str = "higher"
 
@@ -35,8 +35,8 @@ class ScoreTable:
         scores = np.asarray(self.scores, dtype=np.float64)
         object.__setattr__(self, "scores", scores)
         n, m = scores.shape
-        if m != len(self.algorithms) or n != len(self.datasets):
-            raise ValueError("score matrix shape does not match labels")
+        if m != len(self.algorithms):
+            raise ValueError("score matrix columns do not match the algorithms")
         if n < 2 or m < 2:
             raise ValueError("need at least 2 datasets and 2 algorithms")
         if self.better not in ("higher", "lower"):
@@ -91,10 +91,8 @@ def friedman(table: ScoreTable) -> tuple[float, float]:
     return float(statistic), chi2_sf(float(statistic), m - 1)
 
 
-def nemenyi_cd(m: int, n: int, alpha: float = 0.05) -> float:
-    """Nemenyi critical difference: q_alpha(m) * sqrt(m(m+1) / 6n)."""
-    if alpha != 0.05:
-        raise ValueError("only alpha = 0.05 is supported (embedded q table)")
+def nemenyi_cd(m: int, n: int) -> float:
+    """Nemenyi critical difference at alpha = 0.05: q_0.05(m) * sqrt(m(m+1) / 6n)."""
     if m not in _Q_ALPHA_005:
         raise ValueError(f"m = {m} outside the embedded table range 2..10")
     if n < 1:
@@ -123,11 +121,11 @@ def cd_groups(mean_ranks: Sequence[float], critical_difference: float) -> list[t
     return maximal
 
 
-def friedman_nemenyi(table: ScoreTable, alpha: float = 0.05) -> CDResult:
-    """Full comparison pipeline: ranks, test, CD, and diagram groups."""
+def friedman_nemenyi(table: ScoreTable) -> CDResult:
+    """Full comparison pipeline: ranks, test, CD at alpha = 0.05, and diagram groups."""
     statistic, p_value = friedman(table)
     mean_ranks = rank_rows(table).mean(axis=0)
-    cd = nemenyi_cd(len(table.algorithms), len(table.datasets), alpha)
+    cd = nemenyi_cd(len(table.algorithms), len(table.scores))
     groups = tuple(
         tuple(table.algorithms[i] for i in group)
         for group in cd_groups(mean_ranks, cd)

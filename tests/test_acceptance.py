@@ -147,13 +147,12 @@ def test_criterion_6_scalarized_monotonicity():
 def test_criterion_7_statistics():
     table = stats.ScoreTable(
         algorithms=("A", "B", "C"),
-        datasets=("d0", "d1", "d2"),
         scores=np.array([[3.0, 2.0, 1.0], [30.0, 20.0, 10.0], [0.3, 0.2, 0.1]]),
         better="higher",
     )
     statistic, _ = stats.friedman(table)
     assert statistic == 6.0
-    cd = stats.nemenyi_cd(8, 10, 0.05)
+    cd = stats.nemenyi_cd(8, 10)
     assert abs(cd - 3.320) <= 1e-3
     report(7, f"consensus fixture chi-square = {statistic}, CD(8, 10) = {cd:.4f}")
 

@@ -749,23 +749,20 @@ def test_nsga3_selects_exactly_popsize_through_niching():
 # -- R-NSGA-II -----------------------------------------------------------------
 
 def test_reference_ranks_single_solution():
-    ranks = reference_point_ranks(np.array([(0.3, 0.7)]), np.zeros(2), np.ones(2),
-                                  np.eye(2), 0.01)
+    ranks = reference_point_ranks(np.array([(0.3, 0.7)]), np.eye(2), 0.01)
     assert ranks.tolist() == [1.0]
 
 
 def test_reference_ranks_coincident_point_wins():
     points = np.array([(1.0, 1.0), (0.0, 0.0)])
-    ranks = reference_point_ranks(points, np.zeros(2), np.ones(2),
-                                  np.array([(1.0, 1.0)]), 0.01)
+    ranks = reference_point_ranks(points, np.array([(1.0, 1.0)]), 0.01)
     assert ranks[0] == 1.0
     assert ranks[1] == 2.0
 
 
 def test_reference_ranks_follow_distance_sort():
     points = np.array([(0.9, 0.9), (0.5, 0.5), (0.1, 0.1)])
-    ranks = reference_point_ranks(points, np.zeros(2), np.ones(2),
-                                  np.array([(1.0, 1.0)]), 0.001)
+    ranks = reference_point_ranks(points, np.array([(1.0, 1.0)]), 0.001)
     assert ranks.tolist() == [1.0, 2.0, 3.0]
 
 
@@ -773,8 +770,7 @@ def test_reference_ranks_epsilon_clearing_demotes_near_twins():
     # Point 1 sits marginally closer to the corner, so it is kept and its
     # near-twin (within epsilon) is demoted behind every kept member.
     points = np.array([(0.9, 0.9), (0.9001, 0.9001), (0.1, 0.1)])
-    ranks = reference_point_ranks(points, np.zeros(2), np.ones(2),
-                                  np.array([(1.0, 1.0)]), 0.01)
+    ranks = reference_point_ranks(points, np.array([(1.0, 1.0)]), 0.01)
     assert ranks[1] == 1.0
     assert ranks[0] > 3.0
     assert ranks[2] == 3.0
@@ -827,14 +823,17 @@ def test_reference_ranks_match_member_loop_oracle(epsilon):
             refs = np.round(stream.uniform_vector(2 * k).reshape(2, k) * 1.4 - 0.2, 2)
         else:
             refs = np.eye(k)
-        got = reference_point_ranks(front, pool_min, pool_max, refs, epsilon)
+        span = pool_max - pool_min
+        safe = np.where(span > 0.0, span, 1.0)
+        normalized = np.where(span > 0.0, (front - pool_min) / safe, 0.0)
+        got = reference_point_ranks(normalized, refs, epsilon)
         expected = reference_ranks_by_member_loop(front, pool_min, pool_max, refs, epsilon)
         assert np.array_equal(got, expected), f"trial {trial}"
         cleared += int(np.sum(got > len(front)))
     assert cleared > 0
     # Exactly epsilon apart (sqrt(x * x) == x): not cleared, the test is strict.
     front = np.array([(0.0, 0.0), (epsilon, 0.0), (1.0, 1.0)])
-    got = reference_point_ranks(front, np.zeros(2), np.ones(2), np.eye(2), epsilon)
+    got = reference_point_ranks(front, np.eye(2), epsilon)
     assert np.array_equal(got, reference_ranks_by_member_loop(
         front, np.zeros(2), np.ones(2), np.eye(2), epsilon))
     assert got.max() <= len(front)

@@ -97,13 +97,16 @@ INVALID = {
     "sigma-negative": ({"environment": "NoisyPointWalker", "sigma": -0.1},
                        "sigma must be finite and nonnegative, got -0.1"),
     "sigma-on-bandit": ({"sigma": 0.5}, "TradeoffBandit has no noise to scale"),
+    "rnsga2_reference_points-empty": ({"algorithms": ("RNSGA2",), "rnsga2_reference_points": ()},
+                                      "rnsga2_reference_points must hold at least one point"),
 }
 
 
 @pytest.mark.parametrize("settings, message", list(INVALID.values()), ids=list(INVALID))
 def test_invalid_settings_fail_alike_parsed_or_built(settings, message):
     values = {"environment": "TradeoffBandit", "algorithms": ("GA",), **settings}
-    text = "".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+    # An empty list is written as a lone comma, which parses to no values.
+    text = "".join(f"{key} = {(', '.join(map(str, v)) or ',') if isinstance(v, tuple) else v}\n"
                    for key, v in values.items())
     with pytest.raises(ConfigError) as parsed:
         parse_config(text)
@@ -120,7 +123,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_algorithm_config_carries_operator_parameters():
     config = parse_config(MINIMAL + "eta_c = 12.5\nde_f = 0.7\n")
-    algo = config.algorithm_config("NSGA2", k=2)
+    algo = config.algorithm_config("NSGA2")
     assert algo.eta_c == 12.5
     assert algo.de_f == 0.7
     assert algo.pop_size == 50
@@ -132,15 +135,13 @@ def test_algorithm_and_experiment_configs_share_defaults():
     assert set(algorithm) <= set(experiment)
     for key, default in algorithm.items():
         assert experiment[key] == default, key
-    assert parse_config(MINIMAL).algorithm_config("GA", k=2) == AlgorithmConfig(name="GA")
+    assert parse_config(MINIMAL).algorithm_config("GA") == AlgorithmConfig(name="GA")
 
 
 def test_rnsga2_reference_points_grouped_by_k():
     config = parse_config(MINIMAL + "rnsga2_reference_points = 1, 0, 0, 1\n")
-    algo = config.algorithm_config("RNSGA2", k=2)
+    algo = config.algorithm_config("RNSGA2")
     assert algo.rnsga2_reference_points == ((1.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ConfigError, match="multiple"):
-        config.algorithm_config("RNSGA2", k=3)
 
 
 def test_noise_on_a_noiseless_environment_rejected_at_parse_time():
@@ -156,7 +157,7 @@ def test_reference_points_checked_against_environment_k_at_parse_time():
     with pytest.raises(ConfigError, match="not a multiple of k = 3"):
         parse_config(lander + "rnsga2_reference_points = 1, 0, 0, 1\n")
     config = parse_config(lander + "rnsga2_reference_points = 1, 0, 0, 0, 1, 0\n")
-    assert config.algorithm_config("RNSGA2", 3).rnsga2_reference_points == (
+    assert config.algorithm_config("RNSGA2").rnsga2_reference_points == (
         (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
@@ -179,7 +180,8 @@ def test_shipped_configs_parse_and_round_trip():
     ("PSO, GA", "eta_m = -1", "eta_m"),
     ("PSO, GA", "eta_c = 0", "eta_c"),
     ("GA, DE", "pop_size = 2", "DE"),
-], ids=["eta_m", "eta_c", "DE-pop_size"])
+    ("RNSGA2", "rnsga2_reference_points = ,", "at least one point"),
+], ids=["eta_m", "eta_c", "DE-pop_size", "rnsga2_reference_points-empty"])
 def test_cli_run_rejects_operator_settings_before_any_run(
         tmp_path, capsys, monkeypatch, algorithms, setting, key):
     text = f"environment = TradeoffBandit\nalgorithms = {algorithms}\n{setting}\n"

@@ -39,6 +39,12 @@ BANDIT_SMOKE_DIGESTS = {
 }
 
 
+def n_genes(config):
+    env = make_env(config.environment, config.sigma)
+    return genome_length(PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
+                                    action_dim=env.spec.action_dim))
+
+
 def fabricate_record(algorithm, run, returns_per_gen, config=SMALL):
     returns = [np.asarray(r, dtype=np.float64) for r in returns_per_gen]
     return harness.RunRecord(
@@ -109,11 +115,11 @@ def test_record_round_trip_is_bit_exact(tmp_path):
     record = harness.RunRecord(algorithm="GA", run_index=0, seed=1, status="ok", eval_count=8,
                                wall_time=0.0, rng_scheme="test", config=config,
                                returns=[values.reshape(4, 2), values[::-1].reshape(4, 2)],
-                               genomes=np.resize(values, (4, 6)))
+                               genomes=np.resize(values, (4, n_genes(config))))
     harness.save_records([record], tmp_path)
     loaded, = harness.load_records(tmp_path)
     assert [r.tobytes() for r in loaded.returns] == [r.tobytes() for r in record.returns]
-    assert loaded.genomes.shape == (4, 6)
+    assert loaded.genomes.shape == (4, n_genes(config))
     assert loaded.genomes.tobytes() == record.genomes.tobytes()
 
 
@@ -197,7 +203,7 @@ def one_job_at_a_time(config, algorithm, run_index):
     spec = PolicySpec(obs_dim=env.spec.obs_dim, hidden=config.hidden_widths(),
                       action_dim=env.spec.action_dim)
     run_seed = derive_seed(config.master_seed, algorithm, run_index)
-    optimizer = make_optimizer(config.algorithm_config(algorithm, env.spec.k),
+    optimizer = make_optimizer(config.algorithm_config(algorithm),
                                genome_length(spec),
                                RandomStream(derive_seed(run_seed, "optimizer")))
     generations = []
@@ -807,6 +813,20 @@ def test_cli_metrics_rejects_a_generation_of_the_wrong_shape(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path} line 2: ")
     assert "(1, 2), not (4, 2)" in err[0]
+    assert not (out_dir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [lambda genomes: "", lambda genomes: [g[:-1] for g in genomes]],
+                         ids=["empty", "one_column_short"])
+def test_cli_metrics_rejects_final_genomes_of_the_wrong_shape(tmp_path, capsys, edit):
+    # Line 4, the last of a header and 3 generations, holds the final genomes.
+    out_dir = legacy_copy(tmp_path)
+    path = out_dir / "records" / "NSGA2_run000.jsonl"
+    text, _ = _edit_array(path.read_text(encoding="utf-8"), 4, "genomes", edit)
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path} line 4: ")
     assert not (out_dir / "metrics.csv").exists()
 
 

@@ -8,10 +8,8 @@ from evopareto.rng import RandomStream
 
 def make_table(scores, better="higher"):
     scores = np.asarray(scores, dtype=np.float64)
-    n, m = scores.shape
     return stats.ScoreTable(
-        algorithms=tuple(f"A{j}" for j in range(m)),
-        datasets=tuple(f"d{i}" for i in range(n)),
+        algorithms=tuple(f"A{j}" for j in range(scores.shape[1])),
         scores=scores,
         better=better,
     )
@@ -80,7 +78,7 @@ def test_score_table_validation():
     with pytest.raises(ValueError):
         make_table([[1.0, 2.0]])  # a single dataset is below the n >= 2 floor
     with pytest.raises(ValueError):
-        stats.ScoreTable(("A",), ("d1", "d2"), np.ones((2, 1)))
+        stats.ScoreTable(("A",), np.ones((2, 1)))
 
 
 def test_friedman_consensus_fixture_is_exactly_six():
@@ -148,8 +146,6 @@ def test_nemenyi_rejects_out_of_table():
         stats.nemenyi_cd(11, 10)
     with pytest.raises(ValueError):
         stats.nemenyi_cd(1, 10)
-    with pytest.raises(ValueError):
-        stats.nemenyi_cd(5, 10, alpha=0.01)
 
 
 def test_cd_groups_examples():
