@@ -11,29 +11,42 @@ silently re-evaluated or cached across generations.
 
 ``population`` holds the current slots as one ``Population``, row i being
 slot i.  ``_tournament()`` and ``_random_pair()`` return slot indices, and
-``_vary_pair(i, j)`` varies the genomes of slots i and j.  A concrete
-algorithm fills in ``_key(i)``, slot i's binary-tournament key (lower wins),
-or overrides ``_parents()``; ``_install_initial(evaluated)`` only when the
-first population needs more than storing; ``_absorb(evaluated)`` for
-survival selection, which picks rows of ``population.join(evaluated)`` with
-``take``; and ``_propose`` only when offspring are not the pairwise SBX +
-polynomial-mutation children of ``_parents()``.
+``_vary(n_pairs, kept)`` makes SBX + polynomial-mutation children of
+``n_pairs`` parent pairs from ``_parents()``.  A concrete algorithm fills in
+``_key(i)``, slot i's binary-tournament key (lower wins), or overrides
+``_parents()``; ``_install_initial(evaluated)`` only when the first
+population needs more than storing; ``_absorb(evaluated)`` for survival
+selection, which picks rows of ``population.join(evaluated)`` with
+``take``; and ``_propose`` only when offspring are not both children of
+each pair.
 
 All randomness is drawn sequentially from the optimizer's own stream, so a
 fixed seed reproduces populations generation by generation.
 
 SBX and polynomial mutation consume one application draw per gene and one
-spread draw per applied gene.  They peek the longest such run (2n uniforms),
-walk it once to find the applied genes and their spread draws, advance the
-stream by exactly the draws the genes consumed, and vary only the applied
-genes, one at a time.  The pow rule: every ``**`` is a scalar Python or
-numpy-scalar power, never array ``np.power``, which differs from the C
-library's ``pow`` in the last bit for some inputs.
+spread draw per applied gene, so where a gene's draws lie depends on the
+draws before it.  ``_vary`` therefore runs in two passes.  The draw pass goes
+pair by pair in stream order: parents, the crossover draw, then one peek of
+at most 6g uniforms that :func:`_walk` replays for SBX and both mutations,
+recording the applied genes and their spread draws, and one advance by
+exactly the draws consumed.  The array pass then varies every pair of the
+generation at once, at the recorded coordinates: SBX, mutation and one
+clamp.  Each element goes through the same IEEE operations, in the same
+order, as :func:`sbx_crossover` and :func:`polynomial_mutation` apply to one
+pair, so the bytes do not depend on the batching.  (Only a NaN's sign can
+differ, where two NaNs meet: numpy's scalar and array arithmetic keep
+different ones.  That needs a NaN parent, and no run varies one, since a NaN
+gene makes its evaluation non-finite and aborts the run.)  The pow rule: every
+power is the C library's ``pow`` per element (scalar ``**`` or
+``math.pow``), never array ``np.power``, which differs from it in the last
+bit for some inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -90,15 +103,14 @@ class AlgorithmConfig:
             raise ValueError("rnsga2_epsilon must be positive")
 
 
-def _walk(draws: list[float], n: int, p: float) -> tuple[list[int], list[float], int]:
-    """Replay the per-gene draw order over look-ahead ``draws``: one
-    application draw per gene, then a spread draw if it is below ``p``.
+def _walk(draws: list[float], n: int, p: float, k: int = 0) -> tuple[list[int], list[float], int]:
+    """Replay the per-gene draw order over look-ahead ``draws`` from index
+    ``k``: one application draw per gene, then a spread draw if it is below ``p``.
 
-    Returns the applied genes, their spread draws and the number of draws
-    the genes consumed.
+    Returns the applied genes, their spread draws and the index after the
+    last draw the genes consumed.
     """
     genes, spreads = [], []
-    k = 0
     for j in range(n):
         if draws[k] < p:
             genes.append(j)
@@ -114,6 +126,33 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     # a tie (a zero bound against the other signed zero) np.maximum and
     # np.minimum return their second operand, and np.clip keeps x.
     return np.minimum(hi, np.maximum(lo, x))
+
+
+def _pow(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """C ``pow(b, exponent)`` of each base, as the numpy float64 scalar
+    power computes it (and scalar ``**`` on nonnegative bases)."""
+    values = bases.tolist()
+    if (bases >= 0.0).all():
+        try:
+            return np.fromiter(map(math.pow, values, repeat(exponent)), np.float64, len(values))
+        except OverflowError:
+            pass
+    # Only genes outside the bounds get here.  On a NaN, negative or
+    # overflowing power, math.pow keeps the NaN's sign or raises, while the
+    # numpy scalar power returns C pow's NaN or inf, with a warning.
+    return np.array([np.float64(b) ** exponent for b in values])
+
+
+def _mutated(x: np.ndarray, spreads: np.ndarray, eta_m: float, lo: float, hi: float) -> np.ndarray:
+    """:func:`polynomial_mutation` of each gene ``x`` by its spread draw."""
+    span = hi - lo
+    low = spreads <= 0.5
+    d = np.where(low, x - lo, hi - x) / span
+    shrink = _pow(1.0 - d, eta_m + 1.0)
+    base = (np.where(low, 2.0 * spreads, 2.0 * (1.0 - spreads))
+            + np.where(low, 1.0 - 2.0 * spreads, 2.0 * (spreads - 0.5)) * shrink)
+    root = _pow(base, 1.0 / (eta_m + 1.0))
+    return x + np.where(low, root - 1.0, 1.0 - root) * span
 
 
 def sbx_crossover(parent_a: np.ndarray, parent_b: np.ndarray, eta_c: float,
@@ -218,19 +257,55 @@ class Optimizer:
 
     # Parent selection and variation shared by the concrete algorithms.
 
-    def _vary_pair(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """SBX + mutation children of the genomes in slots i and j."""
-        parent_a, parent_b = self.population.genomes[i], self.population.genomes[j]
-        if self.rng.uniform() < self.config.p_crossover:
-            child_a, child_b = sbx_crossover(parent_a, parent_b, self.config.eta_c,
-                                             self.rng, self.config.bounds)
-        else:
-            child_a, child_b = parent_a.copy(), parent_b.copy()
-        child_a = polynomial_mutation(child_a, self.config.eta_m, self.mutation_rate,
-                                      self.rng, self.config.bounds)
-        child_b = polynomial_mutation(child_b, self.config.eta_m, self.mutation_rate,
-                                      self.rng, self.config.bounds)
-        return child_a, child_b
+    def _vary(self, n_pairs: int, kept: int) -> np.ndarray:
+        """SBX + mutation children of ``n_pairs`` pairs from ``_parents()``:
+        the first ``kept`` (1 or 2) children of each pair, pair by pair.
+
+        A pair draws what :func:`sbx_crossover` (when its crossover draw is
+        below ``p_crossover``) and then :func:`polynomial_mutation` of each
+        child would draw, discarded children included.
+        """
+        cfg, rng, g, p_m = self.config, self.rng, self.n_genes, self.mutation_rate
+        pairs, crossed = [], []
+        sbx_counts, sbx_genes, sbx_spreads = [], [], []
+        pm_counts, pm_genes, pm_spreads = [], [], []
+        for _ in range(n_pairs):
+            pairs.append(self._parents())
+            cross = rng.uniform() < cfg.p_crossover
+            crossed.append(cross)
+            draws = rng.peek((6 if cross else 4) * g).tolist()
+            used = 0
+            if cross:
+                genes, spreads, used = _walk(draws, g, 0.5)
+                sbx_counts.append(len(genes))
+                sbx_genes += genes
+                sbx_spreads += spreads
+            for child in range(2):
+                genes, spreads, used = _walk(draws, g, p_m, used)
+                if child < kept:
+                    pm_counts.append(len(genes))
+                    pm_genes += genes
+                    pm_spreads += spreads
+            rng.advance(used)
+
+        lo, hi = cfg.bounds
+        crossed = np.array(crossed)
+        parents = self.population.genomes[np.array(pairs)]  # (n_pairs, 2, g)
+        children = parents[:, :kept].copy()
+        rows = np.repeat(np.flatnonzero(crossed), sbx_counts)
+        u = np.array(sbx_spreads)
+        beta = _pow(np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.eta_c + 1.0))
+        x, y = parents[rows, 0, sbx_genes], parents[rows, 1, sbx_genes]
+        children[rows, 0, sbx_genes] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
+        if kept == 2:
+            children[rows, 1, sbx_genes] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+        children = children.reshape(n_pairs * kept, g)
+        rows = np.repeat(np.arange(n_pairs * kept), pm_counts)
+        # Mutation reads crossed children as sbx_crossover returns them: clamped.
+        x = children[rows, pm_genes]
+        x = np.where(crossed[rows // kept], _clamp(x, lo, hi), x)
+        children[rows, pm_genes] = _mutated(x, np.array(pm_spreads), cfg.eta_m, lo, hi)
+        return _clamp(children, lo, hi)
 
     def _key(self, i: int) -> tuple:
         raise NotImplementedError
@@ -253,8 +328,7 @@ class Optimizer:
         return self._tournament(), self._tournament()
 
     def _propose(self) -> np.ndarray:
-        pairs = [self._vary_pair(*self._parents()) for _ in range(self.config.pop_size // 2)]
-        return np.array(pairs).reshape(self.config.pop_size, self.n_genes)
+        return self._vary(self.config.pop_size // 2, 2)
 
     def _install_initial(self, evaluated: Population) -> None:
         self.population = evaluated

@@ -180,12 +180,13 @@ def smsemoa_removal_index(points: np.ndarray) -> int:
     recomputed for this pool; coordinates with zero range get unit margin so
     remaining coordinates still discriminate.
     """
-    return _removal_index(points, pareto.fast_nondominated_sort(points))
+    ranks = pareto.fast_nondominated_sort(points)
+    return _removal_index(points, np.flatnonzero(ranks == ranks.max()))
 
 
-def _removal_index(points: np.ndarray, ranks: np.ndarray) -> int:
-    """:func:`smsemoa_removal_index` of ``points`` whose ranks are ``ranks``."""
-    worst_front = np.flatnonzero(ranks == ranks.max())
+def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
+    """:func:`smsemoa_removal_index` of ``points`` whose worst front is the
+    rows ``worst_front``, in row order."""
     if worst_front.shape[0] == 1:
         return int(worst_front[0])
     minimized = -points
@@ -199,10 +200,18 @@ def _removal_index(points: np.ndarray, ranks: np.ndarray) -> int:
 class SMSEMOA(Optimizer):
     """Steady-state hypervolume-selection EMOA, batched per generation.
 
-    pop_size offspring are created from the generation-start population and
-    inserted one at a time, each insertion followed by one hypervolume-based
-    removal, so the evaluation budget matches the generational algorithms.
-    Exact hypervolume restricts it to k <= 3.
+    pop_size offspring are created from the generation-start population, the
+    first child of each of pop_size random pairs, and inserted one at a time,
+    each insertion followed by one hypervolume-based removal, so the
+    evaluation budget matches the generational algorithms.  Exact
+    hypervolume restricts it to k <= 3.
+
+    One dominance matrix of the joined pool serves every insertion.  Each
+    pool row keeps its count of alive dominators: an insertion adds the
+    child's row of the matrix and a removal subtracts the victim's.  While
+    no alive member is dominated, the worst front is every alive member;
+    otherwise peeling the alive rows' sub-matrix ranks them, as a full sort
+    of those rows would.
     """
 
     def _install_initial(self, evaluated):
@@ -210,23 +219,35 @@ class SMSEMOA(Optimizer):
             raise ValueError("SMS-EMOA uses exact hypervolume and supports k <= 3 only")
         self.population = evaluated
 
+    def _parents(self):
+        return self._random_pair()
+
     def _propose(self):
-        return np.array([self._vary_pair(*self._random_pair())[0]
-                         for _ in range(self.config.pop_size)])
+        return self._vary(self.config.pop_size, 1)
 
     def _absorb(self, evaluated):
-        # Rows of the joined pool that are alive, in population order.  The
-        # dominance matrix of the alive rows is a sub-matrix of the pool's,
-        # so one matrix per generation ranks every insertion.
+        # Alive rows of the joined pool, in pool order: the population's
+        # order, each child after them.
+        n = len(self.population)
         pool = self.population.join(evaluated)
         points = pareto.as_points(pool.returns)
         dom = pareto._dominance_matrix(points)
-        alive = np.arange(len(self.population))
-        for child in range(len(self.population), len(pool)):
-            alive = np.append(alive, child)
-            ranks = pareto._peel_ranks(dom[np.ix_(alive, alive)])
-            alive = np.delete(alive, _removal_index(points[alive], ranks))
-        self.population = pool.take(alive)
+        alive = np.zeros(len(pool), dtype=bool)
+        alive[:n] = True
+        dominators = dom[:n].sum(axis=0)
+        for child in range(n, len(pool)):
+            alive[child] = True
+            dominators += dom[child]
+            members = np.flatnonzero(alive)
+            if dominators[members].any():
+                ranks = pareto._peel_ranks(dom[np.ix_(members, members)])
+                worst = np.flatnonzero(ranks == ranks.max())
+            else:
+                worst = np.arange(len(members))
+            victim = members[_removal_index(points[members], worst)]
+            alive[victim] = False
+            dominators -= dom[victim]
+        self.population = pool.take(np.flatnonzero(alive))
 
 
 def generate_reference_directions(k: int, partitions: int) -> np.ndarray:

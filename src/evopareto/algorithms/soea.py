@@ -47,17 +47,19 @@ class DE(Optimizer):
         return picked[0], picked[1], picked[2]
 
     def _propose(self):
-        lo, hi = self.config.bounds
+        # Draws go slot by slot (donors, j_rand, crossover draws); the trials
+        # are then one array expression over the whole population.
+        cfg = self.config
         x = self.population.genomes
-        trials = np.empty_like(x)
-        for i in range(self.config.pop_size):
-            r1, r2, r3 = self._distinct_donors(i)
-            mutant = x[r1] + self.config.de_f * (x[r2] - x[r3])
+        donors = np.empty((cfg.pop_size, 3), dtype=np.intp)
+        crossed = np.empty(x.shape, dtype=bool)
+        for i in range(cfg.pop_size):
+            donors[i] = self._distinct_donors(i)
             j_rand = self.rng.below(self.n_genes)
-            crossed = self.rng.uniform_vector(self.n_genes) < self.config.de_cr
-            crossed[j_rand] = True
-            trials[i] = np.clip(np.where(crossed, mutant, x[i]), lo, hi)
-        return trials
+            crossed[i] = self.rng.uniform_vector(self.n_genes) < cfg.de_cr
+            crossed[i, j_rand] = True
+        mutants = x[donors[:, 0]] + cfg.de_f * (x[donors[:, 1]] - x[donors[:, 2]])
+        return np.clip(np.where(crossed, mutants, x), *cfg.bounds)
 
     def _absorb(self, evaluated):
         # A trial at least as good as its target takes the slot.

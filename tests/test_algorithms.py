@@ -23,7 +23,7 @@ from evopareto.algorithms import (
     reference_point_ranks,
     smsemoa_removal_index,
 )
-from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _truncate_by_fronts
+from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _removal_index, _truncate_by_fronts
 from evopareto.config import parse_config
 from evopareto.evaluation import Population
 from evopareto.indicators import hypervolume_exact
@@ -220,6 +220,37 @@ def test_de_zero_f_copies_first_donor():
     trials = de.ask()
     for i in range(4):
         assert trials[i][0] == genomes[(i + 1) % 4][0]
+
+
+def de_trials_per_slot(de):
+    """Oracle: DE's rand/1/bin trials built one slot at a time."""
+    lo, hi = de.config.bounds
+    x = de.population.genomes
+    trials = np.empty_like(x)
+    for i in range(de.config.pop_size):
+        r1, r2, r3 = de._distinct_donors(i)
+        mutant = x[r1] + de.config.de_f * (x[r2] - x[r3])
+        j_rand = de.rng.below(de.n_genes)
+        crossed = de.rng.uniform_vector(de.n_genes) < de.config.de_cr
+        crossed[j_rand] = True
+        trials[i] = np.clip(np.where(crossed, mutant, x[i]), lo, hi)
+    return trials
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 5.0), (0.0, 1.0), (-1.0, -0.0)])
+@pytest.mark.parametrize("de_cr", [0.0, 0.5, 1.0])
+def test_de_trials_match_per_slot_oracle(bounds, de_cr):
+    for seed in range(3):
+        de = DE(AlgorithmConfig(name="DE", pop_size=6, bounds=bounds, de_cr=de_cr), 5,
+                RandomStream(seed))
+        returns = RandomStream(50 + seed)
+        genomes = de.ask()
+        for _ in range(3):
+            de.tell(Population(genomes, returns.uniform_vector(12).reshape(6, 2)))
+            oracle = copy.deepcopy(de)
+            genomes = de.ask()
+            assert genomes.tobytes() == de_trials_per_slot(oracle).tobytes()
+            assert de.rng._counter == oracle.rng._counter
 
 
 def test_de_greedy_selection():
@@ -688,6 +719,62 @@ def test_smsemoa_absorb_with_duplicate_returns_matches_full_sorts(k):
     assert np.array_equal(sms.population.genomes, oracle.population.genomes)
     assert np.array_equal(sms.population.returns, oracle.population.returns)
     assert np.array_equal(sms.population.scalars, oracle.population.scalars)
+
+
+def absorb_by_slice_and_peel(self, evaluated):
+    """Oracle: SMS-EMOA survival that re-slices the alive rows and peels their
+    dominance sub-matrix at every insertion."""
+    pool = self.population.join(evaluated)
+    points = pareto.as_points(pool.returns)
+    dom = pareto._dominance_matrix(points)
+    alive = np.arange(len(self.population))
+    for child in range(len(self.population), len(pool)):
+        alive = np.append(alive, child)
+        ranks = pareto._peel_ranks(dom[np.ix_(alive, alive)])
+        alive = np.delete(alive, _removal_index(points[alive], np.flatnonzero(ranks == ranks.max())))
+    self.population = pool.take(alive)
+
+
+def smsemoa_pool(stream, k, kind):
+    """20 returns for a population of 10 and 10 children, rounded to one
+    decimal, with duplicates and signed zeros.  ``front`` pools lie on the
+    plane where the coordinates sum to 1, so they are mutually nondominated
+    but for the children pushed below it."""
+    if kind == "front":
+        head = np.round(stream.uniform_vector(20 * (k - 1)).reshape(20, k - 1), 1)
+        returns = np.column_stack([head, 1.0 - head.sum(axis=1)])
+        returns[12:20:3] -= 0.5
+    else:
+        returns = np.round(stream.uniform_vector(20 * k).reshape(20, k), 1)
+    returns[4:6] = returns[0:2]     # duplicates inside the population
+    returns[10:12] = returns[2:4]   # children equal to members
+    returns[13] = returns[14]       # children equal to each other
+    signs = stream.uniform_vector(returns.size).reshape(returns.shape) < 0.5
+    return np.where((returns == 0.0) & signs, -0.0, returns)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_smsemoa_absorb_matches_slice_and_peel(monkeypatch, k):
+    stream = RandomStream(70 + k)
+    peels = []
+    peel_ranks = pareto._peel_ranks
+    monkeypatch.setattr(pareto, "_peel_ranks", lambda dom: peels.append(1) or peel_ranks(dom))
+    insertions = 0
+    for trial in range(30):
+        returns = smsemoa_pool(stream, k, ("front", "random")[trial % 2])
+        pool = stack([evaluated(stream.uniform_vector(2), r) for r in returns])
+        sms = SMSEMOA(AlgorithmConfig(name="SMSEMOA", pop_size=10), 2, RandomStream(4))
+        sms.population = pool.take(np.arange(10))
+        oracle = copy.deepcopy(sms)
+        sms._absorb(pool.take(np.arange(10, 20)))
+        insertions += 10
+        with monkeypatch.context() as m:
+            m.setattr(pareto, "_peel_ranks", peel_ranks)
+            absorb_by_slice_and_peel(oracle, pool.take(np.arange(10, 20)))
+        assert np.array_equal(sms.population.genomes, oracle.population.genomes)
+        assert sms.population.returns.tobytes() == oracle.population.returns.tobytes()
+    # Both paths ran: insertions with no dominated member skip the peel.
+    assert 0 < len(peels) < insertions
 
 
 # -- NSGA-III ------------------------------------------------------------------

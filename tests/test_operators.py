@@ -1,7 +1,12 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
-from evopareto.algorithms import polynomial_mutation, sbx_crossover
+from evopareto.algorithms import AlgorithmConfig, make_optimizer, polynomial_mutation, sbx_crossover
+from evopareto.algorithms.base import _pow
+from evopareto.evaluation import Population
 from evopareto.rng import RandomStream
 
 BOUNDS = (-5.0, 5.0)
@@ -228,3 +233,98 @@ def test_pm_matches_per_gene_oracle(g, eta_m):
                     want = pm_oracle(a, eta_m, p_m, slow, BOUNDS)
                 assert np.array_equal(got, want, equal_nan=True)
                 assert fast._counter == slow._counter
+
+
+# -- the pow rule ----------------------------------------------------------------
+
+POW_BASES = [0.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0),
+             2.2250738585072014e-308, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+             3.0, 2.0 ** 40]
+
+
+@pytest.mark.parametrize("exponent", [1.0 / 16.0, 1.0 / 21.0, 1.0, 16.0, 21.0])
+def test_math_pow_is_scalar_power_at_the_edges(exponent):
+    # Variation computes its powers with math.pow; the per-pair operators and
+    # the per-gene oracles use ** on Python floats and on numpy float64 scalars.
+    for base in map(float, POW_BASES):
+        want = np.float64(base ** exponent).tobytes()
+        assert np.float64(math.pow(base, exponent)).tobytes() == want
+        assert (np.float64(base) ** exponent).tobytes() == want
+    got = _pow(np.array(POW_BASES), exponent)
+    assert got.tobytes() == np.array([float(b) ** exponent for b in POW_BASES]).tobytes()
+
+
+def test_pow_is_numpy_scalar_power_outside_the_bounds():
+    # Bases of genes outside the bounds: NaNs of either sign, a negative base
+    # with a fractional exponent, and an overflow.  math.pow would keep the
+    # NaN's sign or raise.
+    bases = np.array([0.25, np.nan, -np.nan, -2.0, 1e300])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.array([np.float64(b) ** 20.5 for b in bases])
+        got = _pow(bases, 20.5)
+    assert np.isnan(want[1:4]).all() and np.isinf(want[4])
+    assert got.tobytes() == want.tobytes()
+
+
+# -- one generation of ask() against the per-pair operators -----------------------
+
+def per_pair_offspring(optimizer):
+    """What ask() gives, from the per-pair operators in slot order: each pair
+    draws its parents, the crossover draw, SBX when that draw is below
+    p_crossover, and a mutation of each child; SMS-EMOA keeps the first child
+    of each random pair."""
+    cfg, rng = optimizer.config, optimizer.rng
+
+    def children(i, j):
+        a, b = optimizer.population.genomes[i], optimizer.population.genomes[j]
+        if rng.uniform() < cfg.p_crossover:
+            a, b = sbx_crossover(a, b, cfg.eta_c, rng, cfg.bounds)
+        else:
+            a, b = a.copy(), b.copy()
+        return [polynomial_mutation(c, cfg.eta_m, optimizer.mutation_rate, rng, cfg.bounds)
+                for c in (a, b)]
+
+    if optimizer.name == "SMSEMOA":
+        rows = [children(*optimizer._random_pair())[0] for _ in range(cfg.pop_size)]
+    else:
+        rows = [c for _ in range(cfg.pop_size // 2) for c in children(*optimizer._parents())]
+    return np.array(rows)
+
+
+def bits_up_to_nan_sign(genomes):
+    """The bytes of ``genomes`` with every NaN made one NaN.
+
+    Mutating a gene outside narrow bounds can give NaN.  Where two NaNs meet
+    (a NaN parent), numpy's scalar and array arithmetic keep different NaN
+    signs.  A run never varies a NaN parent: a NaN gene makes the evaluation
+    non-finite, which aborts the run.  And a NaN's sign reaches no finite
+    value.
+    """
+    return np.where(np.isnan(genomes), np.nan, genomes).tobytes()
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, (0.0, 1.0), (-1.0, -0.0)])
+@pytest.mark.parametrize("p_crossover, p_m", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                              (0.9, None)])
+@pytest.mark.parametrize("name", ["GA", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"])
+def test_ask_matches_per_pair_operators(name, p_crossover, p_m, bounds):
+    # Initial genomes are U(-1, 1), so narrow bounds leave parents outside
+    # them: the per-pair path mutates those unclamped unless SBX clamped them,
+    # and a zero bound meets signed zeros in the clamps.
+    for seed in range(3):
+        config = AlgorithmConfig(name=name, pop_size=8, bounds=bounds,
+                                 p_crossover=p_crossover, p_m=p_m)
+        optimizer = make_optimizer(config, 5, RandomStream(seed))
+        returns = RandomStream(100 + seed)
+        genomes = optimizer.ask()
+        for _ in range(3):
+            # Returns independent of the genomes, rounded: ties and dominated members.
+            k = 3 if name == "NSGA3" else 2
+            rounded = np.round(returns.uniform_vector(8 * k), 1).reshape(8, k)
+            optimizer.tell(Population(genomes, rounded))
+            oracle = copy.deepcopy(optimizer)
+            with np.errstate(invalid="ignore", over="ignore"):
+                genomes = optimizer.ask()
+                want = per_pair_offspring(oracle)
+            assert bits_up_to_nan_sign(genomes) == bits_up_to_nan_sign(want)
+            assert optimizer.rng._counter == oracle.rng._counter
