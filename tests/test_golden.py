@@ -10,9 +10,16 @@ workload-scale case runs the truncating MOEAs together on TradeoffBandit at
 pop 50, where every point is nondominated, so each generation's selection
 drops 50 of 100 pool members at once.  The custom-reference case runs
 R-NSGA-II on HopLander with two reference points given in raw objective
-space, which each pool normalizes before ranking.  A refactor
-that keeps every draw in the same order leaves these unchanged; a deliberate
-change of the output bytes must bump ``rng.SCHEME`` and re-pin the digests.
+space, which each pool normalizes before ranking.  The steady-state case
+runs SMS-EMOA and SPEA2 together on NoisyPointWalker at pop 50, where many
+pool members are dominated: SMS-EMOA's pools reach 20 fronts, so its
+insertions raise ranks along chains of dominators and its worst fronts are
+proper subsets, while SPEA2 fills its archive with the best dominated
+members and never truncates (the workload-scale case pins SPEA2's
+truncation, whose sorted neighbour-distance rows tie over many columns).  A
+refactor that keeps every draw in the same order leaves these unchanged; a
+deliberate change of the output bytes must bump ``rng.SCHEME`` and re-pin the
+digests.
 """
 
 import dataclasses
@@ -84,6 +91,9 @@ WORKLOAD_SCALE = (("SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"),
 CUSTOM_REFERENCE = ("HopLander", (10.0, 20.0, -5.0, -5.0, 15.0, -20.0),
                     "a942d6ef70928894bcb1852cd5793855c2dc59dca33c9e092dfed501eb7ab12f")
 
+STEADY_STATE = (("SMSEMOA", "SPEA2"),
+                "1cc219947dc57b05b3f38289e57148858e44080c81ff22fe34d6d91c23c095a3")
+
 NOISY = ("HopLander", "NSGA2", 0.5,
          "b5f37829beeaf8db5bc4a05fb35d36160be79ac40c387a1c624389e031079603")
 
@@ -148,3 +158,11 @@ def test_workload_scale_output_digest_is_pinned(tmp_path):
                               generations=3, n_episodes=1, n_runs=2, master_seed=3)
     assert output_digest(config, tmp_path) == expected, (
         "TradeoffBandit at pop 50: output digest changed")
+
+
+def test_steady_state_output_digest_is_pinned(tmp_path):
+    algorithms, expected = STEADY_STATE
+    config = ExperimentConfig(environment="NoisyPointWalker", algorithms=algorithms, pop_size=50,
+                              generations=4, n_episodes=1, n_runs=2, master_seed=3)
+    assert output_digest(config, tmp_path) == expected, (
+        "SMS-EMOA and SPEA2 on NoisyPointWalker at pop 50: output digest changed")
