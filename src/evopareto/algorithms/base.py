@@ -55,6 +55,10 @@ from ..rng import RandomStream
 
 ALGORITHM_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
 
+# Initial genes follow the policy-genome convention: U(-1, 1), well inside
+# the search bounds where tanh layers are responsive.
+INITIAL_RANGE = (-1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -241,10 +245,8 @@ class Optimizer:
         """Exactly pop_size genomes to evaluate next, one per row."""
         self.generation += 1
         if self.generation == 0:
-            # Initial parameters follow the policy-genome convention: U(-1, 1),
-            # well inside the search bounds where tanh layers are responsive.
             n, g = self.config.pop_size, self.n_genes
-            return self.rng.uniform_vector(n * g, -1.0, 1.0).reshape(n, g)
+            return self.rng.uniform_vector(n * g, *INITIAL_RANGE).reshape(n, g)
         return self._propose()
 
     def tell(self, evaluated: Population) -> None:

@@ -79,23 +79,14 @@ class NSGA2(Optimizer):
                                             secondaries[survivors])
 
 
-def _first_least_row(rows: np.ndarray) -> int:
-    """Index of the lexicographically least row, the first of fully tied rows."""
-    ties = np.arange(rows.shape[0])
-    for column in rows.T:
-        values = column[ties]
-        ties = ties[values == values.min()]
-        if ties.size == 1:
-            break
-    return int(ties[0])
-
-
 class SPEA2(Optimizer):
     """Strength Pareto EA with a fixed-size archive (archive size = pop_size).
 
     The reported population is the archive after environmental selection,
     which is the solution set SPEA2 maintains; each generation's offspring
-    are evaluated and merged into it.
+    are evaluated and merged into it.  A surplus of nondominated members is
+    truncated one at a time, dropping the member whose sorted distances to
+    the others are lexicographically least (:meth:`_truncate`).
     """
 
     def _install_initial(self, evaluated):
@@ -148,15 +139,19 @@ class SPEA2(Optimizer):
         The candidates' rows are sorted once.  A removal deletes the
         victim's row and, from every other row, one copy of its distance to
         the victim, at the first position holding that value; what remains
-        is exactly the sorted row over the members still alive.  The victim
-        is found by keeping, column by column, the rows that hold the least
-        value, so it is the row a stable lexsort of the rows would put first.
+        is exactly the sorted row over the members still alive.
+
+        The victim is the least row, found by one ``argmin`` over the rows'
+        bytes.  A distance is never negative, never -0.0 and never NaN, and
+        such doubles order as their big-endian bytes do, so the rows' bytes
+        order as the rows do lexicographically.  ``argmin`` returns the first
+        of fully tied rows, the row a stable lexsort would put first.
         """
         alive = np.asarray(candidates, dtype=np.int64)
         rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
         while len(alive) > keep:
-            victim = _first_least_row(rows)
             m = len(alive)
+            victim = int(np.argmin(rows.astype(">f8").view(f"S{8 * m}").ravel()))
             gone = dist[alive, alive[victim]]
             kept = np.ones((m, m), dtype=bool)
             kept[np.arange(m), np.argmax(rows >= gone[:, None], axis=1)] = False
@@ -186,15 +181,81 @@ def smsemoa_removal_index(points: np.ndarray) -> int:
 
 def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
     """:func:`smsemoa_removal_index` of ``points`` whose worst front is the
-    rows ``worst_front``, in row order."""
+    rows ``worst_front``, in row order: the first least contribution."""
     if worst_front.shape[0] == 1:
         return int(worst_front[0])
     minimized = -points
     nadir = minimized.max(axis=0)
     span = nadir - minimized.min(axis=0)
     ref = nadir + np.where(span > 0.0, 0.1 * span, 1.0)
-    contributions = hypervolume_contributions(minimized[worst_front], ref)
-    return int(worst_front[int(np.argmin(contributions))])
+    front = minimized[worst_front]
+    least = _screened_least(front, ref) if front.shape[1] == 2 else None
+    if least is None:
+        least = int(np.argmin(hypervolume_contributions(front, ref)))
+    return int(worst_front[least])
+
+
+# The box sizes the 2-D screen decides on: no product or sum that its bound
+# covers can overflow, and underflow's absolute errors (2**-1075 per
+# product) stay far below its slack.
+_SCREEN_BOX = (2.0**-900, 2.0**1000)
+
+
+def _screened_least(front: np.ndarray, ref: np.ndarray) -> int | None:
+    """Row of the 2-D minimization ``front`` with the least exclusive area,
+    when the closed form decides it; otherwise None.
+
+    Sorted by x, with ``ref`` at both ends, member i of m exclusively
+    covers (x[i+1] - x[i]) * (y[i-1] - y[i]).  Computed so, it lies within
+    (2m + 9) u hv of :func:`hypervolume_contributions` (u = 2**-53, hv the
+    front's hypervolume, at most the box (ref[0] - min x) (ref[1] - min y)),
+    and slack = 4 (m + 8) u box is at least twice that.  So a member whose
+    area is less than every other's by more than 2 slack is the contributions'
+    unique argmin.  Anything else is left to the exact sweep: duplicates and
+    ties, two members on one x or one y, a member not strictly inside ``ref``,
+    or a box outside ``_SCREEN_BOX``.
+    """
+    order = front[:, 0].argsort()
+    x, y = front.take(order, axis=0).T
+    ref_x, ref_y = ref.tolist()
+    # In Python floats, so an overflow gives inf without a warning.
+    box = (ref_x - float(x[0])) * (ref_y - float(y[-1]))
+    if not (_SCREEN_BOX[0] <= box <= _SCREEN_BOX[1] and x[-1] < ref_x and y[0] < ref_y):
+        return None
+    width = x[1:] - x[:-1]
+    height = y[:-1] - y[1:]
+    # x must strictly rise and y strictly fall.
+    if width.min() <= 0.0 or height.min() <= 0.0:
+        return None
+    areas = np.empty(len(x))
+    areas[0] = width[0] * (ref_y - y[0])
+    np.multiply(width[1:], height[:-1], out=areas[1:-1])
+    areas[-1] = (ref_x - x[-1]) * height[-1]
+    least = areas.argmin()
+    slack = 4 * (len(x) + 8) * 2.0**-53 * box
+    if np.partition(areas, 1)[1] - areas[least] > 2 * slack:
+        return int(order[least])
+    return None
+
+
+def _raise_ranks(dom: np.ndarray, alive: np.ndarray, ranks: np.ndarray, child: int) -> None:
+    """Bring ``ranks`` of the ``alive`` rows up to date, in place, after
+    row ``child`` has joined them.
+
+    A rank is the length of the longest chain of alive dominators above a
+    row, which is the rank peeling gives.  The child's is one past its
+    highest dominator's.  A row it dominates may now sit one past the
+    child; each row that grows can raise the rows below it in turn, until
+    no rank grows.  Rows the child does not dominate gain no chain.
+    """
+    above = dom[:, child] & alive
+    rank = ranks[child] = ranks[above].max() + 1 if above.any() else 0
+    grown = np.flatnonzero(dom[child] & alive & (ranks <= rank))
+    ranks[grown] = rank + 1
+    while grown.size:
+        need = np.where(dom[grown] & alive, ranks[grown, None] + 1, 0).max(axis=0)
+        grown = np.flatnonzero(need > ranks)
+        ranks[grown] = need[grown]
 
 
 class SMSEMOA(Optimizer):
@@ -206,12 +267,16 @@ class SMSEMOA(Optimizer):
     evaluation budget matches the generational algorithms.  Exact
     hypervolume restricts it to k <= 3.
 
-    One dominance matrix of the joined pool serves every insertion.  Each
-    pool row keeps its count of alive dominators: an insertion adds the
-    child's row of the matrix and a removal subtracts the victim's.  While
-    no alive member is dominated, the worst front is every alive member;
-    otherwise peeling the alive rows' sub-matrix ranks them, as a full sort
-    of those rows would.
+    One dominance matrix of the joined pool serves the whole generation.
+    Peeling its population rows ranks them once; each insertion then ranks
+    the child and raises the ranks below it (:func:`_raise_ranks`), the
+    steady-state update of Li, Deb, Zhang & Kwong (IEEE TCYB 2017).  A
+    removal changes no rank: the victim is in the worst front, so it
+    dominates no alive row.  The worst front is the alive rows of the top
+    rank, in pool order, as a full sort of the alive rows would find it.
+    In 2-D the removal takes the least closed-form exclusive area when that
+    decides it beyond rounding (:func:`_screened_least`), else the exact
+    contributions' argmin, the same member either way.
     """
 
     def _install_initial(self, evaluated):
@@ -234,19 +299,15 @@ class SMSEMOA(Optimizer):
         dom = pareto._dominance_matrix(points)
         alive = np.zeros(len(pool), dtype=bool)
         alive[:n] = True
-        dominators = dom[:n].sum(axis=0)
+        ranks = np.zeros(len(pool), dtype=np.int64)
+        ranks[:n] = pareto._peel_ranks(dom[:n, :n])
         for child in range(n, len(pool)):
             alive[child] = True
-            dominators += dom[child]
+            _raise_ranks(dom, alive, ranks, child)
             members = np.flatnonzero(alive)
-            if dominators[members].any():
-                ranks = pareto._peel_ranks(dom[np.ix_(members, members)])
-                worst = np.flatnonzero(ranks == ranks.max())
-            else:
-                worst = np.arange(len(members))
-            victim = members[_removal_index(points[members], worst)]
+            top = ranks[members]
+            victim = members[_removal_index(points[members], np.flatnonzero(top == top.max()))]
             alive[victim] = False
-            dominators -= dom[victim]
         self.population = pool.take(np.flatnonzero(alive))
 
 

@@ -9,6 +9,9 @@ line number.  Defaults mirror the baseline benchmark setup (population 50,
 A config is checked when built, parsed or not: each rule lives once, in
 :class:`ExperimentConfig` (experiment keys), ``make_env`` (environment and
 noise) or ``AlgorithmConfig`` (operators), and fails as a :class:`ConfigError`.
+An experiment's ``bounds`` must contain the initial genes' range;
+``AlgorithmConfig`` takes any ``low < high``, so operators can be tested on
+narrow bounds.
 
 ``parse_config(serialize_config(cfg))`` always returns an identical config.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .algorithms import AlgorithmConfig
+from .algorithms.base import INITIAL_RANGE
 from .environments import make_env
 
 
@@ -66,6 +70,12 @@ class ExperimentConfig:
                 self.algorithm_config(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # Uncrossed initial genes reach mutation unclamped, so they must
+        # already lie within the bounds.
+        low, high = INITIAL_RANGE
+        if not (self.bounds[0] <= low and high <= self.bounds[1]):
+            raise ConfigError(f"bounds must contain the initial range [{low:g}, {high:g}], "
+                              f"got {self.bounds!r}")
 
     def algorithm_config(self, name: str) -> AlgorithmConfig:
         """``name``'s operator settings, reference points grouped by the environment's k."""

@@ -30,7 +30,9 @@ loops (kept in the tests as the oracle).  Four rules keep them:
   adds 0.0.
 
 SMS-EMOA drops the first minimal contribution in worst-front order
-(``np.argmin``), so exact ties go to the earlier member.
+(``np.argmin``), so exact ties go to the earlier member.  In 2-D it calls
+:func:`hypervolume_contributions` only when a closed-form screen cannot
+name that member beyond rounding (``algorithms.moea._screened_least``).
 """
 
 from __future__ import annotations

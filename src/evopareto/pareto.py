@@ -19,8 +19,9 @@ reads the (n, n) dominance matrix, which stays the oracle the 2-D sweep is
 tested against.  The matrix is accumulated from k column comparisons into two
 (n, n) boolean arrays, never an (n, n, k) tensor; ``all``/``any`` over the
 same booleans give the same matrix in either order.  Ranking peels that
-matrix front by front, and a caller that ranks many subsets of one pool
-(SMS-EMOA) builds the matrix once and peels its sub-matrices.
+matrix front by front; a point's rank is the length of the longest chain of
+points dominating it.  SMS-EMOA builds one matrix per generation, peels it
+once and keeps those chain lengths up to date as it inserts and removes.
 """
 
 from __future__ import annotations

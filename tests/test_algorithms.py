@@ -23,10 +23,17 @@ from evopareto.algorithms import (
     reference_point_ranks,
     smsemoa_removal_index,
 )
-from evopareto.algorithms.moea import _crowding, _fill_by_fronts, _removal_index, _truncate_by_fronts
+from evopareto.algorithms import moea
+from evopareto.algorithms.moea import (
+    _crowding,
+    _fill_by_fronts,
+    _raise_ranks,
+    _removal_index,
+    _truncate_by_fronts,
+)
 from evopareto.config import parse_config
 from evopareto.evaluation import Population
-from evopareto.indicators import hypervolume_exact
+from evopareto.indicators import hypervolume_contributions, hypervolume_exact
 from evopareto.rng import RandomStream
 
 ALL_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
@@ -557,6 +564,34 @@ def test_spea2_truncation_breaks_ties_by_candidate_order():
     assert SPEA2._truncate(dist, [0, 1, 2, 3], 3) == [1, 2, 3]
 
 
+def truncate_by_sorted_rows(dist, candidates, keep):
+    """Oracle: :func:`truncate_by_sorted_neighbours` on a given distance matrix."""
+    alive = list(candidates)
+    rows = dist.tolist()
+    while len(alive) > keep:
+        victim = min(alive, key=lambda i: sorted(rows[i][j] for j in alive if j != i))
+        alive.remove(victim)
+    return alive
+
+
+def test_spea2_truncation_orders_rows_by_value_over_the_whole_double_range():
+    # Distances from 0.0 through subnormals to the largest double and inf,
+    # few distinct values, so rows tie over many columns.
+    values = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0,
+                       np.nextafter(1.0, 2.0), 1e300, np.finfo(float).max, np.inf])
+    stream = RandomStream(41)
+    for trial in range(150):
+        n = 3 + stream.below(10)
+        picks = [stream.below(4 if trial % 2 else len(values)) for _ in range(n * n)]
+        upper = np.triu(values[picks].reshape(n, n), 1)
+        dist = upper + upper.T
+        np.fill_diagonal(dist, np.inf)
+        candidates = list(range(n))[::(-1) ** trial]
+        keep = 1 + stream.below(n - 1)
+        assert SPEA2._truncate(dist, candidates, keep) == \
+            truncate_by_sorted_rows(dist, candidates, keep), f"trial {trial}"
+
+
 def archive_rows_by_lists(fitness, dist, keep):
     """Oracle: nondominated members in index order, truncated when too many,
     else topped up with dominated members sorted by (fitness, index)."""
@@ -756,9 +791,21 @@ def smsemoa_pool(stream, k, kind):
 @pytest.mark.parametrize("k", [2, 3])
 def test_smsemoa_absorb_matches_slice_and_peel(monkeypatch, k):
     stream = RandomStream(70 + k)
-    peels = []
-    peel_ranks = pareto._peel_ranks
-    monkeypatch.setattr(pareto, "_peel_ranks", lambda dom: peels.append(1) or peel_ranks(dom))
+    raised, exact = [], []
+
+    def raise_ranks(dom, alive, ranks, child):
+        before = ranks.copy()
+        _raise_ranks(dom, alive, ranks, child)
+        grew = alive & (ranks > before)
+        grew[child] = False
+        raised.extend(np.flatnonzero(grew).tolist())
+
+    def contributions(front, ref):
+        exact.append(len(front))
+        return hypervolume_contributions(front, ref)
+
+    monkeypatch.setattr(moea, "_raise_ranks", raise_ranks)
+    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
     insertions = 0
     for trial in range(30):
         returns = smsemoa_pool(stream, k, ("front", "random")[trial % 2])
@@ -769,12 +816,150 @@ def test_smsemoa_absorb_matches_slice_and_peel(monkeypatch, k):
         sms._absorb(pool.take(np.arange(10, 20)))
         insertions += 10
         with monkeypatch.context() as m:
-            m.setattr(pareto, "_peel_ranks", peel_ranks)
+            m.setattr(moea, "hypervolume_contributions", hypervolume_contributions)
             absorb_by_slice_and_peel(oracle, pool.take(np.arange(10, 20)))
         assert np.array_equal(sms.population.genomes, oracle.population.genomes)
         assert sms.population.returns.tobytes() == oracle.population.returns.tobytes()
-    # Both paths ran: insertions with no dominated member skip the peel.
-    assert 0 < len(peels) < insertions
+    # Insertions raised the ranks of rows below the child, and in 2-D the
+    # screen decided some removals and left others to the exact sweep; in
+    # 3-D every removal from a front of two or more is exact.
+    assert raised
+    if k == 2:
+        assert 0 < len(exact) < insertions
+    else:
+        assert len(exact) > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_raised_ranks_equal_peeled_ranks(k):
+    # Rounded returns: duplicates, ties in one coordinate and long chains.
+    stream = RandomStream(90 + k)
+    grown = 0
+    for trial in range(40):
+        returns = np.round(stream.uniform_vector(24 * k).reshape(24, k), 1)
+        dom = pareto._dominance_matrix(returns)
+        alive = np.zeros(24, dtype=bool)
+        alive[:12] = True
+        ranks = np.zeros(24, dtype=np.int64)
+        ranks[:12] = pareto._peel_ranks(dom[:12, :12])
+        for child in range(12, 24):
+            alive[child] = True
+            before = ranks.copy()
+            _raise_ranks(dom, alive, ranks, child)
+            members = np.flatnonzero(alive)
+            assert np.array_equal(ranks[members], pareto._peel_ranks(dom[np.ix_(members, members)])), \
+                f"trial {trial}, child {child}"
+            grown += int(np.count_nonzero(ranks[members] > before[members])) - 1
+            # Any worst-front member may go: it dominates no alive row.
+            worst = members[ranks[members] == ranks[members].max()]
+            alive[worst[stream.below(len(worst))]] = False
+    assert grown > 0
+
+
+def removal_by_contributions(points, worst_front):
+    """Oracle: the worst-front row with the first least exact contribution."""
+    minimized = -points
+    nadir = minimized.max(axis=0)
+    span = nadir - minimized.min(axis=0)
+    ref = nadir + np.where(span > 0.0, 0.1 * span, 1.0)
+    return int(worst_front[np.argmin(hypervolume_contributions(minimized[worst_front], ref))])
+
+
+def removal_cases(stream):
+    """(kind, maximization points, worst front) cases for the 2-D screen.
+
+    Each front is mutually nondominated but for its duplicates.  Its rows
+    are shuffled among a shifted copy that dominates it, so the reference
+    point comes from the whole pool (and stays symmetric for a symmetric
+    front)."""
+    def case(kind, front):
+        points = np.vstack([front, front + np.abs(front).max()])
+        order = np.argsort(stream.uniform_vector(len(points)))
+        return kind, points[order], np.flatnonzero(order < len(front))
+
+    def curve(m):
+        t = np.sort(stream.uniform_vector(m))
+        return np.column_stack([t, np.sqrt(1.0 - t * t)])
+
+    for exponent in (-300, -200, -160, -130, -100, -10, 0, 10, 100, 150, 154, 200, 300):
+        for _ in range(8):
+            yield case(f"scale 1e{exponent}", curve(2 + stream.below(12)) * 10.0 ** exponent)
+    for _ in range(30):
+        front = curve(3 + stream.below(10))
+        yield case("duplicates", np.vstack([front, front[stream.below(len(front)):][:2]]))
+    for _ in range(60):
+        # Mirror images have equal exact contributions; one coordinate moved
+        # by one ulp leaves the least two within an ulp or two.
+        half = curve(2 + stream.below(6))
+        half = half[half[:, 0] < half[:, 1]]
+        if len(half) == 0:
+            continue
+        front = np.vstack([half, half[:, ::-1]])
+        row, col = stream.below(len(front)), stream.below(2)
+        front[row, col] = np.nextafter(front[row, col], (-1.0) ** stream.below(2))
+        yield case("near tie", front)
+    for _ in range(10):
+        # Minimized x near 1e16, where 10% of the x span rounds away: the
+        # reference point's x equals the largest, so that member is on it.
+        m = 2 + stream.below(2)
+        x = 1e16 - 2.0 * np.arange(m)
+        yield case("on ref", np.column_stack([x, np.sort(stream.uniform_vector(m))]))
+    for _ in range(20):
+        # One member moved below its right-hand neighbour's y: it is
+        # dominated, so the closed form does not hold for this worst front.
+        front = curve(3 + stream.below(8))
+        row = stream.below(len(front) - 1)
+        front[row, 1] = front[row + 1, 1] * (1.0 - stream.uniform())
+        yield case("not a front", front)
+    for _ in range(30):
+        t = np.round(np.sort(stream.uniform_vector(2 + stream.below(8))), 1)
+        front = np.unique(np.column_stack([t, 1.0 - t]), axis=0)
+        signs = stream.uniform_vector(front.size).reshape(front.shape) < 0.5
+        yield case("signed zeros", np.where((front == 0.0) & signs, -0.0, front))
+
+
+def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
+    exact = []
+
+    def contributions(front, ref):
+        exact.append(1)
+        return hypervolume_contributions(front, ref)
+
+    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    screened, swept = {}, {}
+    # From scale 1e200 on, the exact sweep overflows and every contribution
+    # is NaN, so both sides take the first member.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, points, worst in removal_cases(RandomStream(61)):
+            calls = len(exact)
+            assert _removal_index(points, worst) == removal_by_contributions(points, worst), kind
+            ran = swept if len(exact) > calls else screened
+            ran[kind] = ran.get(kind, 0) + 1
+    # Boxes inside [2**-900, 2**1000] are screened unless ties or a member on
+    # the reference point leave the decision to the exact sweep.
+    assert set(screened) == {f"scale 1e{e}" for e in (-130, -100, -10, 0, 10, 100, 150)} | \
+        {"signed zeros"}
+    assert {"scale 1e-300", "scale 1e-200", "scale 1e-160", "scale 1e154", "scale 1e200",
+            "scale 1e300", "duplicates", "near tie", "on ref", "not a front",
+            "signed zeros"} == set(swept)
+    assert sum(screened.values()) > 50
+
+
+def test_removal_in_3d_is_always_exact(monkeypatch):
+    exact = []
+
+    def contributions(front, ref):
+        exact.append(1)
+        return hypervolume_contributions(front, ref)
+
+    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    stream = RandomStream(62)
+    for trial in range(20):
+        head = stream.uniform_vector(20).reshape(10, 2)
+        points = np.column_stack([head, 2.0 - head.sum(axis=1)])
+        worst = np.arange(10)
+        assert _removal_index(points, worst) == removal_by_contributions(points, worst)
+    assert len(exact) == 20
 
 
 # -- NSGA-III ------------------------------------------------------------------

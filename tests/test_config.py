@@ -86,6 +86,10 @@ INVALID = {
     "bounds-reversed": ({"bounds": (5.0, -5.0)}, "bounds must be two values, low < high"),
     "bounds-three": ({"bounds": (-5.0, 0.0, 5.0)}, "bounds must be two values, low < high"),
     "bounds-nan": ({"bounds": (float("nan"), 1.0)}, "bounds must be finite, got (nan, 1.0)"),
+    "bounds-narrow": ({"bounds": (0.0, 0.5)},
+                      "bounds must contain the initial range [-1, 1], got (0.0, 0.5)"),
+    "bounds-high-end-inside": ({"bounds": (-5.0, 0.999)},
+                               "bounds must contain the initial range [-1, 1], got (-5.0, 0.999)"),
     "environment-unknown": ({"environment": "mo-hopper-v4"},
                             "unknown environment 'mo-hopper-v4'; choose from "
                             "['HopLander', 'NoisyPointWalker', 'TradeoffBandit']"),
@@ -218,6 +222,23 @@ def test_cli_run_rejects_non_finite_settings_before_any_run(
                        f"environment = NoisyPointWalker\nalgorithms = GA, RNSGA2\n{setting}\n")
     assert err.startswith(f"error: {key} must be finite")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bounds", ["0.0, 0.5", "-0.5, 5.0"])
+def test_cli_run_rejects_bounds_without_the_initial_range(tmp_path, capsys, monkeypatch, bounds):
+    # The initial genes are drawn from U(-1, 1) and reach mutation
+    # unclamped, so narrower bounds would make NaN genes and abort every run.
+    err = rejected_run(tmp_path, capsys, monkeypatch,
+                       f"environment = TradeoffBandit\nalgorithms = GA, SMSEMOA\nbounds = {bounds}\n")
+    assert err == f"error: bounds must contain the initial range [-1, 1], got ({bounds})"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_at_the_initial_range_are_accepted():
+    assert ExperimentConfig(environment="TradeoffBandit", algorithms=("GA",),
+                            bounds=(-1.0, 1.0)).bounds == (-1.0, 1.0)
+    # Operator settings alone take narrow bounds (the operator tests use them).
+    assert AlgorithmConfig(name="GA", bounds=(0.0, 0.5)).bounds == (0.0, 0.5)
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
