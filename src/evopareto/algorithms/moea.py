@@ -188,7 +188,7 @@ def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
     nadir = minimized.max(axis=0)
     span = nadir - minimized.min(axis=0)
     ref = nadir + np.where(span > 0.0, 0.1 * span, 1.0)
-    front = minimized[worst_front]
+    front = minimized.take(worst_front, axis=0)
     least = _screened_least(front, ref) if front.shape[1] == 2 else None
     if least is None:
         least = int(np.argmin(hypervolume_contributions(front, ref)))
@@ -231,9 +231,9 @@ def _screened_least(front: np.ndarray, ref: np.ndarray) -> int | None:
     areas[0] = width[0] * (ref_y - y[0])
     np.multiply(width[1:], height[:-1], out=areas[1:-1])
     areas[-1] = (ref_x - x[-1]) * height[-1]
-    least = areas.argmin()
+    least, runner = areas.argpartition(1)[:2]
     slack = 4 * (len(x) + 8) * 2.0**-53 * box
-    if np.partition(areas, 1)[1] - areas[least] > 2 * slack:
+    if areas[runner] - areas[least] > 2 * slack:
         return int(order[least])
     return None
 
@@ -306,7 +306,8 @@ class SMSEMOA(Optimizer):
             _raise_ranks(dom, alive, ranks, child)
             members = np.flatnonzero(alive)
             top = ranks[members]
-            victim = members[_removal_index(points[members], np.flatnonzero(top == top.max()))]
+            worst = np.flatnonzero(top == top.max())
+            victim = members[_removal_index(points.take(members, axis=0), worst)]
             alive[victim] = False
         self.population = pool.take(np.flatnonzero(alive))
 
