@@ -756,6 +756,19 @@ def test_smsemoa_absorb_with_duplicate_returns_matches_full_sorts(k):
     assert np.array_equal(sms.population.scalars, oracle.population.scalars)
 
 
+def count_exact_calls(monkeypatch) -> list:
+    """Count SMS-EMOA's exact contribution sweeps: the returned list grows
+    by one entry, the front's size, per call."""
+    calls = []
+
+    def contributions(front, ref):
+        calls.append(len(front))
+        return hypervolume_contributions(front, ref)
+
+    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    return calls
+
+
 def absorb_by_slice_and_peel(self, evaluated):
     """Oracle: SMS-EMOA survival that re-slices the alive rows and peels their
     dominance sub-matrix at every insertion."""
@@ -791,7 +804,7 @@ def smsemoa_pool(stream, k, kind):
 @pytest.mark.parametrize("k", [2, 3])
 def test_smsemoa_absorb_matches_slice_and_peel(monkeypatch, k):
     stream = RandomStream(70 + k)
-    raised, exact = [], []
+    raised = []
 
     def raise_ranks(dom, alive, ranks, child):
         before = ranks.copy()
@@ -800,12 +813,8 @@ def test_smsemoa_absorb_matches_slice_and_peel(monkeypatch, k):
         grew[child] = False
         raised.extend(np.flatnonzero(grew).tolist())
 
-    def contributions(front, ref):
-        exact.append(len(front))
-        return hypervolume_contributions(front, ref)
-
     monkeypatch.setattr(moea, "_raise_ranks", raise_ranks)
-    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    exact = count_exact_calls(monkeypatch)
     insertions = 0
     for trial in range(30):
         returns = smsemoa_pool(stream, k, ("front", "random")[trial % 2])
@@ -869,11 +878,11 @@ def removal_cases(stream):
     """(kind, maximization points, worst front) cases for the 2-D screen.
 
     Each front is mutually nondominated but for its duplicates.  Its rows
-    are shuffled among a shifted copy that dominates it, so the reference
-    point comes from the whole pool (and stays symmetric for a symmetric
-    front)."""
-    def case(kind, front):
-        points = np.vstack([front, front + np.abs(front).max()])
+    are shuffled among a shifted copy that dominates it, unless ``alone``,
+    so the reference point comes from the whole pool (and stays symmetric
+    for a symmetric front)."""
+    def case(kind, front, alone=False):
+        points = front if alone else np.vstack([front, front + np.abs(front).max()])
         order = np.argsort(stream.uniform_vector(len(points)))
         return kind, points[order], np.flatnonzero(order < len(front))
 
@@ -899,11 +908,12 @@ def removal_cases(stream):
         front[row, col] = np.nextafter(front[row, col], (-1.0) ** stream.below(2))
         yield case("near tie", front)
     for _ in range(10):
-        # Minimized x near 1e16, where 10% of the x span rounds away: the
-        # reference point's x equals the largest, so that member is on it.
+        # x near 1e16 with a span of at most 4, whose 10% rounds away at an
+        # ulp of 2: the reference point's x is the nadir's, so the member
+        # with the least x lies on it.
         m = 2 + stream.below(2)
         x = 1e16 - 2.0 * np.arange(m)
-        yield case("on ref", np.column_stack([x, np.sort(stream.uniform_vector(m))]))
+        yield case("on ref", np.column_stack([x, np.sort(stream.uniform_vector(m))]), alone=True)
     for _ in range(20):
         # One member moved below its right-hand neighbour's y: it is
         # dominated, so the closed form does not hold for this worst front.
@@ -919,13 +929,7 @@ def removal_cases(stream):
 
 
 def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
-    exact = []
-
-    def contributions(front, ref):
-        exact.append(1)
-        return hypervolume_contributions(front, ref)
-
-    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    exact = count_exact_calls(monkeypatch)
     screened, swept = {}, {}
     # From scale 1e200 on, the exact sweep overflows and every contribution
     # is NaN, so both sides take the first member.
@@ -946,13 +950,7 @@ def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
 
 
 def test_removal_in_3d_is_always_exact(monkeypatch):
-    exact = []
-
-    def contributions(front, ref):
-        exact.append(1)
-        return hypervolume_contributions(front, ref)
-
-    monkeypatch.setattr(moea, "hypervolume_contributions", contributions)
+    exact = count_exact_calls(monkeypatch)
     stream = RandomStream(62)
     for trial in range(20):
         head = stream.uniform_vector(20).reshape(10, 2)

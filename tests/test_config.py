@@ -224,7 +224,7 @@ def test_cli_run_rejects_non_finite_settings_before_any_run(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bounds", ["0.0, 0.5", "-0.5, 5.0"])
+@pytest.mark.parametrize("bounds", ["0.0, 0.5", "-0.5, 5.0"], ids=["narrow", "low-end-inside"])
 def test_cli_run_rejects_bounds_without_the_initial_range(tmp_path, capsys, monkeypatch, bounds):
     # The initial genes are drawn from U(-1, 1) and reach mutation
     # unclamped, so narrower bounds would make NaN genes and abort every run.
