@@ -10,11 +10,12 @@ Survivors between generations keep their stored evaluations; nothing is
 silently re-evaluated or cached across generations.
 
 ``population`` holds the current slots as one ``Population``, row i being
-slot i.  ``_tournament()`` and ``_random_pair()`` return slot indices, and
-``_vary(n_pairs, kept)`` makes SBX + polynomial-mutation children of
-``n_pairs`` parent pairs from ``_parents()``.  A concrete algorithm fills in
-``_key(i)``, slot i's binary-tournament key (lower wins), or overrides
-``_parents()``; ``_install_initial(evaluated)`` only when the first
+slot i.  ``_tournament(keys)`` and ``_random_pair()`` return slot indices,
+and ``_vary(n_pairs, kept)`` makes SBX + polynomial-mutation children of
+``n_pairs`` parent pairs from ``_parents(keys)``.  A concrete algorithm fills
+in ``_keys()``, every slot's binary-tournament key (lower wins) as Python
+values, read once per generation, or overrides ``_parents(keys)``;
+``_install_initial(evaluated)`` only when the first
 population needs more than storing; ``_absorb(evaluated)`` for survival
 selection, which picks rows of ``population.join(evaluated)`` with
 ``take``; and ``_propose`` only when offspring are not both children of
@@ -26,12 +27,18 @@ fixed seed reproduces populations generation by generation.
 SBX and polynomial mutation consume one application draw per gene and one
 spread draw per applied gene, so where a gene's draws lie depends on the
 draws before it.  ``_vary`` therefore runs in two passes.  The draw pass goes
-pair by pair in stream order: parents, the crossover draw, then one peek of
-at most 6g uniforms that :func:`_walk` replays for SBX and both mutations,
-recording the applied genes and their spread draws, and one advance by
-exactly the draws consumed.  The array pass then varies every pair of the
-generation at once, at the recorded coordinates: SBX, mutation and one
-clamp.  Each element goes through the same IEEE operations, in the same
+pair by pair in stream order: parents, the crossover draw, the walks of SBX
+and of both mutations, and one advance by exactly the draws they consumed.
+The walks read one look-ahead window of uniforms per generation, which
+:meth:`~evopareto.rng.RandomStream.peek` returns from the stream's
+``position``; a new window is read from a pair on only when its worst case
+could run past the current one.  Each walk gives :func:`_walk`'s genes and
+end, one gene at a time: SBX's over the window's ``< 0.5`` bytes
+(:func:`_walk_flags`), a mutation's by jumping between the window's
+``< p_m`` bytes (:func:`_walk_hits`).  Spread draws are recorded as window
+positions and gathered with one index per window.  The array pass then
+varies every pair of the generation at once, at the recorded coordinates:
+SBX, mutation and one clamp.  Each element goes through the same IEEE operations, in the same
 order, as :func:`sbx_crossover` and :func:`polynomial_mutation` apply to one
 pair, so the bytes do not depend on the batching.  (Only a NaN's sign can
 differ, where two NaNs meet: numpy's scalar and array arithmetic keep
@@ -58,6 +65,9 @@ ALGORITHM_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNS
 # Initial genes follow the policy-genome convention: U(-1, 1), well inside
 # the search bounds where tanh layers are responsive.
 INITIAL_RANGE = (-1.0, 1.0)
+
+# The empty window before a generation's first pair reads its own.
+_NO_DRAWS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,37 @@ def _walk(draws: list[float], n: int, p: float, k: int = 0) -> tuple[list[int], 
         else:
             k += 1
     return genes, spreads, k
+
+
+def _walk_flags(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
+    """:func:`_walk` of ``n`` genes from window position ``k``, where
+    ``applied[i]`` is 1 when ``draws[i] < p``, else 0.  Appends the applied
+    genes to ``genes`` and their spread draws' positions to ``at``; returns
+    the position after the walk."""
+    for j in range(n):
+        if applied[k]:
+            genes.append(j)
+            at.append(k + 1)
+            k += 2
+        else:
+            k += 1
+    return k
+
+
+def _walk_hits(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
+    """:func:`_walk_flags`, jumping from one applied draw to the next with
+    ``bytes.find``: every draw it skips is one gene that missed.  Faster
+    when few draws apply, as in mutation."""
+    j = 0
+    while True:
+        h = applied.find(1, k, k + n - j)
+        if h < 0:
+            return k + n - j
+        j += h - k
+        genes.append(j)
+        at.append(h + 1)
+        j += 1
+        k = h + 2
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -260,63 +301,83 @@ class Optimizer:
     # Parent selection and variation shared by the concrete algorithms.
 
     def _vary(self, n_pairs: int, kept: int) -> np.ndarray:
-        """SBX + mutation children of ``n_pairs`` pairs from ``_parents()``:
+        """SBX + mutation children of ``n_pairs`` pairs from ``_parents(keys)``:
         the first ``kept`` (1 or 2) children of each pair, pair by pair.
 
         A pair draws what :func:`sbx_crossover` (when its crossover draw is
         below ``p_crossover``) and then :func:`polynomial_mutation` of each
-        child would draw, discarded children included.
+        child would draw, discarded children included.  The walks read one
+        look-ahead window of uniforms, from ``rng.position`` at the first
+        pair on, sized for about ``4g + 8`` draws per pair.  When a pair's
+        worst case (``6g`` draws with SBX, ``4g`` without) could run past
+        it, the spreads it holds are gathered and a new window is read from
+        that pair on.
         """
         cfg, rng, g, p_m = self.config, self.rng, self.n_genes, self.mutation_rate
+        keys = self._keys()
         pairs, crossed = [], []
-        sbx_counts, sbx_genes, sbx_spreads = [], [], []
-        pm_counts, pm_genes, pm_spreads = [], [], []
-        for _ in range(n_pairs):
-            pairs.append(self._parents())
+        sbx_counts, sbx_genes, sbx_at, sbx_spreads = [], [], [], []
+        pm_counts, pm_genes, pm_at, pm_spreads = [], [], [], []
+        window, base = _NO_DRAWS, rng.position
+        for pair in range(n_pairs):
+            pairs.append(self._parents(keys))
             cross = rng.uniform() < cfg.p_crossover
             crossed.append(cross)
-            draws = rng.peek((6 if cross else 4) * g).tolist()
-            used = 0
+            k = start = rng.position - base
+            if k + (6 if cross else 4) * g > len(window):
+                sbx_spreads.append(window[sbx_at])
+                pm_spreads.append(window[pm_at])
+                sbx_at, pm_at = [], []
+                window, base = rng.peek(6 * g + (n_pairs - 1 - pair) * (4 * g + 8)), rng.position
+                halves = (window < 0.5).tobytes()
+                hits = (window < p_m).tobytes()
+                k = start = 0
             if cross:
-                genes, spreads, used = _walk(draws, g, 0.5)
-                sbx_counts.append(len(genes))
-                sbx_genes += genes
-                sbx_spreads += spreads
+                count = len(sbx_genes)
+                k = _walk_flags(halves, g, k, sbx_genes, sbx_at)
+                sbx_counts.append(len(sbx_genes) - count)
             for child in range(2):
-                genes, spreads, used = _walk(draws, g, p_m, used)
                 if child < kept:
-                    pm_counts.append(len(genes))
-                    pm_genes += genes
-                    pm_spreads += spreads
-            rng.advance(used)
+                    count = len(pm_genes)
+                    k = _walk_hits(hits, g, k, pm_genes, pm_at)
+                    pm_counts.append(len(pm_genes) - count)
+                else:
+                    k = _walk_hits(hits, g, k, [], [])
+            rng.advance(k - start)
+        sbx_spreads.append(window[sbx_at])
+        pm_spreads.append(window[pm_at])
 
         lo, hi = cfg.bounds
         crossed = np.array(crossed)
         parents = self.population.genomes[np.array(pairs)]  # (n_pairs, 2, g)
         children = parents[:, :kept].copy()
         rows = np.repeat(np.flatnonzero(crossed), sbx_counts)
-        u = np.array(sbx_spreads)
+        genes = np.array(sbx_genes, dtype=np.intp)
+        u = np.concatenate(sbx_spreads)
         beta = _pow(np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.eta_c + 1.0))
-        x, y = parents[rows, 0, sbx_genes], parents[rows, 1, sbx_genes]
-        children[rows, 0, sbx_genes] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
+        x, y = parents[rows, 0, genes], parents[rows, 1, genes]
+        children[rows, 0, genes] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
         if kept == 2:
-            children[rows, 1, sbx_genes] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+            children[rows, 1, genes] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
         children = children.reshape(n_pairs * kept, g)
         rows = np.repeat(np.arange(n_pairs * kept), pm_counts)
+        genes = np.array(pm_genes, dtype=np.intp)
         # Mutation reads crossed children as sbx_crossover returns them: clamped.
-        x = children[rows, pm_genes]
+        x = children[rows, genes]
         x = np.where(crossed[rows // kept], _clamp(x, lo, hi), x)
-        children[rows, pm_genes] = _mutated(x, np.array(pm_spreads), cfg.eta_m, lo, hi)
+        children[rows, genes] = _mutated(x, np.concatenate(pm_spreads), cfg.eta_m, lo, hi)
         return _clamp(children, lo, hi)
 
-    def _key(self, i: int) -> tuple:
-        raise NotImplementedError
+    def _keys(self) -> list | None:
+        """Every slot's binary-tournament key (lower wins), read once per
+        generation; None for an algorithm that draws no tournaments."""
+        return None
 
-    def _tournament(self) -> int:
-        """Binary tournament on ``_key``: the winning slot; slot i wins ties."""
+    def _tournament(self, keys: list) -> int:
+        """Binary tournament on ``keys``: the winning slot; slot i wins ties."""
         i = self.rng.below(self.config.pop_size)
         j = self.rng.below(self.config.pop_size)
-        return j if self._key(j) < self._key(i) else i
+        return j if keys[j] < keys[i] else i
 
     def _random_pair(self) -> tuple[int, int]:
         """Two distinct, uniformly drawn slots."""
@@ -326,8 +387,8 @@ class Optimizer:
             j = self.rng.below(self.config.pop_size)
         return i, j
 
-    def _parents(self) -> tuple[int, int]:
-        return self._tournament(), self._tournament()
+    def _parents(self, keys: list | None) -> tuple[int, int]:
+        return self._tournament(keys), self._tournament(keys)
 
     def _propose(self) -> np.ndarray:
         return self._vary(self.config.pop_size // 2, 2)

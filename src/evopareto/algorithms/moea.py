@@ -64,8 +64,8 @@ class NSGA2(Optimizer):
         self._ranks = pareto.fast_nondominated_sort(evaluated.returns)
         self._secondaries = self._secondary(evaluated.returns, self._ranks)
 
-    def _key(self, i):
-        return (self._ranks[i], self._secondaries[i])
+    def _keys(self):
+        return list(zip(self._ranks.tolist(), self._secondaries.tolist()))
 
     def _absorb(self, evaluated):
         pool = self.population.join(evaluated)
@@ -133,35 +133,41 @@ class SPEA2(Optimizer):
 
         ``dist`` is :meth:`_distances` of all points.  Each member's row of
         sorted distances to the other alive members is its key, and the
-        first member in ``alive`` order wins ties.  The infinite
+        first member in candidate order wins ties.  The infinite
         self-distance sorts last in every row.
 
-        The candidates' rows are sorted once.  A removal deletes the
-        victim's row and, from every other row, one copy of its distance to
-        the victim, at the first position holding that value; what remains
-        is exactly the sorted row over the members still alive.
-
-        The victim is the least row, found by one ``argmin`` over the rows'
-        bytes.  A distance is never negative, never -0.0 and never NaN, and
+        The candidates' block of ``dist`` is copied once; a removal sets the
+        victim's column to +inf.  A member's sorted row is then its sorted
+        key padded with one +inf per removed member, the same padding in
+        every row, so the rows order as the keys do.  The victim's key is
+        least, so its first entry, its nearest distance, is the least of
+        every alive member's; each removal recomputes the nearest distance
+        only of the members whose nearest was the victim.  A sole member
+        at the least nearest distance is the victim.  Tied members' rows are
+        sorted, and the least is found by one ``argmin`` over the rows'
+        bytes: a distance is never negative, never -0.0 and never NaN, and
         such doubles order as their big-endian bytes do, so the rows' bytes
-        order as the rows do lexicographically.  ``argmin`` returns the first
-        of fully tied rows, the row a stable lexsort would put first.
+        order as the rows do lexicographically.  ``argmin`` returns the
+        first of fully tied rows, the row a stable lexsort would put first.
         """
-        alive = np.asarray(candidates, dtype=np.int64)
-        rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
-        while len(alive) > keep:
-            m = len(alive)
-            victim = int(np.argmin(rows.astype(">f8").view(f"S{8 * m}").ravel()))
-            gone = dist[alive, alive[victim]]
-            kept = np.ones((m, m), dtype=bool)
-            kept[np.arange(m), np.argmax(rows >= gone[:, None], axis=1)] = False
-            kept[victim] = False
-            rows = rows[kept].reshape(m - 1, m - 1)
-            alive = np.delete(alive, victim)
-        return alive.tolist()
+        members = np.asarray(candidates, dtype=np.int64)
+        block = dist[np.ix_(members, members)]
+        # A removed member's nearest distance is NaN, which no comparison picks.
+        nearest = block.min(axis=1)
+        for _ in range(len(members) - keep):
+            tied = np.flatnonzero(nearest == np.fmin.reduce(nearest))
+            victim = tied[0]
+            if len(tied) > 1:
+                rows = np.sort(block[tied], axis=1)
+                victim = tied[np.argmin(rows.astype(">f8").view(f"S{8 * len(members)}").ravel())]
+            nearest[victim] = np.nan
+            stale = np.flatnonzero(block[:, victim] == nearest)
+            block[:, victim] = np.inf
+            nearest[stale] = block[stale].min(axis=1)
+        return members[~np.isnan(nearest)].tolist()
 
-    def _key(self, i):
-        return (self._fitness_values[i], i)
+    def _keys(self):
+        return list(zip(self._fitness_values.tolist(), range(len(self._fitness_values))))
 
     def _absorb(self, evaluated):
         self._select_archive(self.population.join(evaluated))
@@ -191,13 +197,32 @@ def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
     front = minimized.take(worst_front, axis=0)
     least = _screened_least(front, ref) if front.shape[1] == 2 else None
     if least is None:
-        least = int(np.argmin(hypervolume_contributions(front, ref)))
+        least = int(np.argmin(hypervolume_contributions(*_in_sweep_range(front, ref))))
     return int(worst_front[least])
 
 
-# The box sizes the 2-D screen decides on: no product or sum that its bound
-# covers can overflow, and underflow's absolute errors (2**-1075 per
-# product) stay far below its slack.
+def _in_sweep_range(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``front`` and ``ref`` as they are when their box lies in
+    ``_SCREEN_BOX``; else with each objective scaled by the power of two
+    that brings its side of the box into [0.5, 1).
+
+    Every term of the exact sweep is a product of one difference per
+    objective, so the scaling multiplies every contribution by one power of
+    two: exactly, short of underflow, which keeps their order and ties.
+    Outside that range the unscaled sweep can overflow to inf and NaN, or
+    its products underflow to zero.
+    """
+    sides = (ref - front.min(axis=0)).tolist()
+    if _SCREEN_BOX[0] <= math.prod(sides) <= _SCREEN_BOX[1]:
+        return front, ref
+    exponents = [-math.frexp(side)[1] for side in sides]
+    return np.ldexp(front, exponents), np.ldexp(ref, exponents)
+
+
+# The box sizes the 2-D screen decides on, and those the exact sweep takes
+# unscaled: no product or sum that the screen's bound covers can overflow,
+# and underflow's absolute errors (2**-1075 per product) stay far below its
+# slack.
 _SCREEN_BOX = (2.0**-900, 2.0**1000)
 
 
@@ -284,7 +309,7 @@ class SMSEMOA(Optimizer):
             raise ValueError("SMS-EMOA uses exact hypervolume and supports k <= 3 only")
         self.population = evaluated
 
-    def _parents(self):
+    def _parents(self, keys):
         return self._random_pair()
 
     def _propose(self):
@@ -382,7 +407,7 @@ class NSGA3(Optimizer):
         self._directions = generate_reference_directions(k, minimum_partitions(k, self.config.pop_size))
         self.population = evaluated
 
-    def _parents(self):
+    def _parents(self, keys):
         return self._random_pair()
 
     def _normalize(self, maximized: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from .base import Optimizer
 class GA(Optimizer):
     """Generational GA: binary tournament, SBX + polynomial mutation, 1-elitism."""
 
-    def _key(self, i):
-        return (-self.population.scalars[i],)
+    def _keys(self):
+        return (-self.population.scalars).tolist()
 
     def _absorb(self, evaluated):
         # The offspring replace the population; a strictly better elite takes

@@ -33,6 +33,9 @@ SMS-EMOA drops the first minimal contribution in worst-front order
 (``np.argmin``), so exact ties go to the earlier member.  In 2-D it calls
 :func:`hypervolume_contributions` only when a closed-form screen cannot
 name that member beyond rounding (``algorithms.moea._screened_least``).
+The sweep overflows to NaN once the box exceeds the largest double, and its
+products underflow on tiny boxes, so SMS-EMOA scales such a front by powers
+of two first (``algorithms.moea._in_sweep_range``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ outputs that :func:`raw_outputs` computes ahead of use.  The look-ahead rule:
 the block is only a cache of the outputs after ``_counter``, and ``_counter``
 alone counts what was consumed, so no value depends on the block's size or
 on when it was refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
-consumes; :meth:`~RandomStream.advance` consumes outputs unread.
+consumes; :meth:`~RandomStream.advance` consumes outputs unread, and
+:attr:`~RandomStream.position` reads how many outputs were consumed.
 
 Uniform doubles come from the top 53 bits of a raw output; Gaussian draws use
 the Box-Muller transform (pairs are generated together and the second value
@@ -180,6 +181,11 @@ class RandomStream:
         self._raw = raw
         self._units = _unit(raw)
         self._units.flags.writeable = False
+
+    @property
+    def position(self) -> int:
+        """How many outputs the stream has consumed."""
+        return self._counter
 
     def next_u64(self) -> int:
         i = self._counter - self._base

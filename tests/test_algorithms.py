@@ -77,11 +77,17 @@ def scalar_ramp(g):
 
 
 class ScriptedStream:
+    """Stands in for RandomStream: uniforms and integers from two scripts.
+    ``position`` counts the uniforms consumed, the only draws that
+    variation's look-ahead window holds here."""
+
     def __init__(self, uniforms=(), ints=()):
         self._uniforms = list(uniforms)
         self._ints = list(ints)
+        self.position = 0
 
     def uniform(self, low=0.0, high=1.0):
+        self.position += 1
         return low + (high - low) * self._uniforms.pop(0)
 
     def uniform_vector(self, n, low=0.0, high=1.0):
@@ -95,6 +101,7 @@ class ScriptedStream:
     def advance(self, n):
         assert n <= len(self._uniforms), "consumed more draws than scripted"
         del self._uniforms[:n]
+        self.position += n
 
     def below(self, n):
         return self._ints.pop(0) % n
@@ -592,6 +599,56 @@ def test_spea2_truncation_orders_rows_by_value_over_the_whole_double_range():
             truncate_by_sorted_rows(dist, candidates, keep), f"trial {trial}"
 
 
+def truncate_by_row_deletion(dist, candidates, keep):
+    """Oracle: the sorted rows of every candidate, kept in step by deleting
+    the victim's row and one copy of its distance from every other row; the
+    victim is the least row by its big-endian bytes."""
+    alive = np.asarray(candidates, dtype=np.int64)
+    rows = np.sort(dist[np.ix_(alive, alive)], axis=1)
+    while len(alive) > keep:
+        m = len(alive)
+        victim = int(np.argmin(rows.astype(">f8").view(f"S{8 * m}").ravel()))
+        gone = dist[alive, alive[victim]]
+        kept = np.ones((m, m), dtype=bool)
+        kept[np.arange(m), np.argmax(rows >= gone[:, None], axis=1)] = False
+        kept[victim] = False
+        rows = rows[kept].reshape(m - 1, m - 1)
+        alive = np.delete(alive, victim)
+    return alive.tolist()
+
+
+def tie_heavy_fronts(stream):
+    """Point sets whose distances tie often: integer grids, lines of equal
+    steps, rounded fronts with duplicated rows, and regular polygons."""
+    for trial in range(300):
+        kind = trial % 4
+        n = 4 + stream.below(60)
+        if kind == 0:
+            points = np.floor(stream.uniform_vector(2 * n).reshape(n, 2) * 5.0)
+        elif kind == 1:
+            steps = np.arange(n, dtype=np.float64)
+            points = np.column_stack([steps, -steps])
+        elif kind == 2:
+            half = np.round(stream.uniform_vector(3 * n).reshape(n, 3), 1)
+            points = np.vstack([half, half[: stream.below(n)]])
+        else:
+            angles = 2.0 * np.pi * np.arange(n) / n
+            points = np.column_stack([np.cos(angles), np.sin(angles)])
+        yield trial, points
+
+
+def test_spea2_truncation_matches_row_deletion_on_ties():
+    stream = RandomStream(43)
+    for trial, points in tie_heavy_fronts(stream):
+        dist = SPEA2._distances(points)
+        candidates = [int(i) for i in np.flatnonzero(stream.uniform_vector(len(points)) < 0.9)]
+        if trial % 3 == 0:
+            candidates.reverse()
+        keep = 1 + stream.below(max(len(candidates), 1))
+        assert SPEA2._truncate(dist, candidates, keep) == \
+            truncate_by_row_deletion(dist, candidates, keep), f"trial {trial}"
+
+
 def archive_rows_by_lists(fitness, dist, keep):
     """Oracle: nondominated members in index order, truncated when too many,
     else topped up with dominated members sorted by (fitness, index)."""
@@ -866,8 +923,13 @@ def test_raised_ranks_equal_peeled_ranks(k):
 
 
 def removal_by_contributions(points, worst_front):
-    """Oracle: the worst-front row with the first least exact contribution."""
-    minimized = -points
+    """Oracle: the worst-front row with the first least exact contribution.
+
+    The points are first scaled by one power of two, which brings the
+    largest magnitude into [0.5, 1).  That multiplies every contribution by
+    one factor, exactly, and keeps the sweep clear of overflow and underflow
+    at every scale the cases use."""
+    minimized = -np.ldexp(points, -np.frexp(np.abs(points).max())[1])
     nadir = minimized.max(axis=0)
     span = nadir - minimized.min(axis=0)
     ref = nadir + np.where(span > 0.0, 0.1 * span, 1.0)
@@ -931,14 +993,14 @@ def removal_cases(stream):
 def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
     exact = count_exact_calls(monkeypatch)
     screened, swept = {}, {}
-    # From scale 1e200 on, the exact sweep overflows and every contribution
-    # is NaN, so both sides take the first member.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kind, points, worst in removal_cases(RandomStream(61)):
-            calls = len(exact)
-            assert _removal_index(points, worst) == removal_by_contributions(points, worst), kind
-            ran = swept if len(exact) > calls else screened
-            ran[kind] = ran.get(kind, 0) + 1
+    # Outside the screen's box range, from scale 1e154 up and 1e-160 down,
+    # the exact sweep runs on each objective scaled by a power of two, so it
+    # neither overflows to NaN nor underflows to all-zero contributions.
+    for kind, points, worst in removal_cases(RandomStream(61)):
+        calls = len(exact)
+        assert _removal_index(points, worst) == removal_by_contributions(points, worst), kind
+        ran = swept if len(exact) > calls else screened
+        ran[kind] = ran.get(kind, 0) + 1
     # Boxes inside [2**-900, 2**1000] are screened unless ties or a member on
     # the reference point leave the decision to the exact sweep.
     assert set(screened) == {f"scale 1e{e}" for e in (-130, -100, -10, 0, 10, 100, 150)} | \
@@ -947,6 +1009,28 @@ def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
             "scale 1e300", "duplicates", "near tie", "on ref", "not a front",
             "signed zeros"} == set(swept)
     assert sum(screened.values()) > 50
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_removal_victim_does_not_depend_on_the_scale(k):
+    # At 1e200 and 1e300 the box overflows a double, and at 1e-200 and
+    # 1e-300 the sweep's products underflow; the victim stays scale 1's.
+    stream = RandomStream(63)
+    for trial in range(40):
+        m = 3 + stream.below(10)
+        if k == 2:
+            t = np.sort(stream.uniform_vector(m))
+            front = np.column_stack([t, np.sqrt(1.0 - t * t)])
+        else:
+            head = stream.uniform_vector(2 * m).reshape(m, 2)
+            front = np.column_stack([head, 2.0 - head.sum(axis=1)])
+        points = np.vstack([front + 1.0, front])
+        worst = np.arange(m, 2 * m)
+        victim = _removal_index(points, worst)
+        assert victim == removal_by_contributions(points, worst)
+        with np.errstate(all="raise"):
+            for scale in (1e-300, 1e-200, 1e200, 1e300):
+                assert _removal_index(points * scale, worst) == victim, (trial, scale)
 
 
 def test_removal_in_3d_is_always_exact(monkeypatch):
@@ -1153,10 +1237,11 @@ def two_slot_optimizer(name):
 @pytest.mark.parametrize("name", ["GA", "NSGA2", "RNSGA2"])
 def test_tournament_first_drawn_slot_wins_tied_key(name):
     optimizer = two_slot_optimizer(name)
-    assert optimizer._key(0) == optimizer._key(1)
+    keys = optimizer._keys()
+    assert keys[0] == keys[1]
     for first, second in ((0, 1), (1, 0)):
         optimizer.rng = ScriptedStream(ints=[first, second])
-        assert optimizer._tournament() == first
+        assert optimizer._tournament(keys) == first
 
 
 def test_spea2_tournament_breaks_fitness_ties_by_slot():
@@ -1164,7 +1249,7 @@ def test_spea2_tournament_breaks_fitness_ties_by_slot():
     assert spea._fitness_values[0] == spea._fitness_values[1]
     for draws in ((0, 1), (1, 0)):
         spea.rng = ScriptedStream(ints=list(draws))
-        assert spea._tournament() == 0
+        assert spea._tournament(spea._keys()) == 0
 
 
 @pytest.mark.parametrize("name", ["GA", "NSGA2", "SPEA2", "RNSGA2"])
@@ -1172,11 +1257,12 @@ def test_tournament_lower_key_wins_either_draw_order(name):
     optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=2), 1, RandomStream(0))
     optimizer.ask()
     optimizer.tell(stack([evaluated([0.0], (0.0, 0.0)), evaluated([1.0], (1.0, 1.0))]))
-    best = 0 if optimizer._key(0) < optimizer._key(1) else 1
+    keys = optimizer._keys()
+    best = 0 if keys[0] < keys[1] else 1
     assert optimizer.population.genomes[best][0] == 1.0
     for draws in ((0, 1), (1, 0)):
         optimizer.rng = ScriptedStream(ints=list(draws))
-        assert optimizer._tournament() == best
+        assert optimizer._tournament(keys) == best
 
 
 def test_random_pair_redraws_a_repeated_slot():

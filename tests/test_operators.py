@@ -287,7 +287,8 @@ def per_pair_offspring(optimizer):
     if optimizer.name == "SMSEMOA":
         rows = [children(*optimizer._random_pair())[0] for _ in range(cfg.pop_size)]
     else:
-        rows = [c for _ in range(cfg.pop_size // 2) for c in children(*optimizer._parents())]
+        rows = [c for _ in range(cfg.pop_size // 2)
+                for c in children(*optimizer._parents(optimizer._keys()))]
     return np.array(rows)
 
 
@@ -328,3 +329,39 @@ def test_ask_matches_per_pair_operators(name, p_crossover, p_m, bounds):
                 want = per_pair_offspring(oracle)
             assert bits_up_to_nan_sign(genomes) == bits_up_to_nan_sign(want)
             assert optimizer.rng._counter == oracle.rng._counter
+
+
+@pytest.mark.parametrize("genes", [1, 7])
+@pytest.mark.parametrize("name", ["SMSEMOA", "NSGA3", "GA"])
+def test_ask_matches_per_pair_operators_across_windows(monkeypatch, name, genes):
+    # A pair may run past the look-ahead window, which is sized for about
+    # 4g + 8 draws per pair; the window is then read again from that pair.
+    # At p_m = 1.0 every mutation walk takes its worst case, 2g draws, and
+    # at pop 4 _random_pair redraws a repeated slot one time in four.
+    windows = []
+    peek = RandomStream.peek
+
+    def counted(stream, n):
+        windows.append(n)
+        return peek(stream, n)
+
+    asks = 0
+    for seed in range(4):
+        config = AlgorithmConfig(name=name, pop_size=4, p_crossover=1.0, p_m=1.0)
+        optimizer = make_optimizer(config, genes, RandomStream(seed))
+        returns = RandomStream(200 + seed)
+        genomes = optimizer.ask()
+        for _ in range(4):
+            k = 3 if name == "NSGA3" else 2
+            optimizer.tell(Population(genomes, np.round(returns.uniform_vector(4 * k), 1).reshape(4, k)))
+            oracle = copy.deepcopy(optimizer)
+            with monkeypatch.context() as patch:
+                patch.setattr(RandomStream, "peek", counted)
+                genomes = optimizer.ask()
+            asks += 1
+            assert genomes.tobytes() == per_pair_offspring(oracle).tobytes()
+            assert optimizer.rng._counter == oracle.rng._counter
+    if genes > 1:
+        # A pair takes about 6g draws here, so some generations read a
+        # second window.  (At g = 1 the estimate's 8 spare draws cover it.)
+        assert len(windows) > asks

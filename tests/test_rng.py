@@ -274,3 +274,18 @@ def test_peek_does_not_consume():
     assert stream._counter == 20
     with pytest.raises(ValueError):
         stream.advance(-1)
+
+
+def test_position_counts_consumed_outputs():
+    stream = RandomStream(6)
+    stream.peek(5000)
+    assert stream.position == 0
+    stream.uniform()
+    stream.below(7)
+    stream.normal()  # two outputs, and a spare normal that draws none
+    stream.normal()
+    stream.uniform_vector(10)
+    stream.advance(4090)
+    assert stream.position == stream._counter == 4104
+    with pytest.raises(AttributeError):
+        stream.position = 0
