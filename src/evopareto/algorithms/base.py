@@ -31,16 +31,17 @@ pair by pair in stream order: parents, the crossover draw, the walks of SBX
 and of both mutations, and one advance by exactly the draws they consumed.
 The walks read one look-ahead window of uniforms per generation, which
 :meth:`~evopareto.rng.RandomStream.peek` returns from the stream's
-``position``; a new window is read from a pair on only when its worst case
-could run past the current one.  Each walk gives :func:`_walk`'s genes and
-end, one gene at a time: SBX's over the window's ``< 0.5`` bytes
-(:func:`_walk_flags`), a mutation's by jumping between the window's
-``< p_m`` bytes (:func:`_walk_hits`).  Spread draws are recorded as window
-positions and gathered with one index per window.  The array pass then
-varies every pair of the generation at once, at the recorded coordinates:
-SBX, mutation and one clamp.  Each element goes through the same IEEE operations, in the same
-order, as :func:`sbx_crossover` and :func:`polynomial_mutation` apply to one
-pair, so the bytes do not depend on the batching.  (Only a NaN's sign can
+``position``, sized for the draws the pairs are expected to use; a new
+window is read from a pair on only when its worst case could run past the
+current one.  Each walk gives :func:`_walk`'s genes and end by jumping
+between the window's applied draws (:func:`_walk_hits`): its ``< 0.5``
+bytes for SBX, its ``< p_m`` bytes for a mutation.  Spread draws are
+recorded as window positions and gathered with one index per window.  The
+array pass then varies every pair of the generation at once, at the
+recorded coordinates: SBX, mutation and one clamp.  Each element goes
+through the same IEEE operations, in the same order, as
+:func:`sbx_crossover` and :func:`polynomial_mutation` apply to one pair, so
+the bytes do not depend on the batching.  (Only a NaN's sign can
 differ, where two NaNs meet: numpy's scalar and array arithmetic keep
 different ones.  That needs a NaN parent, and no run varies one, since a NaN
 gene makes its evaluation non-finite and aborts the run.)  The pow rule: every
@@ -135,35 +136,21 @@ def _walk(draws: list[float], n: int, p: float, k: int = 0) -> tuple[list[int], 
     return genes, spreads, k
 
 
-def _walk_flags(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
+def _walk_hits(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
     """:func:`_walk` of ``n`` genes from window position ``k``, where
     ``applied[i]`` is 1 when ``draws[i] < p``, else 0.  Appends the applied
     genes to ``genes`` and their spread draws' positions to ``at``; returns
-    the position after the walk."""
-    for j in range(n):
-        if applied[k]:
-            genes.append(j)
-            at.append(k + 1)
-            k += 2
-        else:
-            k += 1
-    return k
-
-
-def _walk_hits(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
-    """:func:`_walk_flags`, jumping from one applied draw to the next with
-    ``bytes.find``: every draw it skips is one gene that missed.  Faster
-    when few draws apply, as in mutation."""
-    j = 0
-    while True:
-        h = applied.find(1, k, k + n - j)
-        if h < 0:
-            return k + n - j
-        j += h - k
-        genes.append(j)
+    the position after the walk.  It jumps from one applied draw to the next
+    with ``bytes.find``: every draw it skips is one gene that missed, so
+    with ``k`` moved on by one per hit so far, gene j's draw is at k + j."""
+    find = applied.find
+    h = find(1, k, k + n)
+    while h >= 0:
+        genes.append(h - k)
         at.append(h + 1)
-        j += 1
-        k = h + 2
+        k += 1
+        h = find(1, h + 2, k + n)
+    return k + n
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -308,12 +295,19 @@ class Optimizer:
         below ``p_crossover``) and then :func:`polynomial_mutation` of each
         child would draw, discarded children included.  The walks read one
         look-ahead window of uniforms, from ``rng.position`` at the first
-        pair on, sized for about ``4g + 8`` draws per pair.  When a pair's
-        worst case (``6g`` draws with SBX, ``4g`` without) could run past
-        it, the spreads it holds are gathered and a new window is read from
-        that pair on.
+        pair on.  It holds the first pair's worst case (``6g`` draws with
+        SBX, ``4g`` without), then each later pair's expected draws (SBX's
+        ``1.5g`` when crossed, ``g (1 + p_m)`` per mutation, and 8 for its
+        parents, its crossover draw and slack), then two standard
+        deviations of the later pairs' sum.  When a pair's worst case could
+        run past the window, the spreads it holds are gathered and a new
+        window is read from that pair on.
         """
         cfg, rng, g, p_m = self.config, self.rng, self.n_genes, self.mutation_rate
+        p_c = cfg.p_crossover
+        mean = int(g * (1.5 * p_c + 2.0 * (1.0 + p_m))) + 8
+        # Whether a pair crosses, SBX's applied genes, the mutations' hits.
+        variance = (1.5 * g) ** 2 * p_c * (1.0 - p_c) + 0.25 * g * p_c + 2.0 * g * p_m * (1.0 - p_m)
         keys = self._keys()
         pairs, crossed = [], []
         sbx_counts, sbx_genes, sbx_at, sbx_spreads = [], [], [], []
@@ -328,13 +322,15 @@ class Optimizer:
                 sbx_spreads.append(window[sbx_at])
                 pm_spreads.append(window[pm_at])
                 sbx_at, pm_at = [], []
-                window, base = rng.peek(6 * g + (n_pairs - 1 - pair) * (4 * g + 8)), rng.position
+                left = n_pairs - 1 - pair
+                window = rng.peek(6 * g + left * mean + int(2.0 * math.sqrt(left * variance)))
+                base = rng.position
                 halves = (window < 0.5).tobytes()
                 hits = (window < p_m).tobytes()
                 k = start = 0
             if cross:
                 count = len(sbx_genes)
-                k = _walk_flags(halves, g, k, sbx_genes, sbx_at)
+                k = _walk_hits(halves, g, k, sbx_genes, sbx_at)
                 sbx_counts.append(len(sbx_genes) - count)
             for child in range(2):
                 if child < kept:

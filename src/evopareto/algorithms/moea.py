@@ -197,32 +197,27 @@ def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
     front = minimized.take(worst_front, axis=0)
     least = _screened_least(front, ref) if front.shape[1] == 2 else None
     if least is None:
-        least = int(np.argmin(hypervolume_contributions(*_in_sweep_range(front, ref))))
+        least = int(np.argmin(hypervolume_contributions(*_unit_box(front, ref))))
     return int(worst_front[least])
 
 
-def _in_sweep_range(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``front`` and ``ref`` as they are when their box lies in
-    ``_SCREEN_BOX``; else with each objective scaled by the power of two
+def _unit_box(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``front`` and ``ref`` with each objective scaled by the power of two
     that brings its side of the box into [0.5, 1).
 
     Every term of the exact sweep is a product of one difference per
     objective, so the scaling multiplies every contribution by one power of
     two: exactly, short of underflow, which keeps their order and ties.
-    Outside that range the unscaled sweep can overflow to inf and NaN, or
-    its products underflow to zero.
+    Unscaled, a side or an area of two sides can overflow to inf, giving
+    NaN contributions, or their products underflow to zero.
     """
-    sides = (ref - front.min(axis=0)).tolist()
-    if _SCREEN_BOX[0] <= math.prod(sides) <= _SCREEN_BOX[1]:
-        return front, ref
-    exponents = [-math.frexp(side)[1] for side in sides]
+    exponents = [-math.frexp(side)[1] for side in (ref - front.min(axis=0)).tolist()]
     return np.ldexp(front, exponents), np.ldexp(ref, exponents)
 
 
-# The box sizes the 2-D screen decides on, and those the exact sweep takes
-# unscaled: no product or sum that the screen's bound covers can overflow,
-# and underflow's absolute errors (2**-1075 per product) stay far below its
-# slack.
+# The box sizes the 2-D screen decides on: no product or sum that its bound
+# covers can overflow, and underflow's absolute errors (2**-1075 per
+# product) stay far below its slack.
 _SCREEN_BOX = (2.0**-900, 2.0**1000)
 
 

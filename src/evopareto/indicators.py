@@ -33,9 +33,10 @@ SMS-EMOA drops the first minimal contribution in worst-front order
 (``np.argmin``), so exact ties go to the earlier member.  In 2-D it calls
 :func:`hypervolume_contributions` only when a closed-form screen cannot
 name that member beyond rounding (``algorithms.moea._screened_least``).
-The sweep overflows to NaN once the box exceeds the largest double, and its
-products underflow on tiny boxes, so SMS-EMOA scales such a front by powers
-of two first (``algorithms.moea._in_sweep_range``).
+The sweep overflows to NaN once the box or an area of two of its sides
+exceeds the largest double, and its products underflow on tiny boxes, so
+SMS-EMOA scales each objective of a front by a power of two first
+(``algorithms.moea._unit_box``).
 """
 
 from __future__ import annotations

@@ -1011,10 +1011,16 @@ def test_removal_screen_picks_the_exact_least_contribution(monkeypatch):
     assert sum(screened.values()) > 50
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_removal_victim_does_not_depend_on_the_scale(k):
+@pytest.mark.parametrize("k, mixed", [(2, [(600, -600), (-1000, 900)]),
+                                      (3, [(600, 600, -300), (-600, -600, 400), (-520, -520, 300)])])
+def test_removal_victim_does_not_depend_on_the_scale(k, mixed):
     # At 1e200 and 1e300 the box overflows a double, and at 1e-200 and
     # 1e-300 the sweep's products underflow; the victim stays scale 1's.
+    # So it does with the objectives scaled apart by powers of two.  In 3-D
+    # the area of the first two sides then overflows (2^600 each) or
+    # underflows (2^-600 each), or turns subnormal (2^-520 each) while the
+    # box, about 2^-740, is of a size a double holds.
+    scales = (1e-300, 1e-200, 1e200, 1e300, *(np.ldexp(1.0, exponents) for exponents in mixed))
     stream = RandomStream(63)
     for trial in range(40):
         m = 3 + stream.below(10)
@@ -1029,7 +1035,7 @@ def test_removal_victim_does_not_depend_on_the_scale(k):
         victim = _removal_index(points, worst)
         assert victim == removal_by_contributions(points, worst)
         with np.errstate(all="raise"):
-            for scale in (1e-300, 1e-200, 1e200, 1e300):
+            for scale in scales:
                 assert _removal_index(points * scale, worst) == victim, (trial, scale)
 
 

@@ -304,64 +304,66 @@ def bits_up_to_nan_sign(genomes):
     return np.where(np.isnan(genomes), np.nan, genomes).tobytes()
 
 
-@pytest.mark.parametrize("bounds", [BOUNDS, (0.0, 1.0), (-1.0, -0.0)])
+@pytest.mark.parametrize("pop_size, genes, bounds, short", [
+    pytest.param(8, 5, BOUNDS, False, id="bounds0"),
+    pytest.param(8, 5, (0.0, 1.0), False, id="bounds1"),
+    pytest.param(8, 5, (-1.0, -0.0), False, id="bounds2"),
+    pytest.param(4, 1, BOUNDS, True, id="pop4-g1-short"),
+    pytest.param(4, 7, BOUNDS, True, id="pop4-g7-short")])
 @pytest.mark.parametrize("p_crossover, p_m", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
                                               (0.9, None)])
 @pytest.mark.parametrize("name", ["GA", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2"])
-def test_ask_matches_per_pair_operators(name, p_crossover, p_m, bounds):
+def test_ask_matches_per_pair_operators(monkeypatch, name, p_crossover, p_m, pop_size, genes, bounds, short):
     # Initial genomes are U(-1, 1), so narrow bounds leave parents outside
     # them: the per-pair path mutates those unclamped unless SBX clamped them,
-    # and a zero bound meets signed zeros in the clamps.
+    # and a zero bound meets signed zeros in the clamps.  At pop 4
+    # _random_pair redraws a repeated slot one time in four, and p_m = 1.0
+    # gives every mutation walk its worst case, 2g draws.  A short window is
+    # cut to a random length from one pair's worst case, 6g draws, up to the
+    # length asked for, so pairs read new windows at varied distances from
+    # a window's end.
+    lengths = RandomStream(7)
+    peek = RandomStream.peek
+
+    def short_peek(stream, n):
+        return peek(stream, 6 * genes + lengths.below(n - 6 * genes + 1))
+
     for seed in range(3):
-        config = AlgorithmConfig(name=name, pop_size=8, bounds=bounds,
+        config = AlgorithmConfig(name=name, pop_size=pop_size, bounds=bounds,
                                  p_crossover=p_crossover, p_m=p_m)
-        optimizer = make_optimizer(config, 5, RandomStream(seed))
+        optimizer = make_optimizer(config, genes, RandomStream(seed))
         returns = RandomStream(100 + seed)
         genomes = optimizer.ask()
         for _ in range(3):
             # Returns independent of the genomes, rounded: ties and dominated members.
             k = 3 if name == "NSGA3" else 2
-            rounded = np.round(returns.uniform_vector(8 * k), 1).reshape(8, k)
+            rounded = np.round(returns.uniform_vector(pop_size * k), 1).reshape(pop_size, k)
             optimizer.tell(Population(genomes, rounded))
             oracle = copy.deepcopy(optimizer)
-            with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"), monkeypatch.context() as patch:
+                if short:
+                    patch.setattr(RandomStream, "peek", short_peek)
                 genomes = optimizer.ask()
+            with np.errstate(invalid="ignore", over="ignore"):
                 want = per_pair_offspring(oracle)
             assert bits_up_to_nan_sign(genomes) == bits_up_to_nan_sign(want)
             assert optimizer.rng._counter == oracle.rng._counter
 
 
-@pytest.mark.parametrize("genes", [1, 7])
-@pytest.mark.parametrize("name", ["SMSEMOA", "NSGA3", "GA"])
-def test_ask_matches_per_pair_operators_across_windows(monkeypatch, name, genes):
-    # A pair may run past the look-ahead window, which is sized for about
-    # 4g + 8 draws per pair; the window is then read again from that pair.
-    # At p_m = 1.0 every mutation walk takes its worst case, 2g draws, and
-    # at pop 4 _random_pair redraws a repeated slot one time in four.
+@pytest.mark.parametrize("name", ["GA", "SMSEMOA"])
+def test_vary_reads_a_window_per_pair_when_each_holds_one_worst_case(monkeypatch, name):
+    # Past the first pair, every pair of a generation could overrun a
+    # window of 6g draws, so it reads its own.
     windows = []
     peek = RandomStream.peek
 
-    def counted(stream, n):
+    def worst_case_peek(stream, n):
         windows.append(n)
-        return peek(stream, n)
+        return peek(stream, min(n, 6 * 7))
 
-    asks = 0
-    for seed in range(4):
-        config = AlgorithmConfig(name=name, pop_size=4, p_crossover=1.0, p_m=1.0)
-        optimizer = make_optimizer(config, genes, RandomStream(seed))
-        returns = RandomStream(200 + seed)
-        genomes = optimizer.ask()
-        for _ in range(4):
-            k = 3 if name == "NSGA3" else 2
-            optimizer.tell(Population(genomes, np.round(returns.uniform_vector(4 * k), 1).reshape(4, k)))
-            oracle = copy.deepcopy(optimizer)
-            with monkeypatch.context() as patch:
-                patch.setattr(RandomStream, "peek", counted)
-                genomes = optimizer.ask()
-            asks += 1
-            assert genomes.tobytes() == per_pair_offspring(oracle).tobytes()
-            assert optimizer.rng._counter == oracle.rng._counter
-    if genes > 1:
-        # A pair takes about 6g draws here, so some generations read a
-        # second window.  (At g = 1 the estimate's 8 spare draws cover it.)
-        assert len(windows) > asks
+    config = AlgorithmConfig(name=name, pop_size=4, p_crossover=0.5, p_m=1.0)
+    optimizer = make_optimizer(config, 7, RandomStream(0))
+    optimizer.tell(Population(optimizer.ask(), np.zeros((4, 2))))
+    monkeypatch.setattr(RandomStream, "peek", worst_case_peek)
+    optimizer.ask()
+    assert len(windows) == (4 if name == "SMSEMOA" else 2)
