@@ -274,8 +274,13 @@ class Optimizer:
         self.generation += 1
         if self.generation == 0:
             n, g = self.config.pop_size, self.n_genes
-            return self.rng.uniform_vector(n * g, *INITIAL_RANGE).reshape(n, g)
-        return self._propose()
+            genomes = self.rng.uniform_vector(n * g, *INITIAL_RANGE).reshape(n, g)
+        else:
+            genomes = self._propose()
+        # A long window is not kept until the next generation's refill; the
+        # outputs left after it serve tell()'s draws (NSGA-III's niche fill).
+        self.rng.trim()
+        return genomes
 
     def tell(self, evaluated: Population) -> None:
         if len(evaluated) != self.config.pop_size:

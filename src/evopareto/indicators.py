@@ -9,25 +9,35 @@ objective scale.  :func:`indicator_series` scores a run's generations and
 returns ``hv``, ``gd`` and ``igd`` as three float arrays, one entry per
 generation.
 
-Exact hypervolume is one kernel, a sweep over the points inside ``ref``
-that scores several subsets of them at once: :func:`hypervolume_exact` is
-the subset of every point, and the exclusive contributions (SMS-EMOA's
-selection) are ``hv(front) - hv(front without i)`` from the leave-one-out
-subsets.  Its results are the bytes of the scalar 2-D sweep and 3-D slicing
-loops (kept in the tests as the oracle).  Four rules keep them:
+Exact hypervolume is one kernel: one sweep of the whole front per slab,
+over the points inside ``ref``.  :func:`hypervolume_exact` adds up its slab
+terms, and the exclusive contributions (SMS-EMOA's selection) are
+``hv(front) - hv(front without i)``, where the front without point i keeps
+every whole-front slab term but those a "pair row" rescores.  Its results
+are the bytes of the scalar 2-D sweep and 3-D slicing loops (kept in the
+tests as the oracle).  Four rules keep them:
 
 * sort once: the points are sorted by a stable ``lexsort`` on (x, y), and a
   subset keeps that order, as a sweep over the subset alone would sort it;
-* mask, don't delete: a point outside the subset, and in 3-D every point
+* mask, don't delete: a pair row's removed point, and in 3-D every point
   above the slab, gets y = +inf, so it never lowers the sweep's running
   minimum and its term is exactly 0.0;
 * ordered sums: sweep terms and slab volumes are added left to right
   (``cumsum``, never the pairwise ``np.sum``), and adding 0.0 is exact;
-* one slab rule: the slabs are the distinct heights z of all the points.
-  Slab t exists in a subset when one of its points sits at that height, and
-  reaches up to the subset's next slab, or to ``ref[2]``; its width is that
-  bound minus its height, one subtraction, and a slab that does not exist
-  adds 0.0.
+* one slab rule: the slabs are the distinct heights z of the points (a 2-D
+  front is one slab, [0, 1)).  Slab t reaches up to the next height, or to
+  ``ref[2]``; its width is that bound minus its height, one subtraction.
+
+So, with point i removed, slab t's term is bitwise the whole front's
+unless i sits at or below slab t and lowers the running minimum there.  A
+masked point that lowers nothing changes no later minimum and no term, and
+its own term is 0.0 either way; a slab below z_i never held it.  Only i's
+own slab can vanish, when i is alone at that height: its term is then 0.0,
+and the slab below reaches up to the next height instead.  Every other
+(slab, point) pair where the point lowers the minimum gets a pair row: the
+slab's 2-D sweep with that point masked, scored in blocks of at most
+``_BLOCK_CELLS`` cells.  The ``(m + 1, slabs)`` terms of the whole front and
+its m leave-one-out fronts are then added left to right, row by row.
 
 SMS-EMOA drops the first minimal contribution in worst-front order
 (``np.argmin``), so exact ties go to the earlier member.  In 2-D it calls
@@ -49,8 +59,10 @@ import numpy as np
 from . import pareto
 from .rng import RandomStream
 
-# A 3-D pool of up to 63 points (64 rows of 63 slabs) is scored in one block.
+# Pair rows are scored in blocks of at most this many (row, point) cells.
 _BLOCK_CELLS = 2**18
+# A 2-D front is one slab, from height 0 up to 1: its volume is its area.
+_FLAT = (np.zeros(1), np.ones(1))
 
 
 def hypervolume_exact(front, ref) -> float:
@@ -63,7 +75,10 @@ def hypervolume_exact(front, ref) -> float:
     arr, ref, rows = _sweep_rows(front, ref)
     if rows.size == 0:
         return 0.0
-    return float(_masked_hv(arr[rows], np.ones((1, rows.size), dtype=bool), ref)[0])
+    points = arr[rows]
+    ys, _, zs, upper = _slabs(points, ref)
+    area = _sweep(ref[0] - points[:, 0], ys)[0]
+    return float(np.cumsum(area * (upper - zs))[-1])
 
 
 def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,36 +93,45 @@ def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("front and reference point dimensions differ")
     if k not in (2, 3):
         raise ValueError("exact hypervolume supports k in {2, 3}; use hypervolume_mc")
-    rows = np.flatnonzero(np.all(arr < ref, axis=1))
+    rows = np.flatnonzero((arr < ref).all(axis=1))
     return arr, ref, rows[np.lexsort((arr[rows, 1], arr[rows, 0]))]
 
 
-def _masked_hv(points: np.ndarray, active: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Hypervolume of each subset ``active[..., :]`` of the sweep-ordered
-    points inside ``ref`` (see the module notes)."""
-    if ref.shape[0] == 3:
-        # Rows are independent: score them in blocks of at most
-        # _BLOCK_CELLS (row, slab, point) cells to bound the memory.
-        step = max(1, _BLOCK_CELLS // points.shape[0] ** 2)
-        if len(active) > step:
-            return np.concatenate([_masked_hv(points, active[i:i + step], ref)
-                                   for i in range(0, len(active), step)])
-        z = points[:, 2]
-        zs = np.unique(z)
-        # Slab t exists in a row when an active point sits at zs[t]; it
-        # reaches up to the row's next slab, or to ref[2].
-        exists = (active[:, None, :] & (z == zs[:, None])).any(axis=-1)
-        later = np.where(exists[:, 1:], zs[1:], np.inf)
-        later = np.concatenate([later, np.full((len(later), 1), ref[2])], axis=1)
-        upper = np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
-        area = _masked_hv(points[:, :2], active[:, None, :] & (z <= zs[:, None]), ref[:2])
-        terms = np.where(exists, area * (upper - zs), 0.0)
-        return np.cumsum(terms, axis=-1)[..., -1]
-    ys = np.where(active, points[:, 1], np.inf)
-    start = np.full(ys.shape[:-1] + (1,), ref[1])
-    prev_min = np.minimum.accumulate(np.concatenate([start, ys[..., :-1]], axis=-1), axis=-1)
-    terms = np.where(ys < prev_min, (ref[0] - points[:, 0]) * (prev_min - ys), 0.0)
-    return np.cumsum(terms, axis=-1)[..., -1]
+def _slabs(points: np.ndarray, ref: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The whole front's slabs: the y's each one sweeps (``ys[t]``, see
+    :func:`_sweep`: point j's y if it sits at or below slab t, else +inf),
+    the slab each point sits at, the slab heights ``zs`` and their upper
+    bounds (the next height, or ``ref[2]`` for the last)."""
+    if ref.shape[0] == 2:
+        ys = np.concatenate((ref[1:], points[:, 1]))[None]
+        return ys, np.zeros(len(points), dtype=np.intp), *_FLAT
+    z = points[:, 2]
+    zs = np.unique(z)
+    ys = np.full((len(zs), len(points) + 1), ref[1])
+    ys[:, 1:] = np.where(z <= zs[:, None], points[:, 1], np.inf)
+    return ys, np.searchsorted(zs, z), zs, np.concatenate((zs[1:], ref[2:]))
+
+
+def _sweep(dx: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-D sweep of each row of ``ys``: column 0 holds ``ref[1]``, where
+    every sweep starts, and column 1 + j the y of sweep-ordered point j, or
+    +inf where it is masked; ``dx[j]`` is ``ref[0]`` minus its x.  Returns
+    each row's area, and whether each point lowers the row's running minimum."""
+    prev_min = np.minimum.accumulate(ys[:, :-1], axis=1)
+    y = ys[:, 1:]
+    lowers = y < prev_min
+    terms = np.where(lowers, dx * (prev_min - y), 0.0)
+    return np.cumsum(terms, axis=1)[:, -1], lowers
+
+
+def _pair_areas(dx: np.ndarray, ys: np.ndarray, slabs: np.ndarray, removed: np.ndarray
+                ) -> np.ndarray:
+    """Area of slab ``slabs[p]`` without point ``removed[p]``, for each p:
+    one block of pair rows."""
+    rows = ys[slabs]
+    rows[np.arange(len(rows)), removed + 1] = np.inf
+    return _sweep(dx, rows)[0]
 
 
 def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
@@ -140,17 +164,42 @@ def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
 def hypervolume_contributions(front, ref) -> np.ndarray:
     """Exclusive hypervolume of each point: hv(front) - hv(front minus point).
 
-    One batched pass: row 0 holds every point inside ``ref`` and row 1 + i
-    all of them but point i.  Points outside ``ref`` contribute 0.0.  In 3-D
-    the rows are scored in blocks, so memory stays bounded for large fronts;
-    each row is scored alone, so the blocks do not change a bit.
+    Points outside ``ref`` contribute 0.0.  Row 0 of an ``(m + 1, slabs)``
+    array holds the whole front's slab terms, and row 1 + i those of the
+    front without point i: the same terms, but for the slab that i takes
+    with it when alone at its height and the slabs its pair rows rescore
+    (see the module notes).  The whole-front sweep holds slabs x points
+    cells; the pair rows are scored in blocks of at most ``_BLOCK_CELLS``
+    cells, and each row alone, so the blocks do not change a bit.
     """
     arr, ref, rows = _sweep_rows(front, ref)
     contributions = np.zeros(arr.shape[0])
-    if rows.size:
-        active = np.vstack([np.ones(rows.size, dtype=bool), ~np.eye(rows.size, dtype=bool)])
-        hv = _masked_hv(arr[rows], active, ref)
-        contributions[rows] = hv[0] - hv[1:]
+    if rows.size == 0:
+        return contributions
+    points = arr[rows]
+    m = len(points)
+    ys, slab, zs, upper = _slabs(points, ref)
+    dx = ref[0] - points[:, 0]
+    area, lowers = _sweep(dx, ys)
+    width = upper - zs
+    # Row 0: the whole front's slab terms; row 1 + i: the front's without point i.
+    terms = np.repeat((area * width)[None], m + 1, axis=0)
+    without = terms[1:]
+    # A point alone at its height takes its slab with it: the slab needs no
+    # pair row, and the slab below reaches up to the next height.
+    sole = np.flatnonzero(np.bincount(slab)[slab] == 1)
+    t = slab[sole]
+    lowers[t, sole] = False
+    without[sole, t] = 0.0
+    sole, t = sole[t > 0], t[t > 0] - 1
+    without[sole, t] = area[t] * (upper[t + 1] - zs[t])
+    slabs, removed = np.nonzero(lowers)
+    step = max(1, _BLOCK_CELLS // m)
+    for b in range(0, len(slabs), step):
+        t, i = slabs[b:b + step], removed[b:b + step]
+        without[i, t] = _pair_areas(dx, ys, t, i) * width[t]
+    hv = np.cumsum(terms, axis=1)[:, -1]
+    contributions[rows] = hv[0] - hv[1:]
     return contributions
 
 

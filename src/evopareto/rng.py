@@ -14,7 +14,9 @@ the block is only a cache of the outputs after ``_counter``, and ``_counter``
 alone counts what was consumed, so no value depends on the block's size or
 on when it was refilled.  :meth:`~RandomStream.peek` reads the next uniforms and never
 consumes; :meth:`~RandomStream.advance` consumes outputs unread, and
-:attr:`~RandomStream.position` reads how many outputs were consumed.
+:attr:`~RandomStream.position` reads how many outputs were consumed.  A peek
+longer than the block computes a longer one; :meth:`~RandomStream.trim`
+cuts it back to the next ``_BLOCK`` outputs once the long read is done.
 
 Uniform doubles come from the top 53 bits of a raw output; Gaussian draws use
 the Box-Muller transform (pairs are generated together and the second value
@@ -162,7 +164,8 @@ class RandomStream:
 
     The look-ahead block holds raw outputs ``_base + 1 .. _base + len(_raw)``
     and their uniforms; each refill computes ``_BLOCK`` outputs, or more if
-    one peek asks for more (see the module notes for the look-ahead rule).
+    one peek asks for more, until :meth:`trim` (see the module notes for the
+    look-ahead rule).
     """
 
     __slots__ = ("key", "_counter", "_spare_normal", "_base", "_raw", "_units")
@@ -202,6 +205,16 @@ class RandomStream:
             self._refill(n)
             i = 0
         return self._units[i:i + n]
+
+    def trim(self) -> None:
+        """Keep at most ``_BLOCK`` outputs of the look-ahead block, the next
+        unconsumed ones, as a copy, so a longer block's memory is freed."""
+        if len(self._raw) > _BLOCK:
+            i = self._counter - self._base
+            self._base = self._counter
+            self._raw = self._raw[i:i + _BLOCK].copy()
+            self._units = self._units[i:i + _BLOCK].copy()
+            self._units.flags.writeable = False
 
     def advance(self, n: int) -> None:
         """Consume ``n`` outputs unread, as ``n`` :meth:`next_u64` calls would."""

@@ -202,27 +202,80 @@ def simplex_front(stream, n):
     return pts / pts.sum(axis=1, keepdims=True)
 
 
-def test_hv_contributions_3d_blocks_match_removal_oracle(monkeypatch):
-    kernel = indicators._masked_hv
+def spy_pair_blocks(monkeypatch):
+    """Record the number of pair rows in each block the kernel scores."""
+    kernel = indicators._pair_areas
     rows = []
 
-    def spy(points, active, ref):
-        if ref.shape[0] == 3:
-            rows.append(len(active))
-        return kernel(points, active, ref)
+    def spy(dx, ys, slabs, removed):
+        rows.append(len(slabs))
+        return kernel(dx, ys, slabs, removed)
 
-    monkeypatch.setattr(indicators, "_masked_hv", spy)
+    monkeypatch.setattr(indicators, "_pair_areas", spy)
+    return rows
+
+
+def test_hv_contributions_3d_blocks_match_removal_oracle(monkeypatch):
+    rows = spy_pair_blocks(monkeypatch)
+    block = indicators._BLOCK_CELLS
+    # About 40 pair rows per block instead of the 3000 that fit.
+    monkeypatch.setattr(indicators, "_BLOCK_CELLS", 2**12)
     stream = RandomStream(70)
     ref = np.full(3, 1.0)
     for front in (simplex_front(stream, 70), np.round(simplex_front(stream, 90), 2)):
         rows.clear()
         got = indicators.hypervolume_contributions(front, ref)
         assert len(rows) > 2, "the front was scored in one block"
+        assert max(rows) <= 2**12 // len(front)
         assert np.array_equal(got, contributions_by_removal(front, ref))
-    # An SMS-EMOA pool of 32 points is scored in one block of 33 rows.
+    # An SMS-EMOA pool of 32 points is scored in one block.
+    monkeypatch.setattr(indicators, "_BLOCK_CELLS", block)
     rows.clear()
     indicators.hypervolume_contributions(simplex_front(stream, 32), ref)
-    assert rows == [33]
+    assert len(rows) == 1
+
+
+def contributions_by_loops(front, ref):
+    """Oracle from the scalar loops alone: hv(front) - hv(front minus point)."""
+    arr = np.asarray(front, dtype=np.float64)
+    total = hv_by_loops(arr, ref)
+    return np.array([total - hv_by_loops(np.delete(arr, i, axis=0), ref) for i in range(len(arr))])
+
+
+PAIR_ROW_CASES = {
+    # Two points share z = 0.3 and both lower that slab's minimum: removing
+    # either rescores the slab, which survives on the other.
+    "tied-z-slab-survives": [(0.1, 0.6, 0.3), (0.6, 0.1, 0.3), (0.3, 0.3, 0.1), (0.2, 0.2, 0.7)],
+    # Every point alone at its height: the lowest, a middle and the top
+    # slab vanish with their point, and the slab below reaches up further.
+    "sole-slabs": [(0.1, 0.7, 0.2), (0.4, 0.4, 0.5), (0.7, 0.1, 0.8)],
+    # A point alone at its height that lowers no minimum above it.
+    "sole-slab-covered-above": [(0.5, 0.5, 0.1), (0.2, 0.2, 0.4), (0.6, 0.1, 0.6)],
+    "x-and-y-ties": [(0.2, 0.5, 0.4), (0.2, 0.3, 0.6), (0.5, 0.3, 0.2), (0.5, 0.1, 0.5),
+                     (0.7, 0.1, 0.1), (0.7, 0.5, 0.1)],
+    "duplicates": [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.1, 0.6, 0.3), (0.6, 0.1, 0.5), (0.6, 0.1, 0.5)],
+    "on-ref": [(1.0, 0.2, 0.2), (0.2, 1.0, 0.3), (0.3, 0.3, 1.0), (0.5, 0.5, 0.5), (0.4, 0.6, 0.5)],
+    "signed-zeros": [(-0.0, 0.5, 0.0), (0.0, 0.5, -0.0), (0.5, -0.0, 0.5), (0.5, 0.0, 0.25),
+                     (0.25, 0.25, -0.0)],
+    "m1": [(0.3, 0.4, 0.5)],
+    "m2-tied-z": [(0.2, 0.6, 0.4), (0.6, 0.2, 0.4)],
+    "m2": [(0.2, 0.6, 0.1), (0.6, 0.2, 0.5)],
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", sorted(PAIR_ROW_CASES))
+def test_hv_contributions_pair_rows_match_oracles(monkeypatch, name, k):
+    front = np.array(PAIR_ROW_CASES[name])[:, :k]
+    ref = np.full(k, 1.0)
+    want = contributions_by_loops(front, ref)
+    assert np.array_equal(want, contributions_by_removal(front, ref))
+    assert np.array_equal(indicators.hypervolume_contributions(front, ref), want)
+    # One pair row per block: the blocks change no bit.
+    rows = spy_pair_blocks(monkeypatch)
+    monkeypatch.setattr(indicators, "_BLOCK_CELLS", 1)
+    assert np.array_equal(indicators.hypervolume_contributions(front, ref), want)
+    assert set(rows) <= {1}
 
 
 def test_hv_contributions_3d_memory_is_bounded():

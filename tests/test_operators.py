@@ -7,6 +7,7 @@ import pytest
 from evopareto.algorithms import AlgorithmConfig, make_optimizer, polynomial_mutation, sbx_crossover
 from evopareto.algorithms.base import _pow
 from evopareto.evaluation import Population
+from evopareto import rng
 from evopareto.rng import RandomStream
 
 BOUNDS = (-5.0, 5.0)
@@ -348,6 +349,32 @@ def test_ask_matches_per_pair_operators(monkeypatch, name, p_crossover, p_m, pop
                 want = per_pair_offspring(oracle)
             assert bits_up_to_nan_sign(genomes) == bits_up_to_nan_sign(want)
             assert optimizer.rng._counter == oracle.rng._counter
+
+
+@pytest.mark.parametrize("name", ["NSGA2", "SMSEMOA", "NSGA3"])
+def test_ask_keeps_at_most_one_block_and_the_same_draws(monkeypatch, name):
+    # 60 genes make every variation window longer than one block.  The twin
+    # keeps each window until its next refill, as before trimming.
+    config = AlgorithmConfig(name=name, pop_size=40)
+    trimmed = make_optimizer(config, 60, RandomStream(3))
+    kept = make_optimizer(config, 60, RandomStream(3))
+    returns = RandomStream(4)
+    longest = 0
+    for _ in range(4):
+        genomes = trimmed.ask()
+        assert len(trimmed.rng._raw) <= rng._BLOCK
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomStream, "trim", lambda stream: None)
+            want = kept.ask()
+        longest = max(longest, len(kept.rng._raw))
+        assert genomes.tobytes() == want.tobytes()
+        assert trimmed.rng.position == kept.rng.position
+        # Rounded returns: ties, several fronts and a niche fill for NSGA-III.
+        evaluated = np.round(returns.uniform_vector(40 * 3), 1).reshape(40, 3)
+        trimmed.tell(Population(genomes, evaluated))
+        kept.tell(Population(want, evaluated))
+        assert trimmed.rng.position == kept.rng.position
+    assert longest > rng._BLOCK
 
 
 @pytest.mark.parametrize("name", ["GA", "SMSEMOA"])

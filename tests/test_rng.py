@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import evopareto
+from evopareto import rng
 from evopareto.rng import (RandomStream, _box_muller_arrays, box_muller, derive_seed, derive_seeds,
                            leading_draws, mix64, raw_outputs)
 
@@ -289,3 +290,25 @@ def test_position_counts_consumed_outputs():
     assert stream.position == stream._counter == 4104
     with pytest.raises(AttributeError):
         stream.position = 0
+
+
+def test_trim_keeps_the_next_block_of_a_long_one():
+    stream, reference = RandomStream(9), UnbufferedStream(9)
+    stream.peek(10_000)
+    assert np.array_equal(stream.uniform_vector(3000), reference.uniform_vector(3000))
+    stream.trim()
+    assert len(stream._raw) == len(stream._units) == rng._BLOCK
+    assert stream.position == 3000
+    assert not stream.peek(rng._BLOCK).flags.writeable
+    assert np.array_equal(stream.uniform_vector(9000), reference.uniform_vector(9000))
+    # Consumed past a long block, trimming keeps nothing; the next draw refills.
+    stream.peek(6000)
+    stream.advance(7000)
+    reference.advance(7000)
+    stream.trim()
+    assert len(stream._raw) == 0
+    assert [stream.uniform() for _ in range(10)] == [reference.uniform() for _ in range(10)]
+    # A block no longer than _BLOCK is left as it is.
+    before = stream._raw
+    stream.trim()
+    assert stream._raw is before
