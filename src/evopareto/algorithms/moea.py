@@ -9,6 +9,7 @@ subclasses :class:`NSGA2` and overrides only the secondary key.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -370,27 +371,35 @@ def niche_fill(niche_count: np.ndarray, candidate_assoc: np.ndarray,
                candidate_dist: np.ndarray, need: int, rng) -> list[int]:
     """Pick ``need`` candidates, always serving the least-crowded direction.
 
-    Direction ties break randomly (one draw per round from ``rng``); within a
-    direction candidates are taken closest-perpendicular first, so when every
-    candidate maps to a single direction the selection degenerates to plain
-    distance ordering.
+    Direction ties break randomly (one draw per round from ``rng`` over the
+    least-filled open directions in ascending order); within a direction
+    candidates are taken closest-perpendicular first, the lower index on
+    ties, so when every candidate maps to a single direction the selection
+    degenerates to plain distance ordering.  A direction drawn with no
+    candidate left is closed.  Each direction keeps its candidates as a
+    queue, best last, and the open directions are kept grouped by count, so
+    a round makes no array call.
     """
-    counts = niche_count.copy()
-    available = np.ones(counts.shape[0], dtype=bool)
-    taken = np.zeros(candidate_assoc.shape[0], dtype=bool)
+    counts = niche_count.tolist()
+    assoc = candidate_assoc.tolist()
+    queues: list[list[int]] = [[] for _ in counts]
+    for c in np.argsort(candidate_dist, kind="stable")[::-1].tolist():
+        queues[assoc[c]].append(c)
+    # Open directions by count, each group in ascending order.
+    groups: dict[int, list[int]] = {}
+    for direction, count in enumerate(counts):
+        groups.setdefault(count, []).append(direction)
     picked: list[int] = []
     while len(picked) < need:
-        open_dirs = np.flatnonzero(available)
-        least = open_dirs[counts[open_dirs] == counts[open_dirs].min()]
-        direction = int(least[rng.below(len(least))])
-        members = np.flatnonzero((candidate_assoc == direction) & ~taken)
-        if members.size == 0:
-            available[direction] = False
-            continue
-        choice = int(members[np.argmin(candidate_dist[members])])
-        taken[choice] = True
-        picked.append(choice)
-        counts[direction] += 1
+        low = min(groups)
+        least = groups[low]
+        direction = least.pop(rng.below(len(least)))
+        if not least:
+            del groups[low]
+        queue = queues[direction]
+        if queue:
+            picked.append(queue.pop())
+            bisect.insort(groups.setdefault(low + 1, []), direction)
     return picked
 
 
@@ -458,27 +467,34 @@ def reference_point_ranks(normalized: np.ndarray, reference_points: np.ndarray,
     best-first (index order on ties) and demotes any unprocessed member
     closer than epsilon to a kept one.
 
-    The clearing reads one boolean ``near`` matrix built before the walk.
-    Its row for a member holds the same ``< epsilon`` tests as that
-    member's own distance row: a squared coordinate difference does not
-    depend on which point is subtracted, and the k squares are added left
-    to right either way.
+    The clearing reads one boolean ``near`` matrix built before the walk,
+    as one neighbour list per member (the rows of one ``np.nonzero``).  Its
+    row for a member holds the same ``< epsilon`` tests as that member's own
+    distance row: a squared coordinate difference does not depend on which
+    point is subtracted, and the k squares are added left to right either
+    way.  Each demoted member is marked once, and all of them are moved
+    behind the kept ones by one array add at the end.
     """
     m = normalized.shape[0]
     distances = euclidean_distances(normalized, reference_points)
     order = np.argsort(distances, axis=0, kind="stable")
     # Sorting a column's order inverts it: each member's position (from 0) in it.
     best_position = np.argsort(order, axis=0).min(axis=1) + 1.0
-    near = euclidean_distances(normalized, normalized) < epsilon
-    adjusted = best_position.copy()
-    processed = np.zeros(m, dtype=bool)
-    for idx in np.argsort(best_position, kind="stable"):
+    rows, cols = np.nonzero(euclidean_distances(normalized, normalized) < epsilon)
+    starts = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    cols = cols.tolist()
+    processed = [False] * m
+    demoted: list[int] = []
+    for idx in np.argsort(best_position, kind="stable").tolist():
         if processed[idx]:
             continue
         processed[idx] = True
-        demoted = near[idx] & ~processed
-        processed |= demoted
-        adjusted[demoted] += m
+        for other in cols[starts[idx]:starts[idx + 1]]:
+            if not processed[other]:
+                processed[other] = True
+                demoted.append(other)
+    adjusted = best_position.copy()
+    adjusted[demoted] += m
     return adjusted
 
 

@@ -362,11 +362,12 @@ def write_fronts_csv(reference: np.ndarray, algorithm_fronts: dict, path) -> Non
     k = reference.shape[1]
     header = "scope,algorithm," + ",".join(f"f{j + 1}" for j in range(k))
     lines = [header]
-    for point in reference:
-        lines.append("reference,," + ",".join(repr(float(x)) for x in point))
+    # Python floats from ``tolist``: their repr is that of the float64 values.
+    for point in reference.tolist():
+        lines.append("reference,," + ",".join(map(repr, point)))
     for algorithm, front in algorithm_fronts.items():
-        for point in front:
-            lines.append(f"algorithm,{algorithm}," + ",".join(repr(float(x)) for x in point))
+        for point in front.tolist():
+            lines.append(f"algorithm,{algorithm}," + ",".join(map(repr, point)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -27,6 +27,20 @@ tests as the oracle).  Four rules keep them:
 * one slab rule: the slabs are the distinct heights z of the points (a 2-D
   front is one slab, [0, 1)).  Slab t reaches up to the next height, or to
   ``ref[2]``; its width is that bound minus its height, one subtraction.
+  A duplicated height may stand as a slab of its own: it reaches up to the
+  same height, so its width is 0.0, its term 0.0, and the last copy keeps
+  the distinct slab's width.
+
+The same rules let G fronts of different sizes share one sweep
+(:func:`indicator_series`, and :func:`hypervolume_exact` as G = 1).  The
+fronts are stacked as a (G, n, k) array; a front's rows outside it (a
+dominated point, a point not inside ``ref``, a padding row) are masked
+with y = +inf and z = ``ref[2]``.  Each point's height is a slab, so a
+front's slabs are its distinct heights plus zero-width copies, and the
+masked rows' slabs sit at ``ref[2]`` with width 0.0.  Sorting a whole row
+keeps the front's own points in their order, every sum runs left to
+right within its row, and every term a masked point adds is 0.0, so each
+front's volume is bitwise its own sweep's.
 
 So, with point i removed, slab t's term is bitwise the whole front's
 unless i sits at or below slab t and lowers the running minimum there.  A
@@ -59,7 +73,9 @@ import numpy as np
 from . import pareto
 from .rng import RandomStream
 
-# Pair rows are scored in blocks of at most this many (row, point) cells.
+# Pair rows are scored in blocks of at most this many (row, point) cells,
+# and :func:`indicator_series` stacks at most this many (generation, point,
+# point) cells of dominance matrices and 3-D slab sweeps at once.
 _BLOCK_CELLS = 2**18
 # A 2-D front is one slab, from height 0 up to 1: its volume is its area.
 _FLAT = (np.zeros(1), np.ones(1))
@@ -70,20 +86,17 @@ def hypervolume_exact(front, ref) -> float:
 
     Points that do not strictly better the reference point in every
     coordinate enclose no volume and are dropped.  Exact algorithms are
-    provided for k in {2, 3} only.
+    provided for k in {2, 3} only.  This is the one-front case of the
+    masked sweep that :func:`indicator_series` runs over a stack of fronts.
     """
-    arr, ref, rows = _sweep_rows(front, ref)
-    if rows.size == 0:
+    arr, ref = _front_and_ref(front, ref)
+    if arr.shape[0] == 0:
         return 0.0
-    points = arr[rows]
-    ys, _, zs, upper = _slabs(points, ref)
-    area = _sweep(ref[0] - points[:, 0], ys)[0]
-    return float(np.cumsum(area * (upper - zs))[-1])
+    return float(_hypervolumes(arr[None], True, ref)[0])
 
 
-def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The front and ref as float arrays, and the indices of the points
-    strictly inside ref in sweep order (stable ``lexsort`` by x, then y)."""
+def _front_and_ref(front, ref) -> tuple[np.ndarray, np.ndarray]:
+    """The front as an (m, k) float array and ref as a (k,) one, k in {2, 3}."""
     arr = np.asarray(front, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -93,6 +106,43 @@ def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("front and reference point dimensions differ")
     if k not in (2, 3):
         raise ValueError("exact hypervolume supports k in {2, 3}; use hypervolume_mc")
+    return arr, ref
+
+
+def _hypervolumes(points: np.ndarray, keep, ref: np.ndarray) -> np.ndarray:
+    """Exact hypervolume of each front of a (G, n, k) stack.
+
+    Front g is the points of ``points[g]`` where ``keep[g]`` holds (a
+    (G, n) mask, or ``True``) that lie strictly inside ``ref``.  Every
+    other point is masked: y = +inf, so it lowers no running minimum and
+    its terms are 0.0, and z = ``ref[2]``, so its slab has width 0.0 (see
+    the module notes).  Its ``ref[0] - x`` is taken as 1.0, so that a term
+    never multiplies 0.0 by infinity.
+    """
+    inside = keep & (points < ref).all(axis=-1)
+    order = np.lexsort((points[..., 1], points[..., 0]))
+    points = np.take_along_axis(points, order[..., None], axis=-2)
+    inside = np.take_along_axis(inside, order, axis=-1)
+    dx = np.where(inside, ref[0] - points[..., 0], 1.0)
+    y = np.where(inside, points[..., 1], np.inf)
+    if ref.shape[0] == 2:  # one slab of width 1.0: area * 1.0 == area
+        ys = np.full(y.shape[:-1] + (y.shape[-1] + 1,), ref[1])
+        ys[..., 1:] = y
+        return _sweep(dx, ys)[0]
+    z = np.where(inside, points[..., 2], ref[2])
+    heights = np.sort(z, axis=-1)
+    upper = np.full(heights.shape, ref[2])
+    upper[..., :-1] = heights[..., 1:]
+    ys = np.full(heights.shape + (y.shape[-1] + 1,), ref[1])
+    ys[..., 1:] = np.where(z[..., None, :] <= heights[..., :, None], y[..., None, :], np.inf)
+    area = _sweep(dx[..., None, :], ys)[0]
+    return np.cumsum(area * (upper - heights), axis=-1)[..., -1]
+
+
+def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The front and ref as float arrays, and the indices of the points
+    strictly inside ref in sweep order (stable ``lexsort`` by x, then y)."""
+    arr, ref = _front_and_ref(front, ref)
     rows = np.flatnonzero((arr < ref).all(axis=1))
     return arr, ref, rows[np.lexsort((arr[rows, 1], arr[rows, 0]))]
 
@@ -114,15 +164,16 @@ def _slabs(points: np.ndarray, ref: np.ndarray
 
 
 def _sweep(dx: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2-D sweep of each row of ``ys``: column 0 holds ``ref[1]``, where
-    every sweep starts, and column 1 + j the y of sweep-ordered point j, or
-    +inf where it is masked; ``dx[j]`` is ``ref[0]`` minus its x.  Returns
-    each row's area, and whether each point lowers the row's running minimum."""
-    prev_min = np.minimum.accumulate(ys[:, :-1], axis=1)
-    y = ys[:, 1:]
+    """The 2-D sweep of each row of ``ys`` (its last axis): column 0 holds
+    ``ref[1]``, where every sweep starts, and column 1 + j the y of
+    sweep-ordered point j, or +inf where it is masked; ``dx[..., j]`` is
+    ``ref[0]`` minus its x.  Returns each row's area, and whether each point
+    lowers the row's running minimum."""
+    prev_min = np.minimum.accumulate(ys[..., :-1], axis=-1)
+    y = ys[..., 1:]
     lowers = y < prev_min
     terms = np.where(lowers, dx * (prev_min - y), 0.0)
-    return np.cumsum(terms, axis=1)[:, -1], lowers
+    return np.cumsum(terms, axis=-1)[..., -1], lowers
 
 
 def _pair_areas(dx: np.ndarray, ys: np.ndarray, slabs: np.ndarray, removed: np.ndarray
@@ -207,16 +258,19 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[i, j]``: squared Euclidean distance from point ``a[i]`` to point ``b[j]``.
 
     The k squared coordinate differences are added left to right,
-    ``((d0 + d1) + d2) + ...``, one (n, m) array per coordinate.  For k < 8
-    that is the order of numpy's ``np.sum(diff * diff, axis=2)`` over the
-    (n, m, k) difference tensor, so the bytes are the same without the
-    tensor.  GD, IGD, :func:`indicator_series` and SPEA2 read these bytes.
+    ``((d0 + d1) + d2) + ...``, one (n, m) array per coordinate, starting
+    from the first square itself rather than a zero-filled accumulator
+    (0.0 + x == x, and a square is never -0.0).  For k < 8 that is the order
+    of numpy's ``np.sum(diff * diff, axis=2)`` over the (n, m, k) difference
+    tensor, so the bytes are the same without the tensor.  GD, IGD,
+    :func:`indicator_series`, SPEA2 and R-NSGA-II read these bytes.
     """
-    total = np.zeros((len(a), len(b)))
-    for j in range(a.shape[1]):
+    total = np.subtract.outer(a[:, 0], b[:, 0])
+    total *= total
+    for j in range(1, a.shape[1]):
         d = np.subtract.outer(a[:, j], b[:, j])
         d *= d
-        total += d  # 0.0 + x == x: a square is never -0.0
+        total += d
     return total
 
 
@@ -271,6 +325,15 @@ def indicator_series(populations: Sequence, reference_front
     degenerate in some objective cannot be normalized, so HV is reported as
     NaN with a diagnostic while GD/IGD (raw scale) proceed.
 
+    The generations are stacked as one (G, n_max, k) array, in blocks of at
+    most ``_BLOCK_CELLS`` (generation, point, point) cells.  A shorter
+    population is padded with rows of -inf, which every real point
+    dominates, so the nondominated masks of one batched
+    :func:`pareto._dominance_matrix` are each generation's
+    :func:`pareto.nondominated_filter`.  Every generation's normalized HV
+    then comes from one masked sweep, bit for bit the per-generation
+    :func:`normalized_hypervolume` (see the module notes).
+
     GD and IGD read one squared-distance matrix per generation, along its
     rows and its columns.  They equal :func:`gd` and :func:`igd` bit for
     bit: ``(a - b)**2 == (b - a)**2`` and each entry sums its k terms in the
@@ -288,11 +351,24 @@ def indicator_series(populations: Sequence, reference_front
             f"{np.flatnonzero(ideal == nadir).tolist()}; HV reported as NaN",
             stacklevel=2,
         )
-    values = np.empty((len(populations), 3))
-    for generation, population in enumerate(populations):
-        front = pareto.nondominated_filter(population)
-        hv = float("nan") if degenerate else normalized_hypervolume(front, ideal, nadir)
-        squared = _squared_distances(front, reference)
-        values[generation] = (hv, np.sqrt(squared.min(axis=1)).mean(),
-                              np.sqrt(squared.min(axis=0)).mean())
-    return values[:, 0], values[:, 1], values[:, 2]
+    arrays = [pareto.as_points(population) for population in populations]
+    k = reference.shape[1]
+    n = max((len(a) for a in arrays), default=1)
+    step = max(1, _BLOCK_CELLS // (n * n))
+    hv = np.full(len(arrays), np.nan)
+    gd_ = np.empty(len(arrays))
+    igd_ = np.empty(len(arrays))
+    for b in range(0, len(arrays), step):
+        block = arrays[b:b + step]
+        stack = np.full((len(block), n, k), -np.inf)
+        for g, population in enumerate(block):
+            stack[g, :len(population)] = population
+        keep = ~pareto._dominance_matrix(stack).any(axis=-2)
+        if not degenerate:
+            clipped = np.maximum(pareto.normalize(stack, ideal, nadir), 0.0)
+            hv[b:b + len(block)] = _hypervolumes(clipped, keep, np.ones(k))
+        for g, population in enumerate(block):
+            squared = _squared_distances(population[keep[g, :len(population)]], reference)
+            gd_[b + g] = np.sqrt(squared.min(axis=1)).mean()
+            igd_[b + g] = np.sqrt(squared.min(axis=0)).mean()
+    return hv, gd_, igd_

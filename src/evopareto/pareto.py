@@ -57,15 +57,16 @@ def _dominance_matrix(points: np.ndarray) -> np.ndarray:
 
     One column at a time: ``>=`` is and-ed and ``>`` or-ed over the k
     objectives into two (n, n) arrays, the same booleans as ``all``/``any``
-    over an (n, n, k) comparison tensor without building it.
+    over an (n, n, k) comparison tensor without building it.  Leading axes
+    are batch axes: a (G, n, k) stack gives G matrices, (G, n, n).
     """
-    col = points[:, 0]
-    ge = col[:, None] >= col[None, :]
-    gt = col[:, None] > col[None, :]
-    for j in range(1, points.shape[1]):
-        col = points[:, j]
-        ge &= col[:, None] >= col[None, :]
-        gt |= col[:, None] > col[None, :]
+    col = points[..., 0]
+    ge = col[..., :, None] >= col[..., None, :]
+    gt = col[..., :, None] > col[..., None, :]
+    for j in range(1, points.shape[-1]):
+        col = points[..., j]
+        ge &= col[..., :, None] >= col[..., None, :]
+        gt |= col[..., :, None] > col[..., None, :]
     return ge & gt
 
 

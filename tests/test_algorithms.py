@@ -33,7 +33,11 @@ from evopareto.algorithms.moea import (
 )
 from evopareto.config import parse_config
 from evopareto.evaluation import Population
-from evopareto.indicators import hypervolume_contributions, hypervolume_exact
+from evopareto.indicators import (
+    euclidean_distances,
+    hypervolume_contributions,
+    hypervolume_exact,
+)
 from evopareto.rng import RandomStream
 
 ALL_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
@@ -1095,6 +1099,51 @@ def test_niche_fill_prefers_empty_niche():
     assert picked == [1]
 
 
+def niche_fill_by_array_rounds(niche_count, candidate_assoc, candidate_dist, need, rng):
+    """Oracle: niche fill with a few array calls per round."""
+    counts = niche_count.copy()
+    available = np.ones(counts.shape[0], dtype=bool)
+    taken = np.zeros(candidate_assoc.shape[0], dtype=bool)
+    picked = []
+    while len(picked) < need:
+        open_dirs = np.flatnonzero(available)
+        least = open_dirs[counts[open_dirs] == counts[open_dirs].min()]
+        direction = int(least[rng.below(len(least))])
+        members = np.flatnonzero((candidate_assoc == direction) & ~taken)
+        if members.size == 0:
+            available[direction] = False
+            continue
+        choice = int(members[np.argmin(candidate_dist[members])])
+        taken[choice] = True
+        picked.append(choice)
+        counts[direction] += 1
+    return picked
+
+
+def test_niche_fill_matches_array_round_oracle_and_stream_position():
+    stream = RandomStream(91)
+    closed = 0
+    for trial in range(300):
+        directions = 1 + stream.below(12)
+        n = 1 + stream.below(20)
+        counts = np.array([stream.below(4) for _ in range(directions)], dtype=np.int64)
+        # Few directions per trial get candidates, so drawn directions close.
+        used = 1 + stream.below(directions)
+        assoc = np.array([stream.below(used) for _ in range(n)], dtype=np.int64)
+        dist = np.round(stream.uniform_vector(n), 1)  # tied distances
+        if trial % 4 == 0:
+            dist[:] = 0.5
+        need = n if trial % 3 == 0 else 1 + stream.below(n)
+        seed = 1000 + trial
+        got_rng, want_rng = RandomStream(seed), RandomStream(seed)
+        got = niche_fill(counts, assoc, dist, need, got_rng)
+        want = niche_fill_by_array_rounds(counts, assoc, dist, need, want_rng)
+        assert got == want, f"trial {trial}"
+        assert got_rng.position == want_rng.position, f"trial {trial}"
+        closed += want_rng.position - need
+    assert closed > 0  # some rounds drew a direction with no candidate left
+
+
 def test_nsga3_selects_exactly_popsize_through_niching():
     config = AlgorithmConfig(name="NSGA3", pop_size=4)
     nsga = NSGA3(config, 1, RandomStream(3))
@@ -1168,6 +1217,25 @@ def reference_ranks_by_member_loop(front_points, pool_min, pool_max, reference_p
     return adjusted
 
 
+def reference_ranks_by_mask_loop(normalized, reference_points, epsilon):
+    """Oracle: epsilon-clearing by one boolean mask update per kept member."""
+    m = normalized.shape[0]
+    distances = euclidean_distances(normalized, reference_points)
+    order = np.argsort(distances, axis=0, kind="stable")
+    best_position = np.argsort(order, axis=0).min(axis=1) + 1.0
+    near = euclidean_distances(normalized, normalized) < epsilon
+    adjusted = best_position.copy()
+    processed = np.zeros(m, dtype=bool)
+    for idx in np.argsort(best_position, kind="stable"):
+        if processed[idx]:
+            continue
+        processed[idx] = True
+        demoted = near[idx] & ~processed
+        processed |= demoted
+        adjusted[demoted] += m
+    return adjusted
+
+
 @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.2])
 def test_reference_ranks_match_member_loop_oracle(epsilon):
     stream = RandomStream(31)
@@ -1192,6 +1260,8 @@ def test_reference_ranks_match_member_loop_oracle(epsilon):
         got = reference_point_ranks(normalized, refs, epsilon)
         expected = reference_ranks_by_member_loop(front, pool_min, pool_max, refs, epsilon)
         assert np.array_equal(got, expected), f"trial {trial}"
+        assert np.array_equal(got, reference_ranks_by_mask_loop(normalized, refs, epsilon)), \
+            f"trial {trial}"
         cleared += int(np.sum(got > len(front)))
     assert cleared > 0
     # Exactly epsilon apart (sqrt(x * x) == x): not cleared, the test is strict.

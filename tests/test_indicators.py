@@ -339,7 +339,7 @@ def squared_distances_by_tensor(a, b):
     return np.sum(diff * diff, axis=2)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 7])
 def test_squared_distances_equal_tensor_sum_bit_for_bit(k):
     stream = RandomStream(70 + k)
     for n, m in ((1, 1), (7, 30), (50, 120)):
@@ -353,7 +353,8 @@ def test_squared_distances_equal_tensor_sum_bit_for_bit(k):
                                   squared_distances_by_tensor(a, b).view(np.uint64))
     # Per-coordinate magnitudes 1e-8 .. 1e8 within one point.
     magnitudes = 10.0 ** np.arange(-8, 9, 2)
-    a = np.array([magnitudes[[i, -1 - i, i // 2][:k]] for i in range(len(magnitudes))])
+    a = np.array([magnitudes[[i, -1 - i, i // 2, *range(k - 3)][:k]]
+                  for i in range(len(magnitudes))])
     b = -0.7 * a[::-1]
     assert np.array_equal(indicators._squared_distances(a, b).view(np.uint64),
                           squared_distances_by_tensor(a, b).view(np.uint64))
@@ -436,6 +437,86 @@ def test_indicator_series_gd_igd_equal_separate_calls_bit_for_bit(k):
             assert igd[generation] == indicators.igd(front, reference)
 
 
+def series_by_generation(populations, reference):
+    """Oracle: normalized HV, GD and IGD of each generation's filtered front."""
+    ideal, nadir = reference.max(axis=0), reference.min(axis=0)
+    degenerate = np.any(ideal == nadir)
+    values = []
+    for population in populations:
+        front = pareto.nondominated_filter(population)
+        hv = np.nan if degenerate else indicators.normalized_hypervolume(front, ideal, nadir)
+        values.append((hv, indicators.gd(front, reference), indicators.igd(front, reference)))
+    return tuple(np.array(column) for column in zip(*values))
+
+
+def ragged_generations(k, seed):
+    """Populations of 1..40 maximization points around a reference front:
+    rounded (tied coordinates, duplicated heights), duplicated rows, -0.0,
+    points on and beyond the nadir (HV's ref) and beyond the ideal."""
+    stream = RandomStream(seed)
+    reference = indicators.build_reference_front(
+        [stream.uniform_vector(30 * k).reshape(30, k) * 2.0 - 1.0])
+    ideal, nadir = reference.max(axis=0), reference.min(axis=0)
+    populations = []
+    for generation in range(23):
+        n = 1 + stream.below(40)
+        pop = nadir - 0.2 + (ideal - nadir + 0.4) * stream.uniform_vector(n * k).reshape(n, k)
+        if generation % 3 == 1:
+            pop = np.round(pop, 1)
+            pop[pop == 0.0] = -0.0
+            pop[0, -1] = -0.0
+        if generation % 4 == 2:
+            pop = np.vstack([pop, pop[: n // 2 + 1]])
+        if generation % 5 == 3:
+            pop[0] = nadir  # on ref in every coordinate
+            pop[-1, 0] = nadir[0]  # on ref in one coordinate
+            pop[-1, 1] = ideal[1]  # normalized to -0.0
+        populations.append(pop)
+    return populations, reference
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_indicator_series_equals_per_generation_oracle_bit_for_bit(k):
+    populations, reference = ragged_generations(k, 80 + k)
+    assert len({len(p) for p in populations}) > 5
+    assert any(np.any(np.signbit(p) & (p == 0.0)) for p in populations)
+    got = indicators.indicator_series(populations, reference)
+    assert_same_bits(got, series_by_generation(populations, reference))
+    assert np.all((got[0] >= 0.0) & (got[0] <= 1.0))
+    # Populations from the cases of the HV oracle tests, read as maximization.
+    cases = [front for _, front, _ in oracle_cases(k)]
+    reference = indicators.build_reference_front(cases)
+    assert_same_bits(indicators.indicator_series(cases, reference),
+                     series_by_generation(cases, reference))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_indicator_series_blocks_change_no_bit(monkeypatch, k):
+    populations, reference = ragged_generations(k, 90 + k)
+    want = series_by_generation(populations, reference)
+    blocks = []
+    kernel = indicators._hypervolumes
+
+    def spy(points, keep, ref):
+        blocks.append(len(points))
+        return kernel(points, keep, ref)
+
+    monkeypatch.setattr(indicators, "_hypervolumes", spy)
+    n = max(len(p) for p in populations)
+    for cells in (1, 3 * n * n, 10 * n * n):
+        blocks.clear()
+        monkeypatch.setattr(indicators, "_BLOCK_CELLS", cells)
+        assert_same_bits(indicators.indicator_series(populations, reference), want)
+        assert sum(blocks) == len(populations)
+        assert max(blocks) == max(1, cells // (n * n)) and len(blocks) > 1
+
+
 def test_indicator_series_degenerate_reference_warns_and_nans_hv():
     reference = np.array([(0.5, 0.5)])
     with warnings.catch_warnings(record=True) as caught:
@@ -444,6 +525,13 @@ def test_indicator_series_degenerate_reference_warns_and_nans_hv():
     assert any("degenerate" in str(w.message) for w in caught)
     assert np.isnan(hv[0])
     assert igd[0] == 0.0
+    # Ragged generations: HV is NaN in every one, GD and IGD are unchanged.
+    populations, _ = ragged_generations(2, 95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = indicators.indicator_series(populations, reference)
+        assert np.all(np.isnan(got[0]))
+        assert_same_bits(got, series_by_generation(populations, reference))
 
 
 def test_analytic_front_normalized_hv_near_half():
