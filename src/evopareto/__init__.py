@@ -11,7 +11,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, serialize_confi
 from .environments import make_env
 from .evaluation import Population, evaluate, rollout, scalarize
 from .harness import compute_metrics, run_experiment
-from .policy import PolicySpec, act, genome_length, init_genome
+from .policy import PolicySpec, genome_length, init_genome
 from .rng import RandomStream, derive_seed
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "PolicySpec",
     "Population",
     "RandomStream",
-    "act",
     "compute_metrics",
     "derive_seed",
     "evaluate",

@@ -15,7 +15,6 @@ from .moea import (
     niche_fill,
     perpendicular_distances,
     reference_point_ranks,
-    smsemoa_removal_index,
 )
 from .soea import DE, GA, PSO
 
@@ -47,7 +46,6 @@ __all__ = [
     "niche_fill",
     "perpendicular_distances",
     "reference_point_ranks",
-    "smsemoa_removal_index",
     "GA",
     "DE",
     "PSO",

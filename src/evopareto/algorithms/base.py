@@ -33,18 +33,20 @@ The walks read one look-ahead window of uniforms per generation, which
 :meth:`~evopareto.rng.RandomStream.peek` returns from the stream's
 ``position``, sized for the draws the pairs are expected to use; a new
 window is read from a pair on only when its worst case could run past the
-current one.  Each walk gives :func:`_walk`'s genes and end by jumping
+current one.  Each walk finds its applied genes and its end by jumping
 between the window's applied draws (:func:`_walk_hits`): its ``< 0.5``
 bytes for SBX, its ``< p_m`` bytes for a mutation.  Spread draws are
 recorded as window positions and gathered with one index per window.  The
 array pass then varies every pair of the generation at once, at the
-recorded coordinates: SBX, mutation and one clamp.  Each element goes
-through the same IEEE operations, in the same order, as
-:func:`sbx_crossover` and :func:`polynomial_mutation` apply to one pair, so
-the bytes do not depend on the batching.  (Only a NaN's sign can
-differ, where two NaNs meet: numpy's scalar and array arithmetic keep
-different ones.  That needs a NaN parent, and no run varies one, since a NaN
-gene makes its evaluation non-finite and aborts the run.)  The pow rule: every
+recorded coordinates: SBX (:func:`_sbx`), mutation (:func:`_mutated`) and
+one clamp.  :func:`sbx_crossover` and :func:`polynomial_mutation` walk one
+``peek(2g)`` window of one pair the same way and apply the same two
+functions.  Each element goes through the same IEEE operations, in the same
+order, as the per-gene loop in the operators' docstrings, so the bytes do
+not depend on the batching.  (Only a NaN's sign can differ from that loop,
+where two NaNs meet: numpy's scalar and array arithmetic keep different
+ones.  That needs a NaN parent, and no run varies one, since a NaN gene
+makes its evaluation non-finite and aborts the run.)  The pow rule: every
 power is the C library's ``pow`` per element (scalar ``**`` or
 ``math.pow``), never array ``np.power``, which differs from it in the last
 bit for some inputs.
@@ -118,31 +120,15 @@ class AlgorithmConfig:
             raise ValueError("rnsga2_epsilon must be positive")
 
 
-def _walk(draws: list[float], n: int, p: float, k: int = 0) -> tuple[list[int], list[float], int]:
-    """Replay the per-gene draw order over look-ahead ``draws`` from index
-    ``k``: one application draw per gene, then a spread draw if it is below ``p``.
-
-    Returns the applied genes, their spread draws and the index after the
-    last draw the genes consumed.
-    """
-    genes, spreads = [], []
-    for j in range(n):
-        if draws[k] < p:
-            genes.append(j)
-            spreads.append(draws[k + 1])
-            k += 2
-        else:
-            k += 1
-    return genes, spreads, k
-
-
 def _walk_hits(applied: bytes, n: int, k: int, genes: list[int], at: list[int]) -> int:
-    """:func:`_walk` of ``n`` genes from window position ``k``, where
-    ``applied[i]`` is 1 when ``draws[i] < p``, else 0.  Appends the applied
-    genes to ``genes`` and their spread draws' positions to ``at``; returns
-    the position after the walk.  It jumps from one applied draw to the next
-    with ``bytes.find``: every draw it skips is one gene that missed, so
-    with ``k`` moved on by one per hit so far, gene j's draw is at k + j."""
+    """Replay the per-gene draw order of ``n`` genes over a window of draws
+    from position ``k``: one application draw per gene, then a spread draw
+    if it is below ``p``.  ``applied[i]`` is 1 when ``draws[i] < p``, else 0.
+    Appends the applied genes to ``genes`` and their spread draws' positions
+    to ``at``; returns the position after the last draw the genes consumed.
+    It jumps from one applied draw to the next with ``bytes.find``: every
+    draw it skips is one gene that missed, so with ``k`` moved on by one per
+    hit so far, gene j's draw is at k + j."""
     find = applied.find
     h = find(1, k, k + n)
     while h >= 0:
@@ -175,6 +161,13 @@ def _pow(bases: np.ndarray, exponent: float) -> np.ndarray:
     return np.array([np.float64(b) ** exponent for b in values])
 
 
+def _sbx(x: np.ndarray, y: np.ndarray, u: np.ndarray, eta_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both :func:`sbx_crossover` children of genes ``x`` and ``y`` by their
+    spread draws ``u``."""
+    beta = _pow(np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (eta_c + 1.0))
+    return 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y), 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+
+
 def _mutated(x: np.ndarray, spreads: np.ndarray, eta_m: float, lo: float, hi: float) -> np.ndarray:
     """:func:`polynomial_mutation` of each gene ``x`` by its spread draw."""
     span = hi - lo
@@ -199,19 +192,12 @@ def sbx_crossover(parent_a: np.ndarray, parent_b: np.ndarray, eta_c: float,
         raise ValueError("parents must have equal genome lengths")
     if eta_c <= 0:
         raise ValueError("eta_c must be positive")
-    n = parent_a.shape[0]
-    genes, spreads, used = _walk(rng.peek(2 * n).tolist(), n, 0.5)
-    rng.advance(used)
+    draws = rng.peek(2 * parent_a.shape[0])
+    genes, at = [], []
+    rng.advance(_walk_hits((draws < 0.5).tobytes(), parent_a.shape[0], 0, genes, at))
     child_a = parent_a.copy()
     child_b = parent_b.copy()
-    for j, u in zip(genes, spreads):
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
-        x, y = parent_a[j], parent_b[j]
-        child_a[j] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
-        child_b[j] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+    child_a[genes], child_b[genes] = _sbx(parent_a[genes], parent_b[genes], draws[at], eta_c)
     lo, hi = bounds
     return _clamp(child_a, lo, hi), _clamp(child_b, lo, hi)
 
@@ -229,20 +215,11 @@ def polynomial_mutation(genome: np.ndarray, eta_m: float, p_m: float,
     if not 0.0 <= p_m <= 1.0:
         raise ValueError("p_m must lie in [0, 1]")
     lo, hi = bounds
-    span = hi - lo
-    n = genome.shape[0]
-    genes, spreads, used = _walk(rng.peek(2 * n).tolist(), n, p_m)
-    rng.advance(used)
+    draws = rng.peek(2 * genome.shape[0])
+    genes, at = [], []
+    rng.advance(_walk_hits((draws < p_m).tobytes(), genome.shape[0], 0, genes, at))
     out = genome.copy()
-    for j, u in zip(genes, spreads):
-        x = out[j]
-        if u <= 0.5:
-            d = (x - lo) / span
-            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0)) - 1.0
-        else:
-            d = (hi - x) / span
-            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0))
-        out[j] = x + delta * span
+    out[genes] = _mutated(genome[genes], draws[at], eta_m, lo, hi)
     return _clamp(out, lo, hi)
 
 
@@ -264,10 +241,6 @@ class Optimizer:
     @property
     def mutation_rate(self) -> float:
         return self.config.p_m if self.config.p_m is not None else 1.0 / self.n_genes
-
-    @property
-    def best_scalar(self) -> float:
-        return float(self.population.scalars.max())
 
     def ask(self) -> np.ndarray:
         """Exactly pop_size genomes to evaluate next, one per row."""
@@ -354,12 +327,11 @@ class Optimizer:
         children = parents[:, :kept].copy()
         rows = np.repeat(np.flatnonzero(crossed), sbx_counts)
         genes = np.array(sbx_genes, dtype=np.intp)
-        u = np.concatenate(sbx_spreads)
-        beta = _pow(np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))), 1.0 / (cfg.eta_c + 1.0))
-        x, y = parents[rows, 0, genes], parents[rows, 1, genes]
-        children[rows, 0, genes] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
+        a, b = _sbx(parents[rows, 0, genes], parents[rows, 1, genes],
+                    np.concatenate(sbx_spreads), cfg.eta_c)
+        children[rows, 0, genes] = a
         if kept == 2:
-            children[rows, 1, genes] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
+            children[rows, 1, genes] = b
         children = children.reshape(n_pairs * kept, g)
         rows = np.repeat(np.arange(n_pairs * kept), pm_counts)
         genes = np.array(pm_genes, dtype=np.intp)

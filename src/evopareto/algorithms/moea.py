@@ -174,21 +174,15 @@ class SPEA2(Optimizer):
         self._select_archive(self.population.join(evaluated))
 
 
-def smsemoa_removal_index(points: np.ndarray) -> int:
-    """Index to drop from a pool (maximization points): worst-rank member
-    with the least exclusive hypervolume contribution.
+def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
+    """Index to drop from a pool (maximization ``points``) whose worst front
+    is the rows ``worst_front``, in row order: the first member with the
+    least exclusive hypervolume contribution.
 
     The reference point is the pool nadir plus a 10% range margin,
     recomputed for this pool; coordinates with zero range get unit margin so
     remaining coordinates still discriminate.
     """
-    ranks = pareto.fast_nondominated_sort(points)
-    return _removal_index(points, np.flatnonzero(ranks == ranks.max()))
-
-
-def _removal_index(points: np.ndarray, worst_front: np.ndarray) -> int:
-    """:func:`smsemoa_removal_index` of ``points`` whose worst front is the
-    rows ``worst_front``, in row order: the first least contribution."""
     if worst_front.shape[0] == 1:
         return int(worst_front[0])
     minimized = -points

@@ -1,10 +1,10 @@
 """Scalarized single-objective baselines: GA, DE, PSO.
 
 All three maximize ``scalars`` (the equal-weight mean of the objective
-components).  ``best_scalar``, the best scalar value the population
-retains, is non-decreasing over generations on deterministic environments:
-GA through 1-elitism, DE through per-slot greedy replacement, PSO through
-its personal/global best memory.
+components).  The best scalar value the population retains,
+``population.scalars.max()``, is non-decreasing over generations on
+deterministic environments: GA through 1-elitism, DE through per-slot
+greedy replacement, PSO through its personal/global best memory.
 """
 
 from __future__ import annotations

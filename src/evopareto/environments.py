@@ -109,9 +109,6 @@ class Environment:
         return StepResult(next_state=next_state, reward=rewards[0],
                           done=next_state.step_index >= self.spec.horizon)
 
-    def observation(self, state: EnvState) -> np.ndarray:
-        return self.observe(np.array([state.values], dtype=np.float64))[0]
-
 
 class TradeoffBandit(Environment):
     """Single-step bandit with rewards (u, 1-u), u = (a+1)/2.
@@ -136,13 +133,6 @@ class TradeoffBandit(Environment):
     def transition(self, values, actions, noise):
         u = (np.clip(actions[:, 0], -1.0, 1.0) + 1.0) / 2.0
         return values, np.column_stack([u, 1.0 - u])
-
-    def analytic_front(self, resolution: int) -> np.ndarray:
-        """The true front sampled on a uniform grid: {(u, 1-u)}."""
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        u = np.linspace(0.0, 1.0, resolution)
-        return np.column_stack([u, 1.0 - u])
 
 
 class NoisyPointWalker(Environment):

@@ -337,7 +337,8 @@ def compute_metrics(records: list[RunRecord]):
     rows: list[MetricRow] = []
     for record in usable:
         hv, gd, igd = indicators.indicator_series(record.returns, reference)
-        for generation, returns in enumerate(record.returns):
+        best = scalarize(np.stack(record.returns)).max(axis=1)
+        for generation in range(len(record.returns)):
             rows.append(MetricRow(
                 algorithm=record.algorithm,
                 run=record.run_index,
@@ -345,7 +346,7 @@ def compute_metrics(records: list[RunRecord]):
                 hv=float(hv[generation]),
                 gd=float(gd[generation]),
                 igd=float(igd[generation]),
-                scalarized_best=float(scalarize(returns).max()),
+                scalarized_best=float(best[generation]),
             ))
     return rows, reference, algorithm_fronts
 

@@ -1,11 +1,10 @@
 """Front quality indicators: hypervolume, GD, IGD, reference fronts.
 
 Hypervolume is computed on minimization points against a reference point
-(2-D sweep, 3-D slicing), with an independent Monte Carlo estimator kept as
-a cross-check oracle.  Per the reporting convention, hypervolume is measured
-in normalized space (reference-front ideal -> 0, nadir -> 1, reference point
-(1, ..., 1)) so it lands in [0, 1], while GD and IGD stay on the raw
-objective scale.  :func:`indicator_series` scores a run's generations and
+(2-D sweep, 3-D slicing).  Per the reporting convention, hypervolume is
+measured in normalized space (reference-front ideal -> 0, nadir -> 1,
+clipped below at 0, reference point (1, ..., 1)) so it lands in [0, 1],
+while GD and IGD stay on the raw objective scale.  :func:`indicator_series` scores a run's generations and
 returns ``hv``, ``gd`` and ``igd`` as three float arrays, one entry per
 generation.
 
@@ -71,7 +70,6 @@ from typing import Sequence
 import numpy as np
 
 from . import pareto
-from .rng import RandomStream
 
 # Pair rows are scored in blocks of at most this many (row, point) cells,
 # and :func:`indicator_series` stacks at most this many (generation, point,
@@ -105,7 +103,7 @@ def _front_and_ref(front, ref) -> tuple[np.ndarray, np.ndarray]:
     if arr.shape[1] != k:
         raise ValueError("front and reference point dimensions differ")
     if k not in (2, 3):
-        raise ValueError("exact hypervolume supports k in {2, 3}; use hypervolume_mc")
+        raise ValueError("exact hypervolume supports k in {2, 3}")
     return arr, ref
 
 
@@ -185,33 +183,6 @@ def _pair_areas(dx: np.ndarray, ys: np.ndarray, slabs: np.ndarray, removed: np.n
     return _sweep(dx, rows)[0]
 
 
-def hypervolume_mc(front, ref, samples: int, seed: int) -> float:
-    """Monte Carlo hypervolume oracle.
-
-    Uniform samples in the box [componentwise min of front, ref]; returns the
-    dominated fraction times the box volume.  Independent of the exact sweep
-    and slicing code by construction.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    arr = np.asarray(front, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    ref = np.asarray(ref, dtype=np.float64)
-    k = ref.shape[0]
-    ideal = arr.min(axis=0)
-    box = np.prod(ref - ideal)
-    if box <= 0.0:
-        return 0.0
-    rng = RandomStream(seed)
-    u = rng.uniform_vector(samples * k).reshape(samples, k)
-    pts = ideal + u * (ref - ideal)
-    dominated = np.zeros(samples, dtype=bool)
-    for p in arr:
-        dominated |= np.all(pts >= p, axis=1)
-    return float(dominated.mean() * box)
-
-
 def hypervolume_contributions(front, ref) -> np.ndarray:
     """Exclusive hypervolume of each point: hv(front) - hv(front minus point).
 
@@ -288,11 +259,6 @@ def gd(approx, reference) -> float:
     return float(euclidean_distances(a, r).min(axis=1).mean())
 
 
-def igd(approx, reference) -> float:
-    """Inverted generational distance: gd with the roles swapped."""
-    return gd(reference, approx)
-
-
 def build_reference_front(final_fronts: Sequence) -> np.ndarray:
     """Nondominated, deduplicated union of the given objective-vector sets."""
     if not final_fronts:
@@ -301,18 +267,6 @@ def build_reference_front(final_fronts: Sequence) -> np.ndarray:
     front = pareto.nondominated_filter(combined)
     _, first = np.unique(front, axis=0, return_index=True)
     return front[np.sort(first)]
-
-
-def normalized_hypervolume(points, ideal, nadir) -> float:
-    """Hypervolume of maximization points in normalized space vs (1, ..., 1).
-
-    Points are mapped so the reference-front ideal sits at 0 and the nadir at
-    1, clipped below at 0 so the reported value cannot exceed 1; points at or
-    beyond the reference point contribute nothing.
-    """
-    normalized = pareto.normalize(points, ideal, nadir)
-    clipped = np.maximum(normalized, 0.0)
-    return hypervolume_exact(clipped, np.ones(clipped.shape[1]))
 
 
 def indicator_series(populations: Sequence, reference_front
@@ -331,12 +285,13 @@ def indicator_series(populations: Sequence, reference_front
     dominates, so the nondominated masks of one batched
     :func:`pareto._dominance_matrix` are each generation's
     :func:`pareto.nondominated_filter`.  Every generation's normalized HV
-    then comes from one masked sweep, bit for bit the per-generation
-    :func:`normalized_hypervolume` (see the module notes).
+    then comes from one masked sweep, bit for bit :func:`hypervolume_exact`
+    of that generation's normalized, clipped front (see the module notes).
 
     GD and IGD read one squared-distance matrix per generation, along its
-    rows and its columns.  They equal :func:`gd` and :func:`igd` bit for
-    bit: ``(a - b)**2 == (b - a)**2`` and each entry sums its k terms in the
+    rows and its columns.  They equal :func:`gd` of the front against the
+    reference and of the reference against the front, bit for bit:
+    ``(a - b)**2 == (b - a)**2`` and each entry sums its k terms in the
     same order as the transposed entry, and ``sqrt`` is correctly rounded
     and monotone, so the square root of the minimum is the minimum of the
     square roots.

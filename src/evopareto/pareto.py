@@ -43,15 +43,6 @@ def as_points(points) -> np.ndarray:
     return arr
 
 
-def dominates(u, v) -> bool:
-    """True iff u >= v componentwise and u != v (maximization)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return bool(np.all(u >= v) and np.any(u > v))
-
-
 def _dominance_matrix(points: np.ndarray) -> np.ndarray:
     """Boolean (n, n) matrix with [i, j] True iff point i dominates point j.
 

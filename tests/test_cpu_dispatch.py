@@ -3,7 +3,7 @@ reduced SIMD dispatch.
 
 numpy picks its array kernels by the CPU features it dispatches to, and some
 of them (``np.power``, ``np.tanh``) give other last bits on other levels.  The
-batched variation must match the per-pair operators, and the batched
+variation operators must match the per-gene loops, and the batched
 hypervolume sweep (whole-front rows and leave-one-out pair rows) the scalar
 loops, whatever numpy dispatches to.  So ``test_operators.py``,
 ``test_algorithms.py`` and ``test_indicators.py`` run again in a fresh

@@ -8,6 +8,7 @@ from evopareto import evaluation, policy
 from evopareto.environments import EnvState, make_env
 from evopareto.policy import PolicySpec
 from evopareto.rng import RandomStream, derive_seed
+from reference import observation
 
 
 def walker(horizon=None, sigma=0.0):
@@ -108,7 +109,7 @@ def test_rollout_matches_manual_replay():
     expected = np.zeros(2)
     discount = 1.0
     for _ in range(env.spec.horizon):
-        action = policy.forward(layers, env.observation(state))
+        action = policy.forward(layers, observation(env, state))
         result = env.step(state, action, rng)
         expected += discount * result.reward
         discount *= env.spec.gamma
@@ -235,7 +236,7 @@ def replay(env, spec, genome, rng):
     total = np.zeros(env.spec.k)
     discount = 1.0
     for _ in range(env.spec.horizon):
-        result = env.step(state, policy.forward(layers, env.observation(state)), rng)
+        result = env.step(state, policy.forward(layers, observation(env, state)), rng)
         total += discount * result.reward
         discount *= env.spec.gamma
         state = result.next_state

