@@ -2,6 +2,7 @@
 
 Subcommands:
   run <config> --out <dir> [--seed N] [--jobs N]   execute an experiment
+                                                   (--jobs defaults to the usable cores)
   metrics <dir>                                    metrics.csv + fronts.csv
   stats <dir> --metric {hv,gd,igd}                 Friedman/Nemenyi -> cd.csv
                                                    (one dataset per run, alpha = 0.05)
@@ -11,12 +12,21 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import harness
 from .config import parse_config
 from .stats import friedman_nemenyi
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, or the CPU count
+    where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _cmd_run(args) -> int:
@@ -26,7 +36,8 @@ def _cmd_run(args) -> int:
         config = config.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path(config.output_dir or "results")
     harness.check_out_dir(out_dir, config)
-    records = harness.run_experiment(config, jobs=args.jobs)
+    jobs = usable_cores() if args.jobs is None else args.jobs
+    records = harness.run_experiment(config, jobs=jobs)
     harness.save_records(records, out_dir)
     aborted = [r for r in records if r.status != "ok"]
     print(f"completed {len(records) - len(aborted)}/{len(records)} runs "
@@ -79,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="parallel lockstep groups of (algorithm, run) jobs")
+    run.add_argument("--jobs", type=int, default=None,
+                     help="parallel lockstep groups of (algorithm, run) jobs "
+                          "(default: the cores this process may run on)")
     run.set_defaults(func=_cmd_run)
 
     metrics = sub.add_parser("metrics", help="compute metrics.csv and fronts.csv from records")
@@ -104,6 +116,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except harness.PoolError as exc:
+        print(f"error: {exc}; pass --jobs 1 to run every job in the run process",
+              file=sys.stderr)
         return 2
 
 

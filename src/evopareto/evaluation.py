@@ -20,11 +20,11 @@ reasons:
   product for every row as an unbatched call does;
 * each episode's draws are those of its own fresh stream, one uniform and
   then ``horizon`` normals (:func:`rng.leading_draws`).  Episode seeds and
-  the Box-Muller arithmetic run on arrays, and only ``log``/``cos``/``sin``
-  are called per element, on the C library through ``math``: integer
-  arithmetic and correctly rounded IEEE operations give the same bytes on
-  arrays as on scalars, and on every SIMD path, while numpy's own
-  transcendentals would not;
+  the Box-Muller arithmetic run on arrays, and only ``log`` is called per
+  element, on the C library through ``math``: integer arithmetic, correctly
+  rounded IEEE operations and numpy's float64 ``cos``/``sin`` (the C
+  library's own, called in a loop) give the same bytes on arrays as on
+  scalars, and on every SIMD path, while numpy's SIMD ``log`` would not;
 * episode returns are summed in order 0 to n-1 and then divided, so results
   do not depend on scheduling.
 

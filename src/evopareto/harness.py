@@ -142,11 +142,16 @@ def execute_runs(config: ExperimentConfig, tasks) -> list[RunRecord]:
             in zip(tasks, seeds, statuses, eval_counts, histories, optimizers)]
 
 
+class PoolError(RuntimeError):
+    """The process pool of a ``jobs > 1`` experiment could not start or lost a worker."""
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """All (algorithm, run) jobs of an experiment, in deterministic order.
 
     With ``jobs > 1`` the jobs are dealt round-robin into ``jobs`` lockstep
-    groups that run in a process pool.  A run whose evaluation produces
+    groups that run in a process pool; :class:`PoolError` says that the pool
+    failed (``jobs=1`` needs none).  A run whose evaluation produces
     non-finite values is marked aborted and the remaining jobs continue.
     """
     if jobs < 1:
@@ -157,11 +162,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
         return execute_runs(config, tasks)
     # Imported here: the pool's modules cost import time that jobs=1 never uses.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     records: list[RunRecord] = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        groups = pool.map(partial(execute_runs, config), [tasks[i::jobs] for i in range(jobs)])
-        for i, group in enumerate(groups):
-            records[i::jobs] = group
+    try:
+        # A host without working semaphores fails in the constructor, one that
+        # cannot start processes when map submits, a killed worker when read.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            groups = pool.map(partial(execute_runs, config), [tasks[i::jobs] for i in range(jobs)])
+            for i, group in enumerate(groups):
+                records[i::jobs] = group
+    except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
+        raise PoolError(f"the pool of {jobs} worker processes failed "
+                        f"({type(exc).__name__}: {exc})") from exc
     return records
 
 
@@ -373,14 +385,24 @@ def write_fronts_csv(reference: np.ndarray, algorithm_fronts: dict, path) -> Non
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """The rows of a metrics CSV.  ``ValueError`` names the file and the first
+    line that does not parse; a file whose last line has no newline is refused
+    as truncated, since :func:`write_metrics_csv` ends every line with one."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path} does not look like a metrics CSV")
+    if not text.endswith("\n"):
+        raise ValueError(f"{path} line {len(lines)}: truncated metrics CSV "
+                         f"(its last line has no newline)")
     rows = []
-    for line in lines[1:]:
-        algorithm, run, generation, hv, gd_, igd_, best = line.split(",")
-        rows.append(MetricRow(algorithm, int(run), int(generation),
-                              float(hv), float(gd_), float(igd_), float(best)))
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            algorithm, run, generation, hv, gd_, igd_, best = line.split(",")
+            rows.append(MetricRow(algorithm, int(run), int(generation),
+                                  float(hv), float(gd_), float(igd_), float(best)))
+    except ValueError as exc:
+        raise ValueError(f"{path} line {lineno}: unreadable metrics row: {exc}") from None
     return rows
 
 

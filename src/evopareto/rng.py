@@ -29,14 +29,19 @@ arithmetic as the scalar :func:`mix64`.
 
 :func:`raw_outputs` computes raw outputs of many streams at once as one
 vectorized SplitMix64 kernel, and :func:`leading_draws` turns them into the
-uniforms and normals that fresh streams would give.  Its Box-Muller calls the
-C library's ``log``, ``cos`` and ``sin`` once per element through ``math``,
-because numpy's SIMD transcendentals may differ from the C library in the
-last bit: ``np.log`` does for about 0.35% of the inputs on an AVX-512 host.
-The rest (``-2 *``, the square root, ``2 pi *`` and the products) runs on
-arrays.  These are correctly rounded IEEE operations, which give the same
-double whatever SIMD path numpy picks, so the normals are byte-identical to
-the scalar :func:`box_muller` that :meth:`RandomStream.normal` uses.
+uniforms and normals that fresh streams would give.  Its Box-Muller must give
+the bytes of the scalar :func:`box_muller` that :meth:`RandomStream.normal`
+uses, which calls the C library through ``math``.  Per function:
+
+* ``log`` is called once per element through ``math``, because numpy's SIMD
+  ``np.log`` differs from the C library in the last bit for about 0.35% of
+  the inputs on an AVX-512 host;
+* ``cos`` and ``sin`` run on the θ array as ``np.cos``/``np.sin``: numpy's
+  float64 loops for them call the C library's own ``cos`` and ``sin`` on
+  every SIMD dispatch level (``tests/test_rng.py`` checks this bit for bit);
+* the rest (``-2 *``, the square root, ``2 pi *`` and the products) are
+  correctly rounded IEEE operations, which give the same double whatever
+  SIMD path numpy picks.
 """
 
 from __future__ import annotations
@@ -96,13 +101,14 @@ def box_muller(u1: float, u2: float) -> tuple[float, float]:
 
 def _box_muller_arrays(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """:func:`box_muller` of each pair ``(u1[j], u2[j])``, interleaved as
-    ``[z0, z1]`` per pair; ``log``/``cos``/``sin`` from ``math`` per element."""
+    ``[z0, z1]`` per pair; ``log`` from ``math`` per element, ``cos`` and
+    ``sin`` from numpy's float64 loops, which call the C library's own."""
     n = len(u1)
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
-    theta = ((2.0 * math.pi) * u2).tolist()
+    theta = (2.0 * math.pi) * u2
     z = np.empty((n, 2))
-    z[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, n)
-    z[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, n)
+    z[:, 0] = r * np.cos(theta)
+    z[:, 1] = r * np.sin(theta)
     return z.ravel()
 
 

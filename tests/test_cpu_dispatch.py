@@ -1,13 +1,14 @@
-"""The variation and hypervolume equivalence tests again, under numpy's
-reduced SIMD dispatch.
+"""The variation, hypervolume and random-stream equivalence tests again,
+under numpy's reduced SIMD dispatch.
 
 numpy picks its array kernels by the CPU features it dispatches to, and some
-of them (``np.power``, ``np.tanh``) give other last bits on other levels.  The
-variation operators must match the per-gene loops, and the batched
+of them (``np.power``, ``np.tanh``, ``np.log``) give other last bits on other
+levels.  The variation operators must match the per-gene loops, the batched
 hypervolume sweep (whole-front rows and leave-one-out pair rows) the scalar
-loops, whatever numpy dispatches to.  So ``test_operators.py``,
-``test_algorithms.py`` and ``test_indicators.py`` run again in a fresh
-interpreter with the AVX2 and AVX-512 levels switched off.
+loops, and the array Box-Muller (``np.cos``/``np.sin``) the scalar one on
+``math``, whatever numpy dispatches to.  So ``test_operators.py``,
+``test_algorithms.py``, ``test_indicators.py`` and ``test_rng.py`` run again
+in a fresh interpreter with the AVX2 and AVX-512 levels switched off.
 """
 
 import os
@@ -30,6 +31,7 @@ def test_variation_equivalence_under_reduced_simd():
         pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={DISABLED!r}: {reason}")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_operators.py", "tests/test_algorithms.py", "tests/test_indicators.py"],
+         "tests/test_operators.py", "tests/test_algorithms.py", "tests/test_indicators.py",
+         "tests/test_rng.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]

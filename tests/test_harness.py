@@ -475,6 +475,132 @@ def test_cli_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         harness.run_experiment(SMALL, jobs=int(jobs))
 
 
+SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "bandit_smoke.cfg"
+ANALYSIS_FILES = ("metrics.csv", "fronts.csv", "cd.csv", "curves.csv")
+
+
+def readme_sequence(out_dir, *run_flags):
+    """``run`` (with ``run_flags``), ``metrics``, ``stats --metric hv`` and
+    ``export-plots`` on the bandit smoke config; the four analysis files' bytes."""
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), *run_flags]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    assert cli.main(["stats", str(out_dir), "--metric", "hv"]) == 0
+    assert cli.main(["export-plots", str(out_dir)]) == 0
+    return {name: (out_dir / name).read_bytes() for name in ANALYSIS_FILES}
+
+
+def test_cli_run_jobs_defaults_to_the_usable_cores(tmp_path, capsys, monkeypatch):
+    asked = []
+    run_experiment = harness.run_experiment
+
+    def spy(config, jobs=1):
+        asked.append(jobs)
+        return run_experiment(config, jobs=jobs)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    default = readme_sequence(tmp_path / "default")
+    one = readme_sequence(tmp_path / "one", "--jobs", "1")
+    assert asked == [3, 1]
+    assert default == one
+    for name in ANALYSIS_FILES:
+        assert hashlib.sha256(default[name]).hexdigest() == BANDIT_SMOKE_DIGESTS[name], name
+    # Without an affinity call, the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert cli.usable_cores() == 7
+    capsys.readouterr()
+
+
+class ExecutorWithoutSemaphores:
+    def __init__(self, max_workers):
+        raise NotImplementedError("This Python has no working sem_open")
+
+
+class ExecutorThatCannotFork:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, groups):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+class ExecutorThatLosesAWorker(ExecutorThatCannotFork):
+    def map(self, fn, groups):
+        from concurrent.futures.process import BrokenProcessPool
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+@pytest.mark.parametrize("executor", [ExecutorWithoutSemaphores, ExecutorThatCannotFork,
+                                      ExecutorThatLosesAWorker])
+def test_cli_run_says_to_pass_jobs_1_when_the_pool_fails(tmp_path, capsys, monkeypatch,
+                                                         executor):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "2 worker processes" in captured.err and "pass --jobs 1" in captured.err
+    assert not out_dir.exists()
+    with pytest.raises(harness.PoolError):
+        harness.run_experiment(SMALL, jobs=2)
+    # jobs=1 needs no pool.
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), "--jobs", "1"]) == 0
+
+
+def _cut(n):
+    def damage(text):
+        return text[:-n]
+    damage.__name__ = f"cut_last_{n}_bytes"
+    return damage
+
+
+def _letter_in_a_number(text):
+    lines = text.splitlines(keepends=True)
+    lines[4] = lines[4].replace(",0.", ",x0.", 1)
+    return "".join(lines)
+
+
+def _field_missing(text):
+    lines = text.splitlines(keepends=True)
+    lines[6] = lines[6].rsplit(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+def _blank_line(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:9] + ["\n"] + lines[9:])
+
+
+@pytest.mark.parametrize("damage, bad_line", [
+    # Cut inside the last row, inside its last number, and only its newline.
+    (_cut(30), 91), (_cut(2), 91), (_cut(1), 91),
+    (_letter_in_a_number, 5), (_field_missing, 7), (_blank_line, 10)])
+def test_cli_names_the_line_of_a_damaged_metrics_csv(tmp_path, capsys, damage, bad_line):
+    out_dir = tmp_path / "smoke"
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), "--jobs", "1"]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    path = out_dir / "metrics.csv"
+    assert path.read_text(encoding="utf-8").count("\n") == 91
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["stats", str(out_dir), "--metric", "hv"], ["export-plots", str(out_dir)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path} line {bad_line}: "), err
+    assert not (out_dir / "cd.csv").exists() and not (out_dir / "curves.csv").exists()
+
+
 def test_cli_stats_names_missing_runs(tmp_path, capsys):
     # An aborted or missing run leaves (algorithm, run) cells without rows.
     config = ExperimentConfig(environment="TradeoffBandit", algorithms=("NSGA2", "GA", "PSO"),

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -154,6 +155,27 @@ def test_box_muller_arrays_match_scalar_on_dense_grid():
     assert same_bytes(_box_muller_arrays(u1, u2), scalar_box_muller(u1, u2))
 
 
+def test_numpy_cos_and_sin_are_the_c_library_calls():
+    # _box_muller_arrays takes cos and sin from numpy's float64 loops on the
+    # grounds that they are math.cos and math.sin bit for bit.  The angles:
+    # 2 pi u on the stream's 53-bit grid, 2^14 steps of 2^-45 on either side
+    # of each k pi / 4 in [0, 2 pi], and the edges.
+    grid = (2.0 * math.pi) * RandomStream(derive_seed(37, "trig")).uniform_vector(1_000_000)
+    steps = np.arange(-2**14, 2**14) * 2.0**-45
+    near = (np.arange(9)[:, None] * (math.pi / 4) + steps).ravel()
+    edges = [0.0, 5e-324, 2.0**-53, math.pi / 2, math.pi, 2.0 * math.pi - 4e-16]
+    theta = np.concatenate([grid, near[near >= 0.0], edges])
+    angles = theta.tolist()
+    for name, array_f, scalar_f in (("cos", np.cos, math.cos), ("sin", np.sin, math.sin)):
+        got = array_f(theta)
+        want = np.fromiter(map(scalar_f, angles), np.float64, len(angles))
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"numpy {np.__version__}: np.{name} differs from math.{name} on {differ.size} of "
+            f"{theta.size} angles (first {theta[differ[0]]!r}); take {name} from math "
+            f"per element in rng._box_muller_arrays again, rather than re-pinning")
+
+
 LEADING_DRAWS_BYTES = (
     "import sys\n"
     "from evopareto.rng import derive_seeds, leading_draws\n"
@@ -163,13 +185,15 @@ LEADING_DRAWS_BYTES = (
 
 
 def test_leading_draws_do_not_depend_on_simd_dispatch():
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
-               PYTHONPATH=os.pathsep.join([str(Path(evopareto.__file__).parents[1]),
-                                           os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", LEADING_DRAWS_BYTES], env=env,
-                           capture_output=True, text=True, check=True)
+    # The baseline SIMD level, then AVX2 with the AVX-512 levels off.
     u, z = leading_draws(derive_seeds(11, "dispatch", count=400), 20)
-    assert child.stdout == u.tobytes().hex() + z.tobytes().hex()
+    for disabled in ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=os.pathsep.join([str(Path(evopareto.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", LEADING_DRAWS_BYTES], env=env,
+                               capture_output=True, text=True, check=True)
+        assert child.stdout == u.tobytes().hex() + z.tobytes().hex(), disabled
 
 
 class UnbufferedStream:
