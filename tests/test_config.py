@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,7 +8,8 @@ from evopareto import cli, harness
 from evopareto.algorithms import AlgorithmConfig
 from evopareto.config import ConfigError, ExperimentConfig, parse_config, serialize_config
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
 
 MINIMAL = """
 environment = TradeoffBandit
@@ -48,9 +50,17 @@ def test_unknown_key_reports_line_number():
 
 
 def test_type_errors_report_line_number():
-    text = "environment = TradeoffBandit\npop_size = fifty\nalgorithms = GA\n"
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config(text)
+    # One malformed value per key kind: an int, a float, a number list, and
+    # an empty value (here a string's).
+    for setting, message in [
+        ("pop_size = fifty", "'pop_size' expects an integer, got 'fifty'"),
+        ("eta_c = x", "'eta_c' expects a number, got 'x'"),
+        ("bounds = a, b", "'bounds' expects comma-separated numbers, got 'a, b'"),
+        ("output_dir =", "empty value for 'output_dir'"),
+    ]:
+        with pytest.raises(ConfigError) as caught:
+            parse_config(f"environment = TradeoffBandit\n{setting}\nalgorithms = GA\n")
+        assert str(caught.value) == f"line 2: {message}"
 
 
 def test_duplicate_key_rejected():
@@ -169,6 +179,61 @@ def test_with_seed_returns_updated_copy():
     config = parse_config(MINIMAL)
     assert config.with_seed(99).master_seed == 99
     assert config.master_seed == 0
+
+
+# Every record header repeats a results directory's config.txt, and `run`
+# refuses an --out whose config.txt differs, so a change to these bytes would
+# orphan every existing results directory.
+SERIALIZED_SHA256 = {
+    "walker_baseline.cfg": "b4c908b53d375b410045d49a8f5e44bb766a385f759878d3d5d2253053f616bd",
+    "bandit_smoke.cfg": "9adfa190a9542034a8e3338d2572b6e4f24498bf2853b08783583d430a64a120",
+}
+
+
+def test_shipped_configs_serialize_to_pinned_bytes():
+    for name, digest in SERIALIZED_SHA256.items():
+        text = serialize_config(parse_config((CONFIG_DIR / name).read_text(encoding="utf-8")))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+
+
+# Every key set to a value other than its default, in canonical order.
+EVERY_KEY = """\
+environment = NoisyPointWalker
+algorithms = RNSGA2, DE, SMSEMOA
+sigma = 0.25
+n_layer1 = 3
+n_layer2 = 5
+n_layer3 = 2
+pop_size = 12
+generations = 7
+n_episodes = 2
+n_runs = 3
+master_seed = 99
+output_dir = results/every_key
+bounds = -2.5, 3.0
+eta_c = 10.0
+p_crossover = 0.75
+eta_m = 5.5
+p_m = 0.125
+de_f = 0.6
+de_cr = 0.3
+pso_w = 0.5
+pso_c1 = 1.25
+pso_c2 = 1.75
+rnsga2_epsilon = 0.05
+rnsga2_reference_points = 1.0, 0.0, 0.25, 0.75
+"""
+
+
+def test_every_key_serializes_to_pinned_text():
+    # Shuffled, commented, loosely spaced, and numbers written as integers.
+    lines = EVERY_KEY.replace(" = ", "=").replace("10.0", "10").splitlines()
+    text = "# every key\n" + "\n".join(reversed(lines)) + "\n"
+    config = parse_config(text)
+    assert {f.name for f in fields(config)} == {line.partition(" = ")[0]
+                                                 for line in EVERY_KEY.splitlines()}
+    assert serialize_config(config) == EVERY_KEY
+    assert parse_config(EVERY_KEY) == config
 
 
 def test_shipped_configs_parse_and_round_trip():
