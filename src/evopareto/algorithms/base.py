@@ -10,12 +10,13 @@ Survivors between generations keep their stored evaluations; nothing is
 silently re-evaluated or cached across generations.
 
 ``population`` holds the current slots as one ``Population``, row i being
-slot i.  ``_tournament(keys)`` and ``_random_pair()`` return slot indices,
-and ``_vary(n_pairs, kept)`` makes SBX + polynomial-mutation children of
-``n_pairs`` parent pairs from ``_parents(keys)``.  A concrete algorithm fills
-in ``_keys()``, every slot's binary-tournament key (lower wins) as Python
-values, read once per generation, or overrides ``_parents(keys)``;
-``_install_initial(evaluated)`` only when the first
+slot i.  ``_tournament(keys)`` and ``_distinct(count, avoid)`` return slot
+indices, and ``_vary(n_pairs, kept)`` makes SBX + polynomial-mutation
+children of ``n_pairs`` parent pairs from ``_parents(keys)``: two tournament
+winners, or two distinct random slots where ``_keys()`` returns None.  A
+concrete algorithm fills in ``_keys()``, every slot's binary-tournament key
+(lower wins) as Python values, read once per generation, when it selects
+parents by tournament; ``_install_initial(evaluated)`` only when the first
 population needs more than storing; ``_absorb(evaluated)`` for survival
 selection, which picks rows of ``population.join(evaluated)`` with
 ``take``; and ``_propose`` only when offspring are not both children of
@@ -352,15 +353,18 @@ class Optimizer:
         j = self.rng.below(self.config.pop_size)
         return j if keys[j] < keys[i] else i
 
-    def _random_pair(self) -> tuple[int, int]:
-        """Two distinct, uniformly drawn slots."""
-        i = self.rng.below(self.config.pop_size)
-        j = self.rng.below(self.config.pop_size)
-        while j == i:
-            j = self.rng.below(self.config.pop_size)
-        return i, j
+    def _distinct(self, count: int, avoid=()) -> list[int]:
+        """``count`` distinct uniform slots not in ``avoid``, by rejection."""
+        picked: list[int] = []
+        while len(picked) < count:
+            r = self.rng.below(self.config.pop_size)
+            if r not in avoid and r not in picked:
+                picked.append(r)
+        return picked
 
-    def _parents(self, keys: list | None) -> tuple[int, int]:
+    def _parents(self, keys: list | None):
+        if keys is None:
+            return self._distinct(2)
         return self._tournament(keys), self._tournament(keys)
 
     def _propose(self) -> np.ndarray:

@@ -299,9 +299,6 @@ class SMSEMOA(Optimizer):
             raise ValueError("SMS-EMOA uses exact hypervolume and supports k <= 3 only")
         self.population = evaluated
 
-    def _parents(self, keys):
-        return self._random_pair()
-
     def _propose(self):
         return self._vary(self.config.pop_size, 1)
 
@@ -404,9 +401,6 @@ class NSGA3(Optimizer):
         k = evaluated.returns.shape[1]
         self._directions = generate_reference_directions(k, minimum_partitions(k, self.config.pop_size))
         self.population = evaluated
-
-    def _parents(self, keys):
-        return self._random_pair()
 
     def _normalize(self, maximized: np.ndarray) -> np.ndarray:
         """Translate by the pool ideal and scale by achievement-scalarizing

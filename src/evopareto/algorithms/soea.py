@@ -38,14 +38,6 @@ def _keep_or_replace(current, challengers, replace):
 class DE(Optimizer):
     """Differential evolution, rand/1/bin with greedy per-slot selection."""
 
-    def _distinct_donors(self, target: int) -> tuple[int, int, int]:
-        picked: list[int] = []
-        while len(picked) < 3:
-            r = self.rng.below(self.config.pop_size)
-            if r != target and r not in picked:
-                picked.append(r)
-        return picked[0], picked[1], picked[2]
-
     def _propose(self):
         # Draws go slot by slot (donors, j_rand, crossover draws); the trials
         # are then one array expression over the whole population.
@@ -54,7 +46,7 @@ class DE(Optimizer):
         donors = np.empty((cfg.pop_size, 3), dtype=np.intp)
         crossed = np.empty(x.shape, dtype=bool)
         for i in range(cfg.pop_size):
-            donors[i] = self._distinct_donors(i)
+            donors[i] = self._distinct(3, avoid=(i,))
             j_rand = self.rng.below(self.n_genes)
             crossed[i] = self.rng.uniform_vector(self.n_genes) < cfg.de_cr
             crossed[i, j_rand] = True

@@ -3,8 +3,8 @@
 The format is deliberately minimal so configs diff cleanly and parse without
 dependencies: one ``key = value`` pair per line, ``#`` comments and blank
 lines allowed, lists comma-separated.  Unknown keys are rejected with their
-line number.  Defaults mirror the baseline benchmark setup (population 50,
-25 generations, 5 episodes, 10 runs, hidden widths 4/4/4).
+line number.  A key is an :class:`ExperimentConfig` field, parsed as its type
+less ``| None``; operator defaults are ``AlgorithmConfig``'s, widths ``PolicySpec``'s.
 
 A config is checked when built, parsed or not: each rule lives once, in
 :class:`ExperimentConfig` (experiment keys), ``make_env`` (environment and
@@ -18,11 +18,12 @@ narrow bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .algorithms import AlgorithmConfig
 from .algorithms.base import INITIAL_RANGE
 from .environments import make_env
+from .policy import PolicySpec
 
 
 class ConfigError(ValueError):
@@ -34,27 +35,27 @@ class ExperimentConfig:
     environment: str
     algorithms: tuple[str, ...]
     sigma: float | None = None
-    n_layer1: int = 4
-    n_layer2: int = 4
-    n_layer3: int = 4
-    pop_size: int = 50
+    n_layer1: int = PolicySpec.hidden[0]
+    n_layer2: int = PolicySpec.hidden[1]
+    n_layer3: int = PolicySpec.hidden[2]
+    pop_size: int = AlgorithmConfig.pop_size
     generations: int = 25
     n_episodes: int = 5
     n_runs: int = 10
     master_seed: int = 0
     output_dir: str | None = None
-    bounds: tuple[float, float] = (-5.0, 5.0)
-    eta_c: float = 15.0
-    p_crossover: float = 0.9
-    eta_m: float = 20.0
-    p_m: float | None = None
-    de_f: float = 0.5
-    de_cr: float = 0.9
-    pso_w: float = 0.7298
-    pso_c1: float = 1.49618
-    pso_c2: float = 1.49618
-    rnsga2_epsilon: float = 0.01
-    rnsga2_reference_points: tuple[float, ...] | None = None
+    bounds: tuple[float, float] = AlgorithmConfig.bounds
+    eta_c: float = AlgorithmConfig.eta_c
+    p_crossover: float = AlgorithmConfig.p_crossover
+    eta_m: float = AlgorithmConfig.eta_m
+    p_m: float | None = AlgorithmConfig.p_m
+    de_f: float = AlgorithmConfig.de_f
+    de_cr: float = AlgorithmConfig.de_cr
+    pso_w: float = AlgorithmConfig.pso_w
+    pso_c1: float = AlgorithmConfig.pso_c1
+    pso_c2: float = AlgorithmConfig.pso_c2
+    rnsga2_epsilon: float = AlgorithmConfig.rnsga2_epsilon
+    rnsga2_reference_points: tuple[float, ...] | None = AlgorithmConfig.rnsga2_reference_points
 
     def __post_init__(self):
         if not self.algorithms:
@@ -103,18 +104,10 @@ class ExperimentConfig:
         return (self.n_layer1, self.n_layer2, self.n_layer3)
 
 
-_INT_KEYS = {"n_layer1", "n_layer2", "n_layer3", "pop_size", "generations",
-             "n_episodes", "n_runs", "master_seed"}
-_FLOAT_KEYS = {"sigma", "eta_c", "p_crossover", "eta_m", "p_m", "de_f", "de_cr",
-               "pso_w", "pso_c1", "pso_c2", "rnsga2_epsilon"}
-_STR_KEYS = {"environment", "output_dir"}
-_STR_LIST_KEYS = {"algorithms"}
-_FLOAT_LIST_KEYS = {"bounds", "rnsga2_reference_points"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _STR_LIST_KEYS | _FLOAT_LIST_KEYS
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document into a validated :class:`ExperimentConfig`."""
+    # Postponed annotations keep each field's type as its source text.
+    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,39 +119,39 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
         seen[key] = lineno
         try:
-            values[key] = _parse_value(key, value)
+            values[key] = _parse_value(key, kinds[key], value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
 
-    for required in ("environment", "algorithms"):
-        if required not in values:
-            raise ConfigError(f"missing required key {required!r}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"missing required key {f.name!r}")
     return ExperimentConfig(**values)  # type: ignore[arg-type]
 
 
-def _parse_value(key: str, value: str):
+def _parse_value(key: str, kind: str, value: str):
     if not value:
         raise ValueError(f"empty value for {key!r}")
-    if key in _INT_KEYS:
+    if kind == "int":
         try:
             return int(value)
         except ValueError:
             raise ValueError(f"{key!r} expects an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
+    if kind == "float":
         try:
             return float(value)
         except ValueError:
             raise ValueError(f"{key!r} expects a number, got {value!r}") from None
-    if key in _STR_KEYS:
+    if kind == "str":
         return value
     items = [item.strip() for item in value.split(",") if item.strip()]
-    if key in _STR_LIST_KEYS:
+    if kind == "tuple[str, ...]":
         return tuple(items)
     try:
         return tuple(float(item) for item in items)

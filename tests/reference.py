@@ -109,11 +109,9 @@ def per_pair_offspring(optimizer):
             a, b = a.copy(), b.copy()
         return [pm_oracle(c, cfg.eta_m, optimizer.mutation_rate, rng, cfg.bounds) for c in (a, b)]
 
-    if optimizer.name == "SMSEMOA":
-        rows = [children(*optimizer._random_pair())[0] for _ in range(cfg.pop_size)]
-    else:
-        rows = [c for _ in range(cfg.pop_size // 2)
-                for c in children(*optimizer._parents(optimizer._keys()))]
+    kept = 1 if optimizer.name == "SMSEMOA" else 2
+    rows = [c for _ in range(cfg.pop_size // kept)
+            for c in children(*optimizer._parents(optimizer._keys()))[:kept]]
     return np.array(rows)
 
 

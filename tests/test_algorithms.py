@@ -215,7 +215,7 @@ def de_trials_per_slot(de):
     x = de.population.genomes
     trials = np.empty_like(x)
     for i in range(de.config.pop_size):
-        r1, r2, r3 = de._distinct_donors(i)
+        r1, r2, r3 = de._distinct(3, avoid=(i,))
         mutant = x[r1] + de.config.de_f * (x[r2] - x[r3])
         j_rand = de.rng.below(de.n_genes)
         crossed = de.rng.uniform_vector(de.n_genes) < de.config.de_cr
@@ -1312,10 +1312,18 @@ def test_tournament_lower_key_wins_either_draw_order(name):
 
 def test_random_pair_redraws_a_repeated_slot():
     nsga3 = two_slot_optimizer("NSGA3")
+    assert nsga3._keys() is None
     nsga3.rng = ScriptedStream(ints=[1, 1, 1, 0])
-    first, second = nsga3._random_pair()
+    first, second = nsga3._parents(nsga3._keys())
     assert first == 1
     assert second == 0
+
+
+def test_de_donors_redraw_the_target_and_a_repeated_slot():
+    de = make_optimizer(AlgorithmConfig(name="DE", pop_size=4), 1, RandomStream(0))
+    de.rng = ScriptedStream(ints=[2, 2, 1, 0, 1, 0, 3, 9])
+    assert de._distinct(3, avoid=(1,)) == [2, 0, 3]
+    assert de.rng.below(10) == 9
 
 
 @pytest.mark.parametrize("name", ["SMSEMOA", "NSGA3"])
@@ -1324,7 +1332,7 @@ def test_random_pair_never_returns_one_slot_twice(name):
     optimizer.ask()
     optimizer.tell(stack([evaluated([float(i)], (float(i), -float(i))) for i in range(4)]))
     for _ in range(200):
-        first, second = optimizer._random_pair()
+        first, second = optimizer._parents(optimizer._keys())
         assert first != second
 
 
