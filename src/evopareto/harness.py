@@ -213,34 +213,38 @@ def save_records(records: list[RunRecord], directory) -> list[Path]:
     paths = []
     for record in records:
         path = record_path(directory, record.algorithm, record.run_index)
-        partial = path.with_name(path.name + ".partial")
-        try:
-            with open(partial, "w", encoding="utf-8") as handle:
-                header = {
-                    "algorithm": record.algorithm,
-                    "run": record.run_index,
-                    "seed": record.seed,
-                    "status": record.status,
-                    "eval_count": record.eval_count,
-                    "wall_time": record.wall_time,
-                    "rng": record.rng_scheme,
-                    "config": text,
-                }
-                handle.write(json.dumps(header) + "\n")
-                last = len(record.returns) - 1
-                for g, returns in enumerate(record.returns):
-                    line = {
-                        "generation": g,
-                        "genomes": _encode(record.genomes) if g == last else "",
-                        "returns": _encode(returns),
-                    }
-                    handle.write(json.dumps(line) + "\n")
-            os.replace(partial, path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        header = {
+            "algorithm": record.algorithm,
+            "run": record.run_index,
+            "seed": record.seed,
+            "status": record.status,
+            "eval_count": record.eval_count,
+            "wall_time": record.wall_time,
+            "rng": record.rng_scheme,
+            "config": text,
+        }
+        lines = [json.dumps(header)]
+        last = len(record.returns) - 1
+        for g, returns in enumerate(record.returns):
+            lines.append(json.dumps({
+                "generation": g,
+                "genomes": _encode(record.genomes) if g == last else "",
+                "returns": _encode(returns),
+            }))
+        _write_lines(lines, path)
         paths.append(path)
     return paths
+
+
+def _write_lines(lines: list[str], path) -> None:
+    """Write ``lines`` to ``<path>.partial`` and rename it over ``path``."""
+    partial = Path(f"{path}.partial")
+    try:
+        partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _encode(array) -> str:
@@ -368,7 +372,7 @@ def write_metrics_csv(rows: list[MetricRow], path) -> None:
     for r in rows:
         lines.append(f"{r.algorithm},{r.run},{r.generation},"
                      f"{r.hv!r},{r.gd!r},{r.igd!r},{r.scalarized_best!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(lines, path)
 
 
 def write_fronts_csv(reference: np.ndarray, algorithm_fronts: dict, path) -> None:
@@ -381,13 +385,15 @@ def write_fronts_csv(reference: np.ndarray, algorithm_fronts: dict, path) -> Non
     for algorithm, front in algorithm_fronts.items():
         for point in front.tolist():
             lines.append(f"algorithm,{algorithm}," + ",".join(map(repr, point)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(lines, path)
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
     """The rows of a metrics CSV.  ``ValueError`` names the file and the first
     line that does not parse; a file whose last line has no newline is refused
-    as truncated, since :func:`write_metrics_csv` ends every line with one."""
+    as truncated, since :func:`write_metrics_csv` ends every line with one.
+    So is one cut at a line boundary: the error names the first series that is
+    not generations 0, 1, ..., G - 1 with the G of every other series."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != METRICS_HEADER:
@@ -396,13 +402,26 @@ def read_metrics_csv(path) -> list[MetricRow]:
         raise ValueError(f"{path} line {len(lines)}: truncated metrics CSV "
                          f"(its last line has no newline)")
     rows = []
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
+    ends: dict[tuple[str, int], int] = {}  # each series' generations so far
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
             algorithm, run, generation, hv, gd_, igd_, best = line.split(",")
-            rows.append(MetricRow(algorithm, int(run), int(generation),
-                                  float(hv), float(gd_), float(igd_), float(best)))
-    except ValueError as exc:
-        raise ValueError(f"{path} line {lineno}: unreadable metrics row: {exc}") from None
+            row = MetricRow(algorithm, int(run), int(generation),
+                            float(hv), float(gd_), float(igd_), float(best))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: unreadable metrics row: {exc}") from None
+        due = ends.get((row.algorithm, row.run), 0)
+        if row.generation != due:
+            raise ValueError(f"{path} line {lineno}: {row.algorithm} run {row.run} has "
+                             f"generation {row.generation} where {due} is due")
+        ends[row.algorithm, row.run] = due + 1
+        rows.append(row)
+    # A run without rows (aborted) is left to build_score_table.
+    last = max(ends.values(), default=0)
+    for (algorithm, run), end in ends.items():
+        if end < last:
+            raise ValueError(f"{path}: {algorithm} run {run} stops at generation {end - 1}, "
+                             f"where another series reaches {last - 1}")
     return rows
 
 
@@ -416,16 +435,13 @@ def build_score_table(rows: list[MetricRow], metric: str) -> stats.ScoreTable:
     """One experiment's final-generation scores arranged for the Friedman test.
 
     Each run is a dataset: its row holds every algorithm's ``metric`` at that
-    run's last generation, in the order the algorithms first appear in ``rows``.
+    run's last generation, in the order the algorithms first appear in ``rows``,
+    which list each series' generations in order (:func:`read_metrics_csv` checks).
     """
     if metric not in _METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
     algorithms = list(dict.fromkeys(row.algorithm for row in rows))
-    last_gen = {}
-    for row in rows:
-        key = (row.algorithm, row.run)
-        if key not in last_gen or row.generation > last_gen[key].generation:
-            last_gen[key] = row
+    last_gen = {(row.algorithm, row.run): row for row in rows}
     runs = sorted({run for (_, run) in last_gen})
     missing = [f"{algorithm} run {run}" for run in runs for algorithm in algorithms
                if (algorithm, run) not in last_gen]
@@ -446,7 +462,7 @@ def write_cd_csv(cd_results: dict[str, stats.CDResult], path) -> None:
                 memberships[name].append(str(gid))
         for name, rank in zip(result.algorithms, result.mean_ranks):
             lines.append(f"{metric},{name},{float(rank)!r},{';'.join(memberships[name])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(lines, path)
 
 
 def write_curves_csv(rows: list[MetricRow], path) -> None:
@@ -462,5 +478,5 @@ def write_curves_csv(rows: list[MetricRow], path) -> None:
             values = np.array([getattr(r, metric) for r in groups[algorithm, generation]])
             lines.append(f"{metric},{algorithm},{generation},"
                          f"{float(values.mean())!r},{float(values.std())!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(lines, path)
 

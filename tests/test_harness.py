@@ -601,6 +601,71 @@ def test_cli_names_the_line_of_a_damaged_metrics_csv(tmp_path, capsys, damage, b
     assert not (out_dir / "cd.csv").exists() and not (out_dir / "curves.csv").exists()
 
 
+def _drop_last_row(lines):
+    return lines[:-1]
+
+
+def _drop_a_middle_row(lines):
+    return lines[:4] + lines[5:]
+
+
+def _swap_two_rows(lines):
+    return lines[:4] + [lines[5], lines[4]] + lines[6:]
+
+
+def _repeat_a_row(lines):
+    return lines[:11] + [lines[10]] + lines[11:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    # The file ends at a line boundary, one row short: PSO run 2, generation 9.
+    (_drop_last_row, ": PSO run 2 stops at generation 8, where another series reaches 9"),
+    (_drop_a_middle_row, " line 5: NSGA2 run 0 has generation 4 where 3 is due"),
+    (_swap_two_rows, " line 5: NSGA2 run 0 has generation 4 where 3 is due"),
+    (_repeat_a_row, " line 12: NSGA2 run 0 has generation 9 where 10 is due"),
+], ids=["last-row-dropped", "middle-row-dropped", "rows-swapped", "row-repeated"])
+def test_cli_refuses_a_metrics_csv_with_a_short_or_out_of_order_series(
+        tmp_path, capsys, damage, message):
+    out_dir = tmp_path / "smoke"
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), "--jobs", "1"]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    path = out_dir / "metrics.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[-1].startswith("PSO,2,9,") and lines[4].startswith("NSGA2,0,3,")
+    path.write_text("".join(damage(lines)), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["stats", str(out_dir), "--metric", "hv"], ["export-plots", str(out_dir)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}{message}"]
+    assert not (out_dir / "cd.csv").exists() and not (out_dir / "curves.csv").exists()
+
+
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "smoke"
+    assert cli.main(["run", str(SMOKE_CONFIG), "--out", str(out_dir), "--jobs", "1"]) == 0
+    assert cli.main(["metrics", str(out_dir)]) == 0
+    earlier = (out_dir / "metrics.csv").read_bytes()
+    compute = harness.compute_metrics
+
+    def fewer_rows(records):
+        rows, reference, fronts = compute(records)
+        return rows[:5], reference, fronts
+
+    def no_rename(source, target):
+        raise OSError(f"cannot rename {source}")
+
+    # A second metrics that would write other bytes, and cannot rename them into place.
+    monkeypatch.setattr(harness, "compute_metrics", fewer_rows)
+    monkeypatch.setattr(os, "replace", no_rename)
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: cannot rename {out_dir / 'metrics.csv'}.partial\n"
+    assert (out_dir / "metrics.csv").read_bytes() == earlier
+    assert not list(out_dir.rglob("*.partial"))
+
+
 def test_cli_stats_names_missing_runs(tmp_path, capsys):
     # An aborted or missing run leaves (algorithm, run) cells without rows.
     config = ExperimentConfig(environment="TradeoffBandit", algorithms=("NSGA2", "GA", "PSO"),
