@@ -236,7 +236,7 @@ def test_ask_matches_per_pair_operators(monkeypatch, name, p_crossover, p_m, pop
     # Initial genomes are U(-1, 1), so narrow bounds leave parents outside
     # them: the per-pair path mutates those unclamped unless SBX clamped them,
     # and a zero bound meets signed zeros in the clamps.  At pop 4
-    # _random_pair redraws a repeated slot one time in four, and p_m = 1.0
+    # _distinct redraws a repeated parent slot one time in four, and p_m = 1.0
     # gives every mutation walk its worst case, 2g draws.  A short window is
     # cut to a random length from one pair's worst case, 6g draws, up to the
     # length asked for, so pairs read new windows at varied distances from
