@@ -10,6 +10,7 @@ subclasses :class:`NSGA2` and overrides only the secondary key.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -326,19 +327,11 @@ class SMSEMOA(Optimizer):
 
 def generate_reference_directions(k: int, partitions: int) -> np.ndarray:
     """Das-Dennis simplex lattice: nonnegative k-vectors, coordinates
-    multiples of 1/partitions, summing to one.  C(k+p-1, p) directions."""
+    multiples of 1/partitions, summing to one.  C(k+p-1, p) directions, in
+    lexicographic order."""
     if k < 2 or partitions < 1:
         raise ValueError("need k >= 2 and partitions >= 1")
-    rows: list[list[int]] = []
-
-    def compose(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for used in range(remaining + 1):
-            compose(prefix + [used], remaining - used, slots - 1)
-
-    compose([], partitions, k)
+    rows = [c for c in itertools.product(range(partitions + 1), repeat=k) if sum(c) == partitions]
     return np.array(rows, dtype=np.float64) / partitions
 
 

@@ -166,11 +166,8 @@ def serialize_config(config: ExperimentConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             continue
-        if isinstance(value, tuple):
-            rendered = ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
+        # Through ``float``: a numpy float's own repr names its type, np.float64(12.0).
+        items = value if isinstance(value, tuple) else (value,)
+        rendered = ", ".join(repr(float(v)) if isinstance(v, float) else str(v) for v in items)
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"

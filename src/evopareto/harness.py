@@ -201,15 +201,15 @@ def check_out_dir(out_dir: Path, config: ExperimentConfig) -> None:
 
 
 def save_records(records: list[RunRecord], directory) -> list[Path]:
-    """Write ``config.txt``, then each record to a temporary name renamed into
-    place, so a failed write leaves no partial ``.jsonl`` and keeps any earlier record."""
+    """Write ``config.txt``, then each record, each to a temporary name renamed
+    into place, so a failed write leaves no partial file and keeps any earlier one."""
     config = records[0].config
     if any(record.config != config for record in records):
         raise ValueError("records of different configs cannot share a results directory")
     text = serialize_config(config)
     directory = Path(directory)
     (directory / "records").mkdir(parents=True, exist_ok=True)
-    (directory / "config.txt").write_text(text, encoding="utf-8")
+    _write_lines([text.removesuffix("\n")], directory / "config.txt")
     paths = []
     for record in records:
         path = record_path(directory, record.algorithm, record.run_index)
@@ -352,8 +352,9 @@ def compute_metrics(records: list[RunRecord]):
     }
     rows: list[MetricRow] = []
     for record in usable:
-        hv, gd, igd = indicators.indicator_series(record.returns, reference)
-        best = scalarize(np.stack(record.returns)).max(axis=1)
+        returns = np.stack(record.returns)
+        hv, gd, igd = indicators.indicator_series(returns, reference)
+        best = scalarize(returns).max(axis=1)
         for generation in range(len(record.returns)):
             rows.append(MetricRow(
                 algorithm=record.algorithm,
@@ -392,8 +393,9 @@ def read_metrics_csv(path) -> list[MetricRow]:
     """The rows of a metrics CSV.  ``ValueError`` names the file and the first
     line that does not parse; a file whose last line has no newline is refused
     as truncated, since :func:`write_metrics_csv` ends every line with one.
-    So is one cut at a line boundary: the error names the first series that is
-    not generations 0, 1, ..., G - 1 with the G of every other series."""
+    So is a file of its header alone, and one cut at a line boundary: the
+    error names the first series that is not generations 0, 1, ..., G - 1
+    with the G of every other series."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != METRICS_HEADER:
@@ -401,6 +403,8 @@ def read_metrics_csv(path) -> list[MetricRow]:
     if not text.endswith("\n"):
         raise ValueError(f"{path} line {len(lines)}: truncated metrics CSV "
                          f"(its last line has no newline)")
+    if len(lines) == 1:
+        raise ValueError(f"{path} holds no rows")
     rows = []
     ends: dict[tuple[str, int], int] = {}  # each series' generations so far
     for lineno, line in enumerate(lines[1:], start=2):

@@ -24,22 +24,23 @@ tests as the oracle).  Four rules keep them:
 * ordered sums: sweep terms and slab volumes are added left to right
   (``cumsum``, never the pairwise ``np.sum``), and adding 0.0 is exact;
 * one slab rule: the slabs are the distinct heights z of the points (a 2-D
-  front is one slab, [0, 1)).  Slab t reaches up to the next height, or to
+  front is one slab: height 0 under ``ref[2]`` = 1.0, so a term is its
+  area times 1.0, exactly).  Slab t reaches up to the next height, or to
   ``ref[2]``; its width is that bound minus its height, one subtraction.
   A duplicated height may stand as a slab of its own: it reaches up to the
   same height, so its width is 0.0, its term 0.0, and the last copy keeps
   the distinct slab's width.
 
-The same rules let G fronts of different sizes share one sweep
-(:func:`indicator_series`, and :func:`hypervolume_exact` as G = 1).  The
-fronts are stacked as a (G, n, k) array; a front's rows outside it (a
-dominated point, a point not inside ``ref``, a padding row) are masked
-with y = +inf and z = ``ref[2]``.  Each point's height is a slab, so a
-front's slabs are its distinct heights plus zero-width copies, and the
-masked rows' slabs sit at ``ref[2]`` with width 0.0.  Sorting a whole row
-keeps the front's own points in their order, every sum runs left to
-right within its row, and every term a masked point adds is 0.0, so each
-front's volume is bitwise its own sweep's.
+The same rules let G fronts share one sweep (:func:`indicator_series`,
+and :func:`hypervolume_exact` as G = 1).  The G populations of n points
+are stacked as a (G, n, k) array, and a front's other rows (dominated
+points, points not inside ``ref``) are masked with y = +inf and z =
+``ref[2]``, so fronts of different sizes need no padding.  Each point's
+height is a slab, so a front's slabs are its distinct heights plus
+zero-width copies, and the masked rows' slabs sit at ``ref[2]`` with width
+0.0.  Sorting a whole row keeps the front's own points in their order,
+every sum runs left to right within its row, and every term a masked point
+adds is 0.0, so each front's volume is bitwise its own sweep's.
 
 So, with point i removed, slab t's term is bitwise the whole front's
 unless i sits at or below slab t and lowers the running minimum there.  A
@@ -75,8 +76,6 @@ from . import pareto
 # and :func:`indicator_series` stacks at most this many (generation, point,
 # point) cells of dominance matrices and 3-D slab sweeps at once.
 _BLOCK_CELLS = 2**18
-# A 2-D front is one slab, from height 0 up to 1: its volume is its area.
-_FLAT = (np.zeros(1), np.ones(1))
 
 
 def hypervolume_exact(front, ref) -> float:
@@ -137,28 +136,19 @@ def _hypervolumes(points: np.ndarray, keep, ref: np.ndarray) -> np.ndarray:
     return np.cumsum(area * (upper - heights), axis=-1)[..., -1]
 
 
-def _sweep_rows(front, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The front and ref as float arrays, and the indices of the points
-    strictly inside ref in sweep order (stable ``lexsort`` by x, then y)."""
-    arr, ref = _front_and_ref(front, ref)
-    rows = np.flatnonzero((arr < ref).all(axis=1))
-    return arr, ref, rows[np.lexsort((arr[rows, 1], arr[rows, 0]))]
-
-
 def _slabs(points: np.ndarray, ref: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The whole front's slabs: the y's each one sweeps (``ys[t]``, see
+    """The slabs of a 3-D front (a 2-D one comes at height 0 under
+    ``ref[2]`` = 1.0): the y's each one sweeps (``ys[t]``, see
     :func:`_sweep`: point j's y if it sits at or below slab t, else +inf),
     the slab each point sits at, the slab heights ``zs`` and their upper
     bounds (the next height, or ``ref[2]`` for the last)."""
-    if ref.shape[0] == 2:
-        ys = np.concatenate((ref[1:], points[:, 1]))[None]
-        return ys, np.zeros(len(points), dtype=np.intp), *_FLAT
     z = points[:, 2]
-    zs = np.unique(z)
+    # The inverse (each point's slab) also spares np.unique its numpy.ma import, ~1 MB.
+    zs, slab = np.unique(z, return_inverse=True)
     ys = np.full((len(zs), len(points) + 1), ref[1])
     ys[:, 1:] = np.where(z <= zs[:, None], points[:, 1], np.inf)
-    return ys, np.searchsorted(zs, z), zs, np.concatenate((zs[1:], ref[2:]))
+    return ys, slab, zs, np.concatenate((zs[1:], ref[2:]))
 
 
 def _sweep(dx: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,11 +184,15 @@ def hypervolume_contributions(front, ref) -> np.ndarray:
     cells; the pair rows are scored in blocks of at most ``_BLOCK_CELLS``
     cells, and each row alone, so the blocks do not change a bit.
     """
-    arr, ref, rows = _sweep_rows(front, ref)
+    arr, ref = _front_and_ref(front, ref)
     contributions = np.zeros(arr.shape[0])
+    rows = np.flatnonzero((arr < ref).all(axis=1))
     if rows.size == 0:
         return contributions
+    rows = rows[np.lexsort((arr[rows, 1], arr[rows, 0]))]  # sweep order
     points = arr[rows]
+    if ref.shape[0] == 2:  # one slab, at height 0 with width 1.0: area * 1.0 == area
+        points, ref = np.column_stack((points, np.zeros(len(points)))), np.append(ref, 1.0)
     m = len(points)
     ys, slab, zs, upper = _slabs(points, ref)
     dx = ref[0] - points[:, 0]
@@ -269,24 +263,23 @@ def build_reference_front(final_fronts: Sequence) -> np.ndarray:
     return front[np.sort(first)]
 
 
-def indicator_series(populations: Sequence, reference_front
+def indicator_series(populations, reference_front
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-generation ``(hv, gd, igd)`` of a run against a fixed reference front.
 
-    ``populations`` holds one (n, k) array of mean returns per generation,
-    and each returned float array has one entry per generation.  HV uses the
-    reference front's ideal/nadir normalization; a reference front
-    degenerate in some objective cannot be normalized, so HV is reported as
-    NaN with a diagnostic while GD/IGD (raw scale) proceed.
+    ``populations`` is one finite (G, n, k) array of mean returns (generations
+    of different sizes are refused), and each returned float array has one
+    entry per generation.  HV uses the reference front's ideal/nadir
+    normalization; a reference front degenerate in some objective cannot be
+    normalized, so HV is reported as NaN with a diagnostic while GD/IGD (raw
+    scale) proceed.
 
-    The generations are stacked as one (G, n_max, k) array, in blocks of at
-    most ``_BLOCK_CELLS`` (generation, point, point) cells.  A shorter
-    population is padded with rows of -inf, which every real point
-    dominates, so the nondominated masks of one batched
+    The generations are taken in blocks of at most ``_BLOCK_CELLS``
+    (generation, point, point) cells.  The nondominated masks of one batched
     :func:`pareto._dominance_matrix` are each generation's
-    :func:`pareto.nondominated_filter`.  Every generation's normalized HV
-    then comes from one masked sweep, bit for bit :func:`hypervolume_exact`
-    of that generation's normalized, clipped front (see the module notes).
+    :func:`pareto.nondominated_filter`, and every generation's normalized HV
+    comes from one masked sweep, bit for bit :func:`hypervolume_exact` of
+    that generation's normalized, clipped front (see the module notes).
 
     GD and IGD read one squared-distance matrix per generation, along its
     rows and its columns.  They equal :func:`gd` of the front against the
@@ -297,6 +290,13 @@ def indicator_series(populations: Sequence, reference_front
     square roots.
     """
     reference = pareto.as_points(reference_front)
+    k = reference.shape[1]
+    try:
+        stack = np.asarray(populations, dtype=np.float64)
+    except ValueError:  # generations of different sizes
+        stack = np.empty(0)
+    if stack.ndim != 3 or stack.shape[2] != k or not stack.size or not np.isfinite(stack).all():
+        raise ValueError(f"populations must be one finite, nonempty (G, n, k) array, k = {k}")
     ideal = reference.max(axis=0)
     nadir = reference.min(axis=0)
     degenerate = bool(np.any(ideal == nadir))
@@ -306,24 +306,19 @@ def indicator_series(populations: Sequence, reference_front
             f"{np.flatnonzero(ideal == nadir).tolist()}; HV reported as NaN",
             stacklevel=2,
         )
-    arrays = [pareto.as_points(population) for population in populations]
-    k = reference.shape[1]
-    n = max((len(a) for a in arrays), default=1)
+    n = stack.shape[1]
     step = max(1, _BLOCK_CELLS // (n * n))
-    hv = np.full(len(arrays), np.nan)
-    gd_ = np.empty(len(arrays))
-    igd_ = np.empty(len(arrays))
-    for b in range(0, len(arrays), step):
-        block = arrays[b:b + step]
-        stack = np.full((len(block), n, k), -np.inf)
-        for g, population in enumerate(block):
-            stack[g, :len(population)] = population
-        keep = ~pareto._dominance_matrix(stack).any(axis=-2)
+    hv = np.full(len(stack), np.nan)
+    gd_ = np.empty(len(stack))
+    igd_ = np.empty(len(stack))
+    for b in range(0, len(stack), step):
+        block = stack[b:b + step]
+        keep = ~pareto._dominance_matrix(block).any(axis=-2)
         if not degenerate:
-            clipped = np.maximum(pareto.normalize(stack, ideal, nadir), 0.0)
+            clipped = np.maximum(pareto.normalize(block, ideal, nadir), 0.0)
             hv[b:b + len(block)] = _hypervolumes(clipped, keep, np.ones(k))
         for g, population in enumerate(block):
-            squared = _squared_distances(population[keep[g, :len(population)]], reference)
+            squared = _squared_distances(population[keep[g]], reference)
             gd_[b + g] = np.sqrt(squared.min(axis=1)).mean()
             igd_[b + g] = np.sqrt(squared.min(axis=0)).mean()
     return hv, gd_, igd_

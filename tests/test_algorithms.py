@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -1033,6 +1034,19 @@ def test_reference_direction_counts_and_simplex():
     assert np.allclose(d34.sum(axis=1), 1.0)
     assert np.all(d34 >= 0.0)
     assert np.allclose(d249.sum(axis=1), 1.0)
+
+
+def test_reference_directions_are_the_lattice_in_lexicographic_order():
+    for k in range(2, 6):
+        for p in range(1, 13):
+            directions = generate_reference_directions(k, p)
+            counts = np.rint(directions * p)
+            assert directions.shape == (math.comb(k + p - 1, p), k)
+            assert np.array_equal(counts / p, directions)  # multiples of 1/p
+            assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == p)
+            assert np.allclose(directions.sum(axis=1), 1.0)
+            rows = [tuple(row) for row in counts.astype(int).tolist()]
+            assert all(a < b for a, b in zip(rows, rows[1:]))  # distinct, lexicographic
 
 
 def test_minimum_partitions():

@@ -1,7 +1,8 @@
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evopareto import cli, harness
@@ -234,6 +235,21 @@ def test_every_key_serializes_to_pinned_text():
                                                  for line in EVERY_KEY.splitlines()}
     assert serialize_config(config) == EVERY_KEY
     assert parse_config(EVERY_KEY) == config
+
+
+def test_numpy_numbers_serialize_as_their_python_twins():
+    config = parse_config(EVERY_KEY)
+
+    def as_numpy(value):
+        if isinstance(value, tuple):
+            return tuple(map(as_numpy, value))
+        return {float: np.float64, int: np.int64}.get(type(value), str)(value)
+
+    twin = replace(config, **{f.name: as_numpy(getattr(config, f.name)) for f in fields(config)})
+    assert type(twin.eta_c) is np.float64 and type(twin.bounds[0]) is np.float64
+    assert type(twin.pop_size) is np.int64
+    assert serialize_config(twin) == EVERY_KEY
+    assert parse_config(serialize_config(twin)) == config
 
 
 def test_shipped_configs_parse_and_round_trip():

@@ -147,6 +147,23 @@ def test_failed_record_write_keeps_the_earlier_record(tmp_path):
     assert [p.name for p in (tmp_path / "records").iterdir()] == [path.name]
 
 
+def test_failed_config_write_keeps_the_earlier_config_txt(tmp_path, monkeypatch):
+    record = fabricate_record("GA", 0, [[(0.2, 0.8)]])
+    harness.save_records([record], tmp_path)
+    earlier = (tmp_path / "config.txt").read_bytes()
+
+    def half_then_fail(self, data, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as handle:
+            handle.write(data[:len(data) // 2])
+        raise OSError(f"cannot write {self}")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError, match="cannot write"):
+        harness.save_records([record], tmp_path)
+    assert (tmp_path / "config.txt").read_bytes() == earlier
+    assert not list(tmp_path.rglob("*.partial"))
+
+
 def poison_rows(monkeypatch, call, rows):
     """Make the ``call``-th evaluate call (from 1) return NaN returns at ``rows``."""
     real_evaluate = harness.evaluate
@@ -617,13 +634,19 @@ def _repeat_a_row(lines):
     return lines[:11] + [lines[10]] + lines[11:]
 
 
+def _keep_only_the_header(lines):
+    return lines[:1]
+
+
 @pytest.mark.parametrize("damage, message", [
     # The file ends at a line boundary, one row short: PSO run 2, generation 9.
     (_drop_last_row, ": PSO run 2 stops at generation 8, where another series reaches 9"),
     (_drop_a_middle_row, " line 5: NSGA2 run 0 has generation 4 where 3 is due"),
     (_swap_two_rows, " line 5: NSGA2 run 0 has generation 4 where 3 is due"),
     (_repeat_a_row, " line 12: NSGA2 run 0 has generation 9 where 10 is due"),
-], ids=["last-row-dropped", "middle-row-dropped", "rows-swapped", "row-repeated"])
+    (_keep_only_the_header, " holds no rows"),
+], ids=["last-row-dropped", "middle-row-dropped", "rows-swapped", "row-repeated",
+        "header-only"])
 def test_cli_refuses_a_metrics_csv_with_a_short_or_out_of_order_series(
         tmp_path, capsys, damage, message):
     out_dir = tmp_path / "smoke"

@@ -428,13 +428,13 @@ def test_indicator_series_gd_igd_equal_separate_calls_bit_for_bit(k):
                   cases["n38-rounded"], cases["n1-simplex"]]
     assert any(np.any(np.signbit(front) & (front == 0.0)) for front in populations)  # -0.0
     for reference in references:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the single-point reference is degenerate
-            _, gd, igd = indicators.indicator_series(populations, reference)
-        for generation, population in enumerate(populations):
+        for population in populations:  # of different sizes: one per call
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the single-point reference is degenerate
+                _, gd, igd = indicators.indicator_series(population[None], reference)
             front = pareto.nondominated_filter(population)
-            assert gd[generation] == indicators.gd(front, reference)
-            assert igd[generation] == oracle.igd(front, reference)
+            assert gd[0] == indicators.gd(front, reference)
+            assert igd[0] == oracle.igd(front, reference)
 
 
 def series_by_generation(populations, reference):
@@ -450,9 +450,11 @@ def series_by_generation(populations, reference):
 
 
 def ragged_generations(k, seed):
-    """Populations of 1..40 maximization points around a reference front:
-    rounded (tied coordinates, duplicated heights), duplicated rows, -0.0,
-    points on and beyond the nadir (HV's ref) and beyond the ideal."""
+    """Populations of 64 maximization points around a reference front, whose
+    fronts differ in size: 1..40 drawn points, rounded (tied coordinates,
+    duplicated heights), duplicated rows, -0.0, points on and beyond the
+    nadir (HV's ref) and beyond the ideal, and filled up with dominated
+    copies of them, lowered by 0.5 in every objective."""
     stream = RandomStream(seed)
     reference = indicators.build_reference_front(
         [stream.uniform_vector(30 * k).reshape(30, k) * 2.0 - 1.0])
@@ -471,7 +473,8 @@ def ragged_generations(k, seed):
             pop[0] = nadir  # on ref in every coordinate
             pop[-1, 0] = nadir[0]  # on ref in one coordinate
             pop[-1, 1] = ideal[1]  # normalized to -0.0
-        populations.append(pop)
+        filler = pop[np.arange(64 - len(pop)) % len(pop)] - 0.5
+        populations.append(np.vstack([pop, filler]))
     return populations, reference
 
 
@@ -484,16 +487,18 @@ def assert_same_bits(got, want):
 @pytest.mark.parametrize("k", [2, 3])
 def test_indicator_series_equals_per_generation_oracle_bit_for_bit(k):
     populations, reference = ragged_generations(k, 80 + k)
-    assert len({len(p) for p in populations}) > 5
+    assert len({len(pareto.nondominated_filter(p)) for p in populations}) > 5
     assert any(np.any(np.signbit(p) & (p == 0.0)) for p in populations)
     got = indicators.indicator_series(populations, reference)
     assert_same_bits(got, series_by_generation(populations, reference))
     assert np.all((got[0] >= 0.0) & (got[0] <= 1.0))
-    # Populations from the cases of the HV oracle tests, read as maximization.
+    # Populations from the cases of the HV oracle tests, read as maximization;
+    # they differ in size, so each is scored on its own.
     cases = [front for _, front, _ in oracle_cases(k)]
     reference = indicators.build_reference_front(cases)
-    assert_same_bits(indicators.indicator_series(cases, reference),
-                     series_by_generation(cases, reference))
+    for front in cases:
+        assert_same_bits(indicators.indicator_series(front[None], reference),
+                         series_by_generation([front], reference))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -525,13 +530,26 @@ def test_indicator_series_degenerate_reference_warns_and_nans_hv():
     assert any("degenerate" in str(w.message) for w in caught)
     assert np.isnan(hv[0])
     assert igd[0] == 0.0
-    # Ragged generations: HV is NaN in every one, GD and IGD are unchanged.
+    # Many generations: HV is NaN in every one, GD and IGD are unchanged.
     populations, _ = ragged_generations(2, 95)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = indicators.indicator_series(populations, reference)
         assert np.all(np.isnan(got[0]))
         assert_same_bits(got, series_by_generation(populations, reference))
+
+
+def test_indicator_series_refuses_ragged_or_non_finite_generations():
+    reference = np.array([(0.0, 1.0), (1.0, 0.0)])
+    population = np.array([(0.1, 0.1), (0.2, 0.2)])
+    for populations in ([population, population[:1]],  # generations of different sizes
+                        [population, np.array([(0.1, np.nan), (0.2, 0.2)])],
+                        [[(0.1, np.inf)]], [[(-np.inf, 0.1)]],
+                        population,  # one generation, not a stack of them
+                        np.zeros((0, 2, 2)), np.zeros((2, 0, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match=r"^populations must be one finite, nonempty "
+                                             r"\(G, n, k\) array, k = 2$"):
+            indicators.indicator_series(populations, reference)
 
 
 def test_analytic_front_normalized_hv_near_half():
